@@ -10,16 +10,7 @@ reproduces the reference behavior with sharper corners.
 
 import numpy as np
 
-from hopfield_annealing import (
-    AnnealSchedule,
-    BiasSpec,
-    answer_overlap,
-    evolve_batch,
-    ising_hamiltonian,
-    overlapping_memories,
-    weights_for_rule,
-)
-from hopfield_annealing.patterns import pattern_to_index
+from hopfield_annealing import bias_response, overlapping_memories
 
 T = 300.0
 DT = 0.1
@@ -27,26 +18,14 @@ GAMMAS = np.arange(0.0, 1.0001, 0.1)
 RULES = ("hebb", "storkey", "projection")
 
 memories = overlapping_memories()
-answer = memories[0]
-target = pattern_to_index(answer)
-schedule = AnnealSchedule.linear(T)
-
-curves = {}
-for p in (1, 2, 3):
-    for rule in RULES:
-        weights = weights_for_rule(rule, memories[:p])
-        diagonals = np.stack([
-            ising_hamiltonian(weights, BiasSpec(answer, float(g))).diagonal()
-            for g in GAMMAS
-        ])
-        states = evolve_batch(diagonals, schedule, DT)
-        curves[p, rule] = np.abs(states[:, target]) ** 2
+# p -> {"gamma": [...], rule: recall probability of memories[0] per gamma}
+curves = {p: bias_response(memories[:p], memories[0], GAMMAS, T, DT) for p in (1, 2, 3)}
 
 for p in (1, 2, 3):
     print(f"\np = {p}: recall probability of the answer state")
     print("  gamma:", "  ".join(f"{g:5.2f}" for g in GAMMAS))
     for rule in RULES:
-        print(f"  {rule:>10s}:", "  ".join(f"{q:5.3f}" for q in curves[p, rule]))
+        print(f"  {rule:>10s}:", "  ".join(f"{q:5.3f}" for q in curves[p][rule]))
 
 try:
     import matplotlib
@@ -58,7 +37,7 @@ else:
     fig, axes = plt.subplots(1, 3, figsize=(12, 3.6), sharey=True)
     for ax, p in zip(axes, (1, 2, 3)):
         for rule in RULES:
-            ax.plot(GAMMAS, curves[p, rule], marker="o", ms=3, label=rule)
+            ax.plot(GAMMAS, curves[p][rule], marker="o", ms=3, label=rule)
         ax.set_title(f"p = {p}")
         ax.set_xlabel("bias gamma")
     axes[0].set_ylabel("recall probability")

@@ -17,6 +17,7 @@ from .ensembles import (
     EnsembleStats,
     RecallOutcome,
     anneal_time_sweep,
+    bias_response,
     bias_sweep,
     run_ensemble,
     run_instance,
@@ -76,6 +77,7 @@ __all__ = [
     "answer_overlap",
     "as_memory_set",
     "as_pattern",
+    "bias_response",
     "bias_sweep",
     "classical_update",
     "delta_energy",

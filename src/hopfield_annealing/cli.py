@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical or convergence failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,27 +23,18 @@ from .ensembles import (
     DEFAULT_ENSEMBLE_SIZE,
     DEFAULT_THRESHOLD,
     anneal_time_sweep,
+    bias_response,
     bias_sweep,
     run_instance,
     write_results_csv,
 )
-from .evolution import (
-    AnnealSchedule,
-    ConvergenceError,
-    DEFAULT_DT,
-    evolve_batch,
-    halving_convergence,
-)
-from .hamiltonians import (
-    QubitBudgetError,
-    ising_hamiltonian,
-    transverse_field_hamiltonian,
-)
+from .evolution import AnnealSchedule, ConvergenceError, DEFAULT_DT, halving_convergence
+from .hamiltonians import ising_hamiltonian, transverse_field_hamiltonian
 from .instances import PROTOCOLS, ProblemInstance, generate_instance
 from .learning import LEARNING_RULES, SingularCovarianceError, weights_for_rule
 from .memio import (
     FIGURE_IDS,
-    MemoryFileError,
+    FIGURE_PROTOCOL,
     bundled_memories_path,
     emit_figure_data,
     load_memories,
@@ -51,8 +43,8 @@ from .memio import (
     write_text_atomic,
 )
 from .network import BiasSpec, classical_update, network_energy
-from .patterns import as_pattern, hadamard_memories, hamming_distance, pattern_to_index
-from .spectrum import min_gap, spectrum_trace, write_spectrum_csv
+from .patterns import as_pattern, hadamard_memories, hamming_distance
+from .spectrum import SpectrumTrace, min_gap, spectrum_trace, write_spectrum_csv
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -67,22 +59,13 @@ class RunConfig:
     params: dict
 
 
-def _float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(tok) for tok in str(text).replace(",", " ").split()]
-
-
-def _int_list(text):
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(tok) for tok in str(text).replace(",", " ").split()]
-
-
-def _pattern_text(text):
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    return [int(tok) for tok in str(text).replace(",", " ").split()]
+def _list_of(convert):
+    """Normalizer of a list option given as a JSON list or as text like '1,2 3'."""
+    def parse(value):
+        if not isinstance(value, (list, tuple)):
+            value = str(value).replace(",", " ").split()
+        return [convert(v) for v in value]
+    return parse
 
 
 # option name -> (argparse flag, value normalizer, help)
@@ -98,16 +81,16 @@ _OPTIONS = {
     "seed": ("--seed", int, "master seed; all randomness derives from it"),
     "protocol": ("--protocol", str, f"instance protocol, one of {PROTOCOLS}"),
     "memories": ("--memories", str, "memory-set file (see README for the format)"),
-    "input": ("--input", _pattern_text, "input key, e.g. '+1,-1,+1,-1'"),
+    "input": ("--input", _list_of(int), "input key, e.g. '+1,-1,+1,-1'"),
     "out": ("--out", str, "output directory"),
     "samples": ("--samples", int, "time samples for the spectrum grid"),
     "hadamard": ("--hadamard", bool, "use orthogonal Hadamard-column memories"),
     "check_dt": ("--check-dt", bool, "verify the result is stable under dt halving"),
     "mode": ("--mode", str, "update mode: synchronous or asynchronous"),
     "max_sweeps": ("--max-sweeps", int, "sweep budget for the classical dynamics"),
-    "p_list": ("--p-list", _int_list, "memory counts, e.g. '1,2,3,4,5'"),
-    "gamma_grid": ("--gamma-grid", _float_list, "bias grid, e.g. '0.05,0.15,0.5'"),
-    "T_list": ("--T-list", _float_list, "annealing times, ascending"),
+    "p_list": ("--p-list", _list_of(int), "memory counts, e.g. '1,2,3,4,5'"),
+    "gamma_grid": ("--gamma-grid", _list_of(float), "bias grid, e.g. '0.05,0.15,0.5'"),
+    "T_list": ("--T-list", _list_of(float), "annealing times, ascending"),
     "id": ("--id", str, f"figure id, one of {FIGURE_IDS}"),
 }
 
@@ -177,22 +160,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _normalize(name: str, value):
     norm = _OPTIONS[name][1]
-    if value is None or norm is bool:
-        return value if value is not None else None
-    return norm(value)
-
-
-def _defaults_for(command: str) -> dict:
-    params = {name: _BASE_DEFAULTS[name] for name in _COMMAND_PARAMS[command]}
-    params.update(_COMMAND_DEFAULTS.get(command, {}))
-    return params
+    return value if value is None or norm is bool else norm(value)
 
 
 def parse_config(argv) -> RunConfig:
     """Resolve argv (and an optional config file) into a validated RunConfig."""
     ns = _build_parser().parse_args(argv)
     command = ns.command
-    params = _defaults_for(command)
+    params = {name: _BASE_DEFAULTS[name] for name in _COMMAND_PARAMS[command]}
+    params.update(_COMMAND_DEFAULTS.get(command, {}))
 
     if ns.config is not None:
         try:
@@ -211,7 +187,7 @@ def parse_config(argv) -> RunConfig:
                 continue
             if key not in params:
                 raise ValueError(f"unknown config key {key!r} for command {command!r}")
-            params[key] = _normalize(key, value) if value is not None else None
+            params[key] = _normalize(key, value)
 
     for name in _COMMAND_PARAMS[command]:
         flag_value = getattr(ns, name)
@@ -233,6 +209,12 @@ def _validate(command: str, params: dict) -> None:
           f"must be one of {LEARNING_RULES}, got {params['rule']!r}")
     check(params["protocol"] in PROTOCOLS, "protocol",
           f"must be one of {PROTOCOLS}, got {params['protocol']!r}")
+    for key in ("gamma", "T", "dt", "x"):
+        check(math.isfinite(params[key]), key, f"must be finite, got {params[key]}")
+    for key in ("gamma_grid", "T_list"):
+        if key in params:
+            check(all(math.isfinite(v) for v in params[key]), key,
+                  f"values must be finite, got {params[key]}")
     check(params["gamma"] >= 0, "gamma", f"must be non-negative, got {params['gamma']}")
     check(params["T"] > 0, "T", f"must be positive, got {params['T']}")
     check(params["dt"] > 0, "dt", f"must be positive, got {params['dt']}")
@@ -293,28 +275,32 @@ def _load_memory_set(cfg: RunConfig):
     return mem
 
 
-def _bias_from(cfg: RunConfig, n: int) -> BiasSpec | None:
+def _input_key(cfg: RunConfig, n: int):
+    """The --input pattern, checked against the register size n; None if unset."""
     if cfg.params["input"] is None:
         return None
     key = as_pattern(cfg.params["input"])
     if key.size != n:
         raise ValueError(f"--input: pattern length {key.size} does not match n={n}")
-    return BiasSpec(input_key=key, gamma=cfg.params["gamma"])
+    return key
+
+
+def _spectrum(params: dict, memories, bias) -> SpectrumTrace:
+    """Spectrum trace of the annealing Hamiltonian storing `memories`."""
+    n = memories.shape[1]
+    h1 = ising_hamiltonian(weights_for_rule(params["rule"], memories), bias)
+    return spectrum_trace(transverse_field_hamiltonian(n), h1,
+                          AnnealSchedule.linear(params["T"]), params["samples"])
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
     memories = _load_memory_set(cfg)
-    n = memories.shape[1]
-    weights = weights_for_rule(cfg.params["rule"], memories)
-    h1 = ising_hamiltonian(weights, _bias_from(cfg, n))
-    schedule = AnnealSchedule.linear(cfg.params["T"])
-    trace = spectrum_trace(transverse_field_hamiltonian(n), h1, schedule,
-                           cfg.params["samples"])
+    key = _input_key(cfg, memories.shape[1])
+    bias = None if key is None else BiasSpec(input_key=key, gamma=cfg.params["gamma"])
+    trace = _spectrum(cfg.params, memories, bias)
     out = _echo_outputs(cfg)
     path = os.path.join(out, "spectrum.csv")
-    tmp = f"{path}.tmp"
-    write_spectrum_csv(trace, tmp)
-    os.replace(tmp, path)
+    write_spectrum_csv(trace, path)
     gap, t_at = min_gap(trace)
     print(f"spectrum: {trace.energies.shape[1]} levels x {trace.times.size} samples "
           f"-> {path}")
@@ -322,15 +308,21 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _explicit_instance(cfg: RunConfig) -> ProblemInstance:
+def _instance(cfg: RunConfig) -> ProblemInstance:
+    """A generated instance when --n and --p are set without --memories;
+    otherwise an exact-protocol instance over the loaded memory set whose key
+    is --input (default: the first memory)."""
+    params = cfg.params
+    if params["memories"] is None and params["n"] is not None and params["p"] is not None:
+        return generate_instance(
+            params["protocol"], params["n"], params["p"], params["rule"],
+            params["gamma"], params["T"], seed=params["seed"],
+        )
     memories = _load_memory_set(cfg)
     n = memories.shape[1]
-    if cfg.params["input"] is None:
+    key = _input_key(cfg, n)
+    if key is None:
         key = memories[0].copy()
-    else:
-        key = as_pattern(cfg.params["input"])
-        if key.size != n:
-            raise ValueError(f"--input: pattern length {key.size} does not match n={n}")
     dists = [hamming_distance(key, m) for m in memories]
     return ProblemInstance(
         protocol="exact",
@@ -338,22 +330,16 @@ def _explicit_instance(cfg: RunConfig) -> ProblemInstance:
         memories=memories,
         answer_index=int(np.argmin(dists)),
         input_key=key,
-        rule=cfg.params["rule"],
-        gamma=cfg.params["gamma"],
-        anneal_time=cfg.params["T"],
-        seed=cfg.params["seed"],
+        rule=params["rule"],
+        gamma=params["gamma"],
+        anneal_time=params["T"],
+        seed=params["seed"],
     )
 
 
 def _cmd_recall(cfg: RunConfig) -> int:
     params = cfg.params
-    if params["memories"] is None and params["n"] is not None and params["p"] is not None:
-        instance = generate_instance(
-            params["protocol"], params["n"], params["p"], params["rule"],
-            params["gamma"], params["T"], seed=params["seed"],
-        )
-    else:
-        instance = _explicit_instance(cfg)
+    instance = _instance(cfg)
     outcome = run_instance(instance, x=params["x"], dt=params["dt"])
     if params["check_dt"]:
         weights = weights_for_rule(instance.rule, instance.memories)
@@ -387,15 +373,8 @@ def _cmd_recall(cfg: RunConfig) -> int:
 
 def _cmd_classical(cfg: RunConfig) -> int:
     params = cfg.params
-    if params["memories"] is None and params["n"] is not None and params["p"] is not None:
-        instance = generate_instance(
-            params["protocol"], params["n"], params["p"], params["rule"],
-            params["gamma"], params["T"], seed=params["seed"],
-        )
-        memories, key = instance.memories, instance.input_key
-    else:
-        instance = _explicit_instance(cfg)
-        memories, key = instance.memories, instance.input_key
+    instance = _instance(cfg)
+    memories, key = instance.memories, instance.input_key
     weights = weights_for_rule(params["rule"], memories)
     bias = BiasSpec(key, params["gamma"]) if params["gamma"] > 0 else None
     state, converged, sweeps = classical_update(
@@ -419,58 +398,39 @@ def _cmd_classical(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_bias_sweep(cfg: RunConfig) -> int:
+def _sweep(kind: str, params: dict, protocol: str, n: int, rule_gammas: dict) -> list:
+    """One sweep per rule of `rule_gammas`, cells concatenated.
+
+    kind "bias-sweep" sweeps the bias grid at fixed T; "anneal-sweep" sweeps
+    the T list at the rule's gamma from `rule_gammas`.
+    """
+    common = dict(count=params["N"], x=params["x"], dt=params["dt"],
+                  master_seed=params["seed"])
+    stats = []
+    for rule, gamma in rule_gammas.items():
+        if kind == "bias-sweep":
+            stats += bias_sweep(protocol, n, params["p_list"], rule,
+                                params["gamma_grid"], params["T"], **common)
+        else:
+            stats += anneal_time_sweep(protocol, n, params["p_list"], rule, gamma,
+                                       params["T_list"], **common)
+    return stats
+
+
+def _cmd_sweep(cfg: RunConfig) -> int:
     params = cfg.params
     if params["n"] is None:
-        raise ValueError("--n: required for bias-sweep")
-    stats = bias_sweep(
-        params["protocol"], params["n"], params["p_list"], params["rule"],
-        params["gamma_grid"], params["T"], count=params["N"], x=params["x"],
-        dt=params["dt"], master_seed=params["seed"],
-    )
+        raise ValueError(f"--n: required for {cfg.command}")
+    stats = _sweep(cfg.command, params, params["protocol"], params["n"],
+                   {params["rule"]: params["gamma"]})
     out = _echo_outputs(cfg)
     path = os.path.join(out, "results.csv")
-    tmp = f"{path}.tmp"
-    write_results_csv(stats, tmp)
-    os.replace(tmp, path)
+    write_results_csv(stats, path)
     print(f"{len(stats)} cells -> {path}")
     return 0
 
 
-def _cmd_anneal_sweep(cfg: RunConfig) -> int:
-    params = cfg.params
-    if params["n"] is None:
-        raise ValueError("--n: required for anneal-sweep")
-    stats = anneal_time_sweep(
-        params["protocol"], params["n"], params["p_list"], params["rule"],
-        params["gamma"], params["T_list"], count=params["N"], x=params["x"],
-        dt=params["dt"], master_seed=params["seed"],
-    )
-    out = _echo_outputs(cfg)
-    path = os.path.join(out, "results.csv")
-    tmp = f"{path}.tmp"
-    write_results_csv(stats, tmp)
-    os.replace(tmp, path)
-    print(f"{len(stats)} cells -> {path}")
-    return 0
-
-
-def _bias_response(memories, answer, gammas, anneal_time, dt):
-    """Recall probability of `answer` vs bias, per learning rule."""
-    target = pattern_to_index(answer)
-    curves = {"gamma": [float(g) for g in gammas]}
-    schedule = AnnealSchedule.linear(anneal_time)
-    for rule in LEARNING_RULES:
-        weights = weights_for_rule(rule, memories)
-        diagonals = np.stack([
-            ising_hamiltonian(weights, BiasSpec(answer, float(g))).diagonal()
-            for g in gammas
-        ])
-        states = evolve_batch(diagonals, schedule, dt)
-        curves[rule] = [float(np.abs(states[i, target]) ** 2) for i in range(len(gammas))]
-    return curves
-
-
+# bias of each rule in the annealing-time figure f10
 _FIGURE_RULE_GAMMA = {"hebb": 0.5, "storkey": 0.15, "projection": 0.15}
 
 
@@ -480,34 +440,18 @@ def _cmd_figures(cfg: RunConfig) -> int:
     n = params["n"] if params["n"] is not None else (4 if fid in ("f1", "f2") else 5)
     if fid in ("f1", "f2"):
         memories = hadamard_memories(n, params["p"])
-        weights = weights_for_rule(params["rule"], memories)
         bias = BiasSpec(memories[0], 1.0) if fid == "f2" else None
-        h1 = ising_hamiltonian(weights, bias)
-        schedule = AnnealSchedule.linear(params["T"])
-        results = spectrum_trace(transverse_field_hamiltonian(n), h1, schedule,
-                                 params["samples"])
+        results = _spectrum(params, memories, bias)
     elif fid in ("f3", "f4", "f5"):
         memories = _load_memory_set(cfg)
         p = {"f3": 1, "f4": 2, "f5": 3}[fid]
-        results = _bias_response(memories[:p], memories[0], params["gamma_grid"],
-                                 params["T"], params["dt"])
-    elif fid in ("f6", "f7", "f8", "f9"):
-        protocol = {"f6": "exact", "f7": "noisy", "f8": "failure1", "f9": "failure2"}[fid]
-        results = []
-        for rule in LEARNING_RULES:
-            results += bias_sweep(
-                protocol, n, params["p_list"], rule, params["gamma_grid"],
-                params["T"], count=params["N"], x=params["x"], dt=params["dt"],
-                master_seed=params["seed"],
-            )
-    else:  # f10
-        results = []
-        for rule in LEARNING_RULES:
-            results += anneal_time_sweep(
-                "exact", n, params["p_list"], rule, _FIGURE_RULE_GAMMA[rule],
-                params["T_list"], count=params["N"], x=params["x"],
-                dt=params["dt"], master_seed=params["seed"],
-            )
+        results = bias_response(memories[:p], memories[0], params["gamma_grid"],
+                                params["T"], params["dt"])
+    elif fid == "f10":
+        results = _sweep("anneal-sweep", params, "exact", n, _FIGURE_RULE_GAMMA)
+    else:
+        results = _sweep("bias-sweep", params, FIGURE_PROTOCOL[fid], n,
+                         dict.fromkeys(LEARNING_RULES))
     out = _echo_outputs(cfg)
     written = emit_figure_data(results, fid, out)
     for path in written:
@@ -519,8 +463,8 @@ _HANDLERS = {
     "spectrum": _cmd_spectrum,
     "recall": _cmd_recall,
     "classical": _cmd_classical,
-    "bias-sweep": _cmd_bias_sweep,
-    "anneal-sweep": _cmd_anneal_sweep,
+    "bias-sweep": _cmd_sweep,
+    "anneal-sweep": _cmd_sweep,
     "figures": _cmd_figures,
 }
 
@@ -528,19 +472,12 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
+        return _HANDLERS[cfg.command](cfg)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    except (MemoryFileError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _HANDLERS[cfg.command](cfg)
     except (SingularCovarianceError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (MemoryFileError, QubitBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,15 +13,15 @@ seed is derived from (master seed, protocol, p, bias index, time index,
 instance index) alone.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import write_csv_atomic
 from .evolution import AnnealSchedule, evolve_batch, DEFAULT_DT
 from .hamiltonians import ising_hamiltonian, ground_state_mass
 from .instances import ProblemInstance, derive_seed, generate_instance
-from .learning import weights_for_rule
+from .learning import LEARNING_RULES, weights_for_rule
 from .network import BiasSpec
 from .patterns import pattern_to_index
 
@@ -35,6 +35,7 @@ __all__ = [
     "run_ensemble",
     "bias_sweep",
     "anneal_time_sweep",
+    "bias_response",
     "write_results_csv",
     "RESULTS_HEADER",
 ]
@@ -123,12 +124,11 @@ def _ensemble_cell(
     dt: float,
     master_seed: int,
     gamma_index: int,
-    time_index: int,
 ) -> EnsembleStats:
     instances = [
         generate_instance(
             protocol, n, p, rule, gamma, anneal_time,
-            seed=derive_seed(master_seed, protocol, p, gamma_index, time_index, i),
+            seed=derive_seed(master_seed, protocol, p, gamma_index, 0, i),
         )
         for i in range(count)
     ]
@@ -173,8 +173,25 @@ def run_ensemble(
         raise ValueError(f"count must be at least 1, got {count}")
     return _ensemble_cell(
         protocol, n, p, rule, gamma, anneal_time, count, x, dt, master_seed,
-        gamma_index=0, time_index=0,
+        gamma_index=0,
     )
+
+
+def _sweep_cells(protocol, n, p_list, rule, gamma_grid, time_list, count, x, dt,
+                 master_seed) -> list[EnsembleStats]:
+    """One ensemble per (p, gamma, T) cell, in that nesting order.
+
+    Instance seeds take gamma's position in its grid and ignore T's (time
+    index 0), so the exact same instances are annealed at every T and the
+    curves differ only by annealing time.
+    """
+    return [
+        _ensemble_cell(protocol, n, int(p), rule, gamma, anneal_time, count, x, dt,
+                       master_seed, gamma_index=gi)
+        for p in p_list
+        for gi, gamma in enumerate(gamma_grid)
+        for anneal_time in time_list
+    ]
 
 
 def bias_sweep(
@@ -193,16 +210,8 @@ def bias_sweep(
     gamma_grid = [float(g) for g in gamma_grid]
     if any(not 0.0 <= g <= 1.0 for g in gamma_grid):
         raise ValueError("gamma grid values must lie in [0, 1]")
-    results = []
-    for p in p_list:
-        for gi, gamma in enumerate(gamma_grid):
-            results.append(
-                _ensemble_cell(
-                    protocol, n, int(p), rule, gamma, anneal_time, count, x, dt,
-                    master_seed, gamma_index=gi, time_index=0,
-                )
-            )
-    return results
+    return _sweep_cells(protocol, n, p_list, rule, gamma_grid, [anneal_time],
+                        count, x, dt, master_seed)
 
 
 def anneal_time_sweep(
@@ -217,25 +226,33 @@ def anneal_time_sweep(
     dt: float = DEFAULT_DT,
     master_seed: int = 0,
 ) -> list[EnsembleStats]:
-    """One ensemble per (p, T) cell.
-
-    Instance seeds deliberately ignore the position of T in the list, so the
-    exact same instances are annealed at every T and the curves differ only by
-    annealing time.
-    """
+    """One ensemble per (p, T) cell; the same instances at every T."""
     time_list = [float(t) for t in time_list]
     if any(t <= 0 for t in time_list) or sorted(time_list) != time_list:
         raise ValueError("time_list must be positive and ascending")
-    results = []
-    for p in p_list:
-        for anneal_time in time_list:
-            results.append(
-                _ensemble_cell(
-                    protocol, n, int(p), rule, gamma, anneal_time, count, x, dt,
-                    master_seed, gamma_index=0, time_index=0,
-                )
-            )
-    return results
+    return _sweep_cells(protocol, n, p_list, rule, [gamma], time_list,
+                        count, x, dt, master_seed)
+
+
+def bias_response(memories, answer, gammas, anneal_time: float,
+                  dt: float = DEFAULT_DT) -> dict:
+    """Recall probability of `answer` versus bias, once per learning rule.
+
+    Returns ``{"gamma": [...], "hebb": [...], "storkey": [...],
+    "projection": [...]}``, the bias-response input of figures f3-f5.
+    """
+    target = pattern_to_index(answer)
+    curves = {"gamma": [float(g) for g in gammas]}
+    schedule = AnnealSchedule.linear(anneal_time)
+    for rule in LEARNING_RULES:
+        weights = weights_for_rule(rule, memories)
+        diagonals = np.stack([
+            ising_hamiltonian(weights, BiasSpec(answer, float(g))).diagonal()
+            for g in gammas
+        ])
+        states = evolve_batch(diagonals, schedule, dt)
+        curves[rule] = [float(np.abs(states[i, target]) ** 2) for i in range(len(gammas))]
+    return curves
 
 
 def _sort_key(s: EnsembleStats):
@@ -243,16 +260,13 @@ def _sort_key(s: EnsembleStats):
 
 
 def write_results_csv(stats, path) -> None:
-    """Deterministic results table, one row per cell, sorted by its keys."""
-    rows = sorted(stats, key=_sort_key)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for s in rows:
-            writer.writerow([
-                s.protocol, s.rule, s.n, s.p,
-                f"{s.gamma:.17g}", f"{s.anneal_time:.17g}",
-                s.count, f"{s.threshold:.17g}",
-                f"{s.mean_success:.17g}", f"{s.variance:.17g}",
-                s.master_seed,
-            ])
+    """Deterministic results table, one row per cell, sorted by its keys;
+    written atomically."""
+    write_csv_atomic(path, RESULTS_HEADER, [
+        [s.protocol, s.rule, s.n, s.p,
+         f"{s.gamma:.17g}", f"{s.anneal_time:.17g}",
+         s.count, f"{s.threshold:.17g}",
+         f"{s.mean_success:.17g}", f"{s.variance:.17g}",
+         s.master_seed]
+        for s in sorted(stats, key=_sort_key)
+    ])

@@ -58,8 +58,8 @@ class AnnealSchedule:
     problem_weight: Callable[[float], float]
 
     def __post_init__(self):
-        if not self.total_time > 0:
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
+        if not (np.isfinite(self.total_time) and self.total_time > 0):
+            raise ValueError(f"total_time must be positive and finite, got {self.total_time}")
 
     @classmethod
     def linear(cls, total_time: float) -> "AnnealSchedule":
@@ -89,17 +89,16 @@ class _BatchPropagator:
     """Applies exp(-i*dt*(a*H0 + b*diag_m)) to a block of states.
 
     States live in a (dim, M) complex array, one instance per column with its
-    own problem diagonal. Buffers are allocated once and reused per step.
+    own problem diagonal, so `diagonals` is (dim, M) too. Buffers are
+    allocated once and reused per step.
     """
 
     def __init__(self, h0: np.ndarray, diagonals: np.ndarray):
         h0 = np.asarray(h0, dtype=np.float64)
-        d = np.atleast_2d(np.asarray(diagonals, dtype=np.float64))
+        d = np.asarray(diagonals, dtype=np.float64)
         if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
             raise ValueError(f"H0 must be square, got shape {h0.shape}")
-        if d.shape[0] != h0.shape[0]:
-            d = d.T
-        if d.shape[0] != h0.shape[0]:
+        if d.ndim != 2 or d.shape[0] != h0.shape[0]:
             raise ValueError("diagonal length does not match H0 dimension")
         self.h0 = h0
         self.dim = h0.shape[0]
@@ -111,12 +110,8 @@ class _BatchPropagator:
         self.work = np.empty_like(self.term)
 
     def initial_block(self) -> np.ndarray:
-        psi = np.full(
-            (self.dim, self.d2.shape[1] // 2),
-            1.0 / np.sqrt(self.dim),
-            dtype=complex,
-        )
-        return psi
+        return np.full((self.dim, self.d2.shape[1] // 2), 1.0 / np.sqrt(self.dim),
+                       dtype=complex)
 
     def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
         """Advance the block by one propagator application, in place."""
@@ -141,25 +136,24 @@ class _BatchPropagator:
         return psi
 
 
-def _validate_times(total_time: float, dt: float) -> None:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if total_time <= 0:
-        raise ValueError(f"total_time must be positive, got {total_time}")
+def _check_dt(dt: float) -> None:
+    # the schedule has already checked its total time
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
-def _h1_diagonal(h1) -> np.ndarray:
+def _single_propagator(h0, h1) -> _BatchPropagator:
+    """Propagator of one state; h1 is an `IsingHamiltonian` or its diagonal."""
     if isinstance(h1, IsingHamiltonian):
-        return h1.diagonal()
-    return np.asarray(h1, dtype=np.float64)
+        return _BatchPropagator(h0, h1.diagonal()[:, None])
+    return _BatchPropagator(h0, np.asarray(h1, dtype=np.float64)[:, None])
 
 
 def magnus_step(state, h0, h1, schedule: AnnealSchedule, t: float, dt: float) -> np.ndarray:
     """Single first-order Magnus step from t to t + dt."""
     if t < 0 or t + dt > schedule.total_time * (1 + 1e-12):
         raise ValueError(f"step [{t}, {t + dt}] lies outside [0, {schedule.total_time}]")
-    diag = _h1_diagonal(h1)
-    prop = _BatchPropagator(h0, diag[:, None])
+    prop = _single_propagator(h0, h1)
     psi = np.array(state, dtype=complex).reshape(-1, 1)
     if psi.shape[0] != prop.dim:
         raise ValueError("state dimension does not match the Hamiltonians")
@@ -188,9 +182,8 @@ def evolve(h0, h1, schedule: AnnealSchedule, dt: float = DEFAULT_DT) -> np.ndarr
     Uniform steps of length dt cover [0, T]; a final shorter step lands
     exactly on T when dt does not divide it.
     """
-    _validate_times(schedule.total_time, dt)
-    diag = _h1_diagonal(h1)
-    prop = _BatchPropagator(h0, diag[:, None])
+    _check_dt(dt)
+    prop = _single_propagator(h0, h1)
     psi = prop.initial_block()
     return _propagate(prop, psi, schedule, dt)[:, 0]
 
@@ -199,12 +192,9 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
     """Evolve one state per problem diagonal; rows of shape (M, 2^n) in and out.
 
     All instances share the same register size, schedule, and time step, so
-    the batch advances in lock step with shared matrix products. Accepts a
-    (M, 2^n) array of diagonals or a list of `IsingHamiltonian`.
+    the batch advances in lock step with shared matrix products.
     """
-    _validate_times(schedule.total_time, dt)
-    if isinstance(diagonals, (list, tuple)):
-        diagonals = np.stack([_h1_diagonal(h) for h in diagonals])
+    _check_dt(dt)
     diagonals = np.atleast_2d(np.asarray(diagonals, dtype=np.float64))
     dim = diagonals.shape[1]
     n = int(np.log2(dim))

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .network import _thresholds
 from .patterns import all_patterns, as_pattern, pattern_to_index
 
 __all__ = [
@@ -94,13 +95,7 @@ def ising_hamiltonian(weights, bias) -> IsingHamiltonian:
         raise ValueError(f"weights must be square, got shape {w.shape}")
     n = w.shape[0]
     _check_qubit_count(n)
-    if bias is None:
-        theta = np.zeros(n)
-    else:
-        if bias.n != n:
-            raise ValueError(f"bias length {bias.n} does not match n={n}")
-        theta = bias.thresholds
-    return IsingHamiltonian(couplings=w.copy(), fields=theta, n=n)
+    return IsingHamiltonian(couplings=w.copy(), fields=_thresholds(bias, n), n=n)
 
 
 def uniform_superposition(n: int) -> np.ndarray:

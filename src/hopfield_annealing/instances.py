@@ -180,18 +180,22 @@ def _usable_memory_set(memories: np.ndarray, rule: str) -> bool:
     return bool(np.isfinite(cond) and cond <= _COND_LIMIT)
 
 
+def _draw_memory_set(rng, n: int, p: int, rule: str) -> np.ndarray:
+    """p distinct random memories that `rule` can store."""
+    for _ in range(REJECTION_CAP):
+        memories = np.stack(_draw_distinct(rng, n, p, taken=[]))
+        if _usable_memory_set(memories, rule):
+            return memories
+    raise ValueError("could not draw a usable memory set (covariance singular)")
+
+
 def generate_exact_instance(
     n: int, p: int, rule: str, gamma: float, anneal_time: float, seed: int
 ) -> ProblemInstance:
     """Exact-input protocol: the key equals the chosen answer memory."""
     _validate_request(n, p, rule, gamma, anneal_time)
     rng = instance_rng(seed)
-    for _ in range(REJECTION_CAP):
-        memories = np.stack(_draw_distinct(rng, n, p, taken=[]))
-        if _usable_memory_set(memories, rule):
-            break
-    else:
-        raise ValueError("could not draw a usable memory set (covariance singular)")
+    memories = _draw_memory_set(rng, n, p, rule)
     answer_index = int(rng.integers(p))
     return ProblemInstance(
         protocol="exact",
@@ -248,12 +252,7 @@ def generate_failure_instance(
         raise ValueError(f"distance must be 1 or 2, got {distance}")
     _validate_request(n, p, rule, gamma, anneal_time)
     rng = instance_rng(seed)
-    for _ in range(REJECTION_CAP):
-        memories = np.stack(_draw_distinct(rng, n, p, taken=[]))
-        if _usable_memory_set(memories, rule):
-            break
-    else:
-        raise ValueError("could not draw a usable memory set (covariance singular)")
+    memories = _draw_memory_set(rng, n, p, rule)
     for _ in range(REJECTION_CAP):
         key = random_pattern(n, rng)
         dists = [hamming_distance(key, m) for m in memories]

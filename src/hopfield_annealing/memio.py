@@ -8,14 +8,12 @@ Every emitted artifact is written to a temporary file and renamed into place,
 so output files are complete or absent, never partial.
 """
 
-import csv
-import io
-import json
 import os
 from importlib import resources
 
 import numpy as np
 
+from ._atomic import write_csv_atomic, write_json_atomic, write_text_atomic
 from ._version import __version__
 from .ensembles import EnsembleStats, write_results_csv
 from .patterns import as_memory_set
@@ -31,10 +29,14 @@ __all__ = [
     "write_json_atomic",
     "write_text_atomic",
     "FIGURE_IDS",
+    "FIGURE_PROTOCOL",
     "ERROR_FLOOR",
 ]
 
 FIGURE_IDS = tuple(f"f{i}" for i in range(1, 11))
+
+# instance protocol of the bias-sweep figures f6-f9
+FIGURE_PROTOCOL = {"f6": "exact", "f7": "noisy", "f8": "failure1", "f9": "failure2"}
 
 # log-scale recall-error series are clipped here; below this the numbers are
 # double-precision noise
@@ -95,50 +97,20 @@ def provenance_line(master_seed) -> str:
     )
 
 
-def write_text_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def write_json_atomic(path, payload) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _bias_curve_csv(results: dict) -> str:
-    gammas = np.asarray(results["gamma"], dtype=float)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["gamma", "q_hebb", "q_storkey", "q_projection"])
-    for i, g in enumerate(gammas):
-        writer.writerow(
-            [f"{g:.17g}"]
-            + [f"{results[rule][i]:.17g}" for rule in ("hebb", "storkey", "projection")]
-        )
-    return buf.getvalue()
-
-
-def _bias_error_csv(results: dict) -> str:
-    gammas = np.asarray(results["gamma"], dtype=float)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["gamma", "err_hebb", "err_storkey", "err_projection"])
-    for i, g in enumerate(gammas):
-        errs = [
-            max(1.0 - float(results[rule][i]), ERROR_FLOOR)
-            for rule in ("hebb", "storkey", "projection")
-        ]
-        writer.writerow([f"{g:.17g}"] + [f"{e:.17g}" for e in errs])
-    return buf.getvalue()
+def _write_bias_csv(path, results: dict, prefix: str, value) -> None:
+    """Per-rule series `value(q)` against gamma, columns ``<prefix>_<rule>``."""
+    rules = ("hebb", "storkey", "projection")
+    write_csv_atomic(
+        path,
+        ["gamma"] + [f"{prefix}_{rule}" for rule in rules],
+        ([f"{float(g):.17g}"] + [f"{value(results[rule][i]):.17g}" for rule in rules]
+         for i, g in enumerate(results["gamma"])),
+    )
 
 
 def _require(condition: bool, figure_id: str, why: str) -> None:
     if not condition:
         raise ValueError(f"results do not match figure {figure_id}: {why}")
-
-
-_FIGURE_PROTOCOL = {"f6": "exact", "f7": "noisy", "f8": "failure1", "f9": "failure2"}
 
 
 def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
@@ -158,9 +130,7 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
     if figure_id in ("f1", "f2"):
         _require(isinstance(results, SpectrumTrace), figure_id, "expected a SpectrumTrace")
         path = os.path.join(out_dir, f"{figure_id}_spectrum.csv")
-        tmp = f"{path}.tmp"
-        write_spectrum_csv(results, tmp)
-        os.replace(tmp, path)
+        write_spectrum_csv(results, path)
         written.append(path)
         manifest.update(
             x_label="t",
@@ -173,9 +143,10 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
         missing = {"gamma", "hebb", "storkey", "projection"} - set(results)
         _require(not missing, figure_id, f"missing series {sorted(missing)}")
         path = os.path.join(out_dir, f"{figure_id}_recall_vs_bias.csv")
-        write_text_atomic(path, _bias_curve_csv(results))
+        _write_bias_csv(path, results, "q", float)
         err_path = os.path.join(out_dir, f"{figure_id}_recall_error.csv")
-        write_text_atomic(err_path, _bias_error_csv(results))
+        _write_bias_csv(err_path, results, "err",
+                        lambda q: max(1.0 - float(q), ERROR_FLOOR))
         written += [path, err_path]
         manifest.update(
             x_label="gamma",
@@ -185,47 +156,34 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
                    "files": [os.path.basename(err_path)]},
             files=[os.path.basename(path), os.path.basename(err_path)],
         )
-    elif figure_id in ("f6", "f7", "f8", "f9"):
+    else:  # f6-f9 bias sweeps, f10 annealing-time sweep
         stats = list(results)
         _require(
             stats and all(isinstance(s, EnsembleStats) for s in stats),
             figure_id, "expected a list of EnsembleStats",
         )
-        wanted = _FIGURE_PROTOCOL[figure_id]
-        _require(
-            all(s.protocol == wanted for s in stats),
-            figure_id, f"expected protocol {wanted!r}",
-        )
+        if figure_id == "f10":
+            _require(
+                len({s.anneal_time for s in stats}) > 1,
+                figure_id, "expected results at more than one annealing time",
+            )
+            x_label = "p"
+            series = {f"{s.rule},T={s.anneal_time:g}" for s in stats}
+        else:
+            wanted = FIGURE_PROTOCOL[figure_id]
+            _require(
+                all(s.protocol == wanted for s in stats),
+                figure_id, f"expected protocol {wanted!r}",
+            )
+            x_label = "gamma"
+            series = {f"{s.rule},p={s.p}" for s in stats}
         path = os.path.join(out_dir, f"{figure_id}_mean_success.csv")
-        tmp = f"{path}.tmp"
-        write_results_csv(stats, tmp)
-        os.replace(tmp, path)
+        write_results_csv(stats, path)
         written.append(path)
         manifest.update(
-            x_label="gamma",
+            x_label=x_label,
             y_label="mean success",
-            series=sorted({f"{s.rule},p={s.p}" for s in stats}),
-            files=[os.path.basename(path)],
-        )
-    else:  # f10
-        stats = list(results)
-        _require(
-            stats and all(isinstance(s, EnsembleStats) for s in stats),
-            figure_id, "expected a list of EnsembleStats",
-        )
-        _require(
-            len({s.anneal_time for s in stats}) > 1,
-            figure_id, "expected results at more than one annealing time",
-        )
-        path = os.path.join(out_dir, f"{figure_id}_mean_success.csv")
-        tmp = f"{path}.tmp"
-        write_results_csv(stats, tmp)
-        os.replace(tmp, path)
-        written.append(path)
-        manifest.update(
-            x_label="p",
-            y_label="mean success",
-            series=sorted({f"{s.rule},T={s.anneal_time:g}" for s in stats}),
+            series=sorted(series),
             files=[os.path.basename(path)],
         )
 

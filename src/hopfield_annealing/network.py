@@ -37,8 +37,8 @@ class BiasSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "input_key", as_pattern(self.input_key))
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
 
     @property
     def thresholds(self) -> np.ndarray:

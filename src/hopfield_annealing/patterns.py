@@ -38,10 +38,7 @@ def as_pattern(values) -> np.ndarray:
 
 def as_memory_set(patterns) -> np.ndarray:
     """Validate a collection of equal-length patterns; returns a (p, n) array."""
-    if isinstance(patterns, np.ndarray) and patterns.ndim == 2:
-        rows = list(patterns)
-    else:
-        rows = list(patterns)
+    rows = list(patterns)
     if len(rows) < 1:
         raise ValueError("memory set must contain at least one pattern")
     mats = [as_pattern(r) for r in rows]

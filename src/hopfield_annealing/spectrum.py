@@ -9,11 +9,11 @@ at each time is E_d(t) - E_0(t). Level crossings along the way are not
 tracked, so d is a final-time approximation of the manifold.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import write_csv_atomic
 from .evolution import AnnealSchedule
 from .hamiltonians import IsingHamiltonian
 
@@ -83,10 +83,11 @@ def min_gap(trace: SpectrumTrace, degeneracy_tolerance: float = DEGENERACY_TOL) 
 
 
 def write_spectrum_csv(trace: SpectrumTrace, path) -> None:
-    """CSV with header t,E_0,...,E_{2^n-1}; full double precision."""
-    dim = trace.energies.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"E_{i}" for i in range(dim)])
-        for t, row in zip(trace.times, trace.energies):
-            writer.writerow([f"{t:.17g}"] + [f"{e:.17g}" for e in row])
+    """CSV with header t,E_0,...,E_{2^n-1}; full double precision; written
+    atomically."""
+    write_csv_atomic(
+        path,
+        ["t"] + [f"E_{i}" for i in range(trace.energies.shape[1])],
+        ([f"{t:.17g}"] + [f"{e:.17g}" for e in row]
+         for t, row in zip(trace.times, trace.energies)),
+    )

@@ -1,4 +1,7 @@
+import csv
+import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -221,3 +224,80 @@ def test_check_dt_flags_unconverged_step(tmp_path, capsys):
     )
     assert code == 3
     assert "halving" in err or "overlap" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["recall", "--n", "5", "--p", "3", "--T", "inf"], "--T"),
+    (["recall", "--n", "5", "--p", "3", "--dt", "inf"], "--dt"),
+    (["recall", "--n", "5", "--p", "3", "--gamma", "inf"], "--gamma"),
+    (["recall", "--n", "5", "--p", "3", "--gamma", "nan"], "--gamma"),
+    (["recall", "--n", "5", "--p", "3", "--x", "nan"], "--x"),
+    (["bias-sweep", "--n", "4", "--gamma-grid", "0.5,inf"], "--gamma-grid"),
+    (["anneal-sweep", "--n", "4", "--T-list", "10,inf"], "--T-list"),
+])
+def test_non_finite_value_is_fast_usage_error(tmp_path, capsys, argv, flag):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"{flag}: " in err and "finite" in err
+
+
+# Outputs of small runs, recorded before the sweep, figure and atomic-write
+# paths were folded together; the files must keep these exact bytes.
+PINNED_SHA256 = {
+    "bias-sweep": (
+        ["bias-sweep", "--n", "4", "--p-list", "1,2", "--rule", "storkey",
+         "--protocol", "noisy", "--gamma-grid", "0.2,0.7", "--T", "40", "--N", "6",
+         "--seed", "11"],
+        {"results.csv": "bead2600e8fb0dc8d45dfb0beaae595551cd908b37df71fb35f471e8615df469"},
+    ),
+    "anneal-sweep": (
+        ["anneal-sweep", "--n", "4", "--p-list", "1,3", "--rule", "projection",
+         "--gamma", "0.3", "--T-list", "15,45", "--N", "6", "--seed", "12"],
+        {"results.csv": "9a1782172334b95d3583fea05549ab508d18c7a1e358f0f4279ec2591defcd2c"},
+    ),
+    "f7": (
+        ["figures", "--id", "f7", "--n", "4", "--p-list", "1,2", "--gamma-grid", "0.3,0.9",
+         "--T", "30", "--N", "5", "--seed", "13"],
+        {"f7_mean_success.csv": "dc391de2b7db543f8df1cd828fe93807c887f00f0e5c4b92203998bd723d3f5a",
+         "f7_manifest.json": "9e5486ec7720c616f2abb886514ddbacf4f08746fd8e6125373969ef32fc9e01"},
+    ),
+    "f10": (
+        ["figures", "--id", "f10", "--n", "4", "--p-list", "1,2", "--T-list", "15,45",
+         "--N", "5", "--seed", "14"],
+        {"f10_mean_success.csv": "c618bd6fa59c4c69749bcb088f6e0a74a4985eb3e623b81ee877ba87983b82e6",
+         "f10_manifest.json": "a9768388cf59e9341a9214dd73a90bf605eb10895fb7e8261bb36bf8be6575b5"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+def test_sweep_outputs_match_pinned_bytes(tmp_path, capsys, name):
+    argv, files = PINNED_SHA256[name]
+    out = tmp_path / "run"
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    for fname, digest in files.items():
+        assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest, fname
+
+
+# f3 recall curve at gamma 0, 0.25, 0.5, 1 (one memory: the three rules
+# coincide); the trailing digits depend on the BLAS, so compare to 1e-12
+PINNED_F3_Q = [0.49984810986663741, 0.99987539415475035,
+               0.9999054803454579, 0.99973241980240712]
+
+
+def test_figures_f3_matches_pinned_values(tmp_path, capsys):
+    out = tmp_path / "figs"
+    argv = ["figures", "--id", "f3", "--gamma-grid", "0,0.25,0.5,1", "--T", "40"]
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    for fname, prefix, expect in (
+        ("f3_recall_vs_bias.csv", "q", PINNED_F3_Q),
+        ("f3_recall_error.csv", "err", [1.0 - q for q in PINNED_F3_Q]),
+    ):
+        with open(out / fname, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["gamma"] + [f"{prefix}_{r}" for r in ("hebb", "storkey", "projection")]
+        assert [float(r[0]) for r in rows[1:]] == [0.0, 0.25, 0.5, 1.0]
+        got = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+        assert np.abs(got - np.array(expect)[:, None]).max() <= 1e-12, fname

@@ -44,6 +44,18 @@ def test_schedule_validation():
         AnnealSchedule.linear(0.0)
 
 
+@pytest.mark.parametrize("total_time", [float("inf"), float("nan")])
+def test_schedule_rejects_non_finite_total_time(total_time):
+    with pytest.raises(ValueError, match="finite"):
+        AnnealSchedule.linear(total_time)
+
+
+@pytest.mark.parametrize("dt", [float("inf"), float("nan")])
+def test_evolve_rejects_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="finite"):
+        evolve_batch(np.zeros((1, 4)), AnnealSchedule.linear(5.0), dt)
+
+
 # -- magnus_step --------------------------------------------------------------------
 
 def test_step_preserves_norm():

@@ -62,6 +62,12 @@ def test_bias_rejects_negative_gamma():
         BiasSpec(input_key=[1, -1], gamma=-0.1)
 
 
+@pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+def test_bias_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="finite"):
+        BiasSpec(input_key=[1, -1], gamma=gamma)
+
+
 # -- network_energy ------------------------------------------------------------
 
 def test_energy_spin_flip_symmetry_without_bias():
