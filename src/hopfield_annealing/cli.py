@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``spectrum``, ``recall``, ``classical``, ``bias-sweep``,
-``anneal-sweep``, ``figures``. Option values resolve with the precedence
-flags > config file (``--config``, JSON) > built-in defaults, and every run
-echoes its effective configuration to ``<out>/config.json`` together with a
-one-line provenance record, so a run can be reproduced from its own output
-directory.
+``anneal-sweep``, ``figures``; each accepts only the options its handler
+reads. Option values resolve with the precedence flags > config file
+(``--config``, JSON) > built-in defaults, and every run echoes its effective
+configuration to ``<out>/config.json`` together with a one-line provenance
+record, so a run can be reproduced from its own output directory.
 
 Exit codes: 0 success, 2 usage error, 3 numerical or convergence failure.
 """
@@ -28,7 +28,7 @@ from .ensembles import (
     run_instance,
     write_results_csv,
 )
-from .evolution import AnnealSchedule, ConvergenceError, DEFAULT_DT, halving_convergence
+from .evolution import AnnealSchedule, ConvergenceError, DEFAULT_DT, check_halving
 from .hamiltonians import ising_hamiltonian, transverse_field_hamiltonian
 from .instances import PROTOCOLS, ProblemInstance, generate_instance
 from .learning import LEARNING_RULES, SingularCovarianceError, weights_for_rule
@@ -68,72 +68,83 @@ def _list_of(convert):
     return parse
 
 
-# option name -> (argparse flag, value normalizer, help)
+# a check is (predicate, message); the message is formatted with the value as {v}
+_FINITE = (math.isfinite, "must be finite, got {v}")
+_ALL_FINITE = (lambda vs: all(map(math.isfinite, vs)), "values must be finite, got {v}")
+_POSITIVE = (lambda v: v > 0, "must be positive, got {v}")
+_BOOL = (lambda v: isinstance(v, bool), "must be true or false, got {v!r}")
+
+
+def _at_least(low):
+    return (lambda v: v is None or v >= low, f"must be at least {low}, got {{v}}")
+
+
+def _one_of(choices):
+    return (lambda v: v in choices, f"must be one of {choices}, got {{v!r}}")
+
+
+# option name -> (value normalizer, default, checks in order, help). The flag is
+# "--" + name with "_" -> "-"; only options whose default is None accept null.
 _OPTIONS = {
-    "n": ("--n", int, "number of neurons / qubits"),
-    "p": ("--p", int, "number of stored memories"),
-    "rule": ("--rule", str, f"learning rule, one of {LEARNING_RULES}"),
-    "gamma": ("--gamma", float, "bias energy scale"),
-    "T": ("--T", float, "annealing time"),
-    "dt": ("--dt", float, "propagator time step"),
-    "N": ("--N", int, "instances per ensemble cell"),
-    "x": ("--x", float, "success threshold on the answer probability"),
-    "seed": ("--seed", int, "master seed; all randomness derives from it"),
-    "protocol": ("--protocol", str, f"instance protocol, one of {PROTOCOLS}"),
-    "memories": ("--memories", str, "memory-set file (see README for the format)"),
-    "input": ("--input", _list_of(int), "input key, e.g. '+1,-1,+1,-1'"),
-    "out": ("--out", str, "output directory"),
-    "samples": ("--samples", int, "time samples for the spectrum grid"),
-    "hadamard": ("--hadamard", bool, "use orthogonal Hadamard-column memories"),
-    "check_dt": ("--check-dt", bool, "verify the result is stable under dt halving"),
-    "mode": ("--mode", str, "update mode: synchronous or asynchronous"),
-    "max_sweeps": ("--max-sweeps", int, "sweep budget for the classical dynamics"),
-    "p_list": ("--p-list", _list_of(int), "memory counts, e.g. '1,2,3,4,5'"),
-    "gamma_grid": ("--gamma-grid", _list_of(float), "bias grid, e.g. '0.05,0.15,0.5'"),
-    "T_list": ("--T-list", _list_of(float), "annealing times, ascending"),
-    "id": ("--id", str, f"figure id, one of {FIGURE_IDS}"),
+    "n": (int, None, [_at_least(1)], "number of neurons / qubits"),
+    "p": (int, None, [_at_least(1)], "number of stored memories"),
+    "rule": (str, "hebb", [_one_of(LEARNING_RULES)], f"learning rule, one of {LEARNING_RULES}"),
+    "gamma": (float, 0.1, [_FINITE, (lambda v: v >= 0, "must be non-negative, got {v}")],
+              "bias energy scale"),
+    "T": (float, 1000.0, [_FINITE, _POSITIVE], "annealing time"),
+    "dt": (float, DEFAULT_DT, [_FINITE, _POSITIVE], "propagator time step"),
+    "N": (int, DEFAULT_ENSEMBLE_SIZE, [_at_least(1)], "instances per ensemble cell"),
+    "x": (float, DEFAULT_THRESHOLD,
+          [_FINITE, (lambda v: 0 <= v <= 1, "must lie in [0, 1], got {v}")],
+          "success threshold on the answer probability"),
+    "seed": (int, 0, [], "master seed; all randomness derives from it"),
+    "protocol": (str, "exact", [_one_of(PROTOCOLS)], f"instance protocol, one of {PROTOCOLS}"),
+    "memories": (str, None, [], "memory-set file (see README for the format)"),
+    "input": (_list_of(int), None, [], "input key, e.g. '+1,-1,+1,-1'"),
+    "out": (str, None, [], "output directory"),
+    "samples": (int, 201, [_at_least(2)], "time samples for the spectrum grid"),
+    "hadamard": (bool, False, [_BOOL], "use orthogonal Hadamard-column memories"),
+    "check_dt": (bool, False, [_BOOL], "verify the result is stable under dt halving"),
+    "mode": (str, "asynchronous", [_one_of(("synchronous", "asynchronous"))],
+             "update mode: synchronous or asynchronous"),
+    "max_sweeps": (int, 100, [_at_least(1)], "sweep budget for the classical dynamics"),
+    "p_list": (_list_of(int), [1, 2, 3, 4, 5],
+               [(lambda ps: all(p >= 1 for p in ps), "memory counts must be at least 1")],
+               "memory counts, e.g. '1,2,3,4,5'"),
+    "gamma_grid": (_list_of(float), [round(0.05 * k, 2) for k in range(0, 21)],
+                   [_ALL_FINITE, (lambda gs: all(0 <= g <= 1 for g in gs),
+                                  "bias values must lie in [0, 1]")],
+                   "bias grid, e.g. '0.05,0.15,0.5'"),
+    "T_list": (_list_of(float), [50.0, 500.0, 5000.0],
+               [_ALL_FINITE, (lambda ts: all(t > 0 for t in ts) and sorted(ts) == ts,
+                              "annealing times must be positive and ascending")],
+               "annealing times, ascending"),
+    "id": (str, None, [_one_of(FIGURE_IDS)], f"figure id, one of {FIGURE_IDS}"),
 }
 
-_SHARED = ("n", "p", "rule", "gamma", "T", "dt", "N", "x", "seed",
-           "protocol", "memories", "input", "out")
-
+# exactly the options each command's handler reads, in config.json order
 _COMMAND_PARAMS = {
-    "spectrum": _SHARED + ("samples", "hadamard"),
-    "recall": _SHARED + ("check_dt",),
-    "classical": _SHARED + ("mode", "max_sweeps"),
-    "bias-sweep": _SHARED + ("p_list", "gamma_grid"),
-    "anneal-sweep": _SHARED + ("p_list", "T_list"),
-    "figures": _SHARED + ("id", "p_list", "gamma_grid", "T_list", "samples"),
-}
-
-_BASE_DEFAULTS = {
-    "n": None,
-    "p": None,
-    "rule": "hebb",
-    "gamma": 0.1,
-    "T": 1000.0,
-    "dt": DEFAULT_DT,
-    "N": DEFAULT_ENSEMBLE_SIZE,
-    "x": DEFAULT_THRESHOLD,
-    "seed": 0,
-    "protocol": "exact",
-    "memories": None,
-    "input": None,
-    "out": None,
-    "samples": 201,
-    "hadamard": False,
-    "check_dt": False,
-    "mode": "asynchronous",
-    "max_sweeps": 100,
-    "p_list": [1, 2, 3, 4, 5],
-    "gamma_grid": [round(0.05 * k, 2) for k in range(0, 21)],
-    "T_list": [50.0, 500.0, 5000.0],
-    "id": None,
+    "spectrum": ("n", "p", "rule", "gamma", "T", "seed", "memories", "input", "out",
+                 "samples", "hadamard"),
+    "recall": ("n", "p", "rule", "gamma", "T", "dt", "x", "seed", "protocol", "memories",
+               "input", "out", "check_dt"),
+    "classical": ("n", "p", "rule", "gamma", "T", "seed", "protocol", "memories", "input",
+                  "out", "mode", "max_sweeps"),
+    "bias-sweep": ("n", "rule", "T", "dt", "N", "x", "seed", "protocol", "out",
+                   "p_list", "gamma_grid"),
+    "anneal-sweep": ("n", "rule", "gamma", "dt", "N", "x", "seed", "protocol", "out",
+                     "p_list", "T_list"),
+    "figures": ("n", "p", "rule", "T", "dt", "N", "x", "seed", "memories", "out",
+                "id", "p_list", "gamma_grid", "T_list", "samples"),
 }
 
 _COMMAND_DEFAULTS = {
     "classical": {"gamma": 0.0},
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,30 +155,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        cp = sub.add_parser(command)
+        # without allow_abbrev=False, `anneal-sweep --T` would parse as --T-list
+        cp = sub.add_parser(command, allow_abbrev=False)
         cp.add_argument("--config", default=None,
                         help="JSON file of option values (flags win)")
         for name in _COMMAND_PARAMS[command]:
-            flag, norm, help_text = _OPTIONS[name]
+            norm, _, _, help_text = _OPTIONS[name]
             if norm is bool:
-                cp.add_argument(flag, dest=name, action="store_true", default=None,
+                cp.add_argument(_flag(name), dest=name, action="store_true", default=None,
                                 help=help_text)
             else:
-                cp.add_argument(flag, dest=name, type=str, default=None,
+                cp.add_argument(_flag(name), dest=name, type=str, default=None,
                                 help=help_text)
     return parser
 
 
 def _normalize(name: str, value):
-    norm = _OPTIONS[name][1]
-    return value if value is None or norm is bool else norm(value)
+    norm, default = _OPTIONS[name][:2]
+    if value is None:
+        if default is not None:
+            raise ValueError(f"{_flag(name)}: must not be null")
+        return None
+    if norm is bool:
+        return value
+    try:
+        return norm(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{_flag(name)}: {exc}")
 
 
 def parse_config(argv) -> RunConfig:
     """Resolve argv (and an optional config file) into a validated RunConfig."""
     ns = _build_parser().parse_args(argv)
     command = ns.command
-    params = {name: _BASE_DEFAULTS[name] for name in _COMMAND_PARAMS[command]}
+    params = {name: _OPTIONS[name][1] for name in _COMMAND_PARAMS[command]}
     params.update(_COMMAND_DEFAULTS.get(command, {}))
 
     if ns.config is not None:
@@ -196,54 +217,11 @@ def parse_config(argv) -> RunConfig:
 
     if params["out"] is None:
         params["out"] = f"{command}-out"
-    _validate(command, params)
+    for name, value in params.items():
+        for predicate, why in _OPTIONS[name][2]:
+            if not predicate(value):
+                raise ValueError(f"{_flag(name)}: {why.format(v=value)}")
     return RunConfig(command=command, params=params)
-
-
-def _validate(command: str, params: dict) -> None:
-    def check(cond, key, why):
-        if not cond:
-            raise ValueError(f"--{key.replace('_', '-')}: {why}")
-
-    check(params["rule"] in LEARNING_RULES, "rule",
-          f"must be one of {LEARNING_RULES}, got {params['rule']!r}")
-    check(params["protocol"] in PROTOCOLS, "protocol",
-          f"must be one of {PROTOCOLS}, got {params['protocol']!r}")
-    for key in ("gamma", "T", "dt", "x"):
-        check(math.isfinite(params[key]), key, f"must be finite, got {params[key]}")
-    for key in ("gamma_grid", "T_list"):
-        if key in params:
-            check(all(math.isfinite(v) for v in params[key]), key,
-                  f"values must be finite, got {params[key]}")
-    check(params["gamma"] >= 0, "gamma", f"must be non-negative, got {params['gamma']}")
-    check(params["T"] > 0, "T", f"must be positive, got {params['T']}")
-    check(params["dt"] > 0, "dt", f"must be positive, got {params['dt']}")
-    check(params["N"] >= 1, "N", f"must be at least 1, got {params['N']}")
-    check(0.0 <= params["x"] <= 1.0, "x", f"must lie in [0, 1], got {params['x']}")
-    if params.get("n") is not None:
-        check(params["n"] >= 1, "n", f"must be at least 1, got {params['n']}")
-    if params.get("p") is not None:
-        check(params["p"] >= 1, "p", f"must be at least 1, got {params['p']}")
-    if "mode" in params:
-        check(params["mode"] in ("synchronous", "asynchronous"), "mode",
-              f"must be synchronous or asynchronous, got {params['mode']!r}")
-    if "max_sweeps" in params:
-        check(params["max_sweeps"] >= 1, "max_sweeps", "must be at least 1")
-    if "samples" in params:
-        check(params["samples"] >= 2, "samples", "must be at least 2")
-    if "p_list" in params:
-        check(all(p >= 1 for p in params["p_list"]), "p_list",
-              "memory counts must be at least 1")
-    if "gamma_grid" in params:
-        check(all(0.0 <= g <= 1.0 for g in params["gamma_grid"]), "gamma_grid",
-              "bias values must lie in [0, 1]")
-    if "T_list" in params:
-        ts = params["T_list"]
-        check(all(t > 0 for t in ts) and sorted(ts) == ts, "T_list",
-              "annealing times must be positive and ascending")
-    if command == "figures":
-        check(params["id"] in FIGURE_IDS, "id",
-              f"must be one of {FIGURE_IDS}, got {params['id']!r}")
 
 
 def _echo_outputs(cfg: RunConfig) -> str:
@@ -342,13 +320,8 @@ def _cmd_recall(cfg: RunConfig) -> int:
     instance = _instance(cfg)
     outcome = run_instance(instance, x=params["x"], dt=params["dt"])
     if params["check_dt"]:
-        weights = weights_for_rule(instance.rule, instance.memories)
-        h1 = ising_hamiltonian(weights, BiasSpec(instance.input_key, instance.gamma))
-        halving_convergence(
-            transverse_field_hamiltonian(instance.n), h1,
-            AnnealSchedule.linear(instance.anneal_time),
-            instance.target_pattern(), dt=params["dt"],
-        )
+        half = run_instance(instance, x=params["x"], dt=params["dt"] / 2.0)
+        check_halving(outcome.p_ans, half.p_ans, params["dt"])
     out = _echo_outputs(cfg)
     payload = {
         "protocol": instance.protocol,
@@ -422,7 +395,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     if params["n"] is None:
         raise ValueError(f"--n: required for {cfg.command}")
     stats = _sweep(cfg.command, params, params["protocol"], params["n"],
-                   {params["rule"]: params["gamma"]})
+                   {params["rule"]: params.get("gamma")})
     out = _echo_outputs(cfg)
     path = os.path.join(out, "results.csv")
     write_results_csv(stats, path)
@@ -475,7 +448,7 @@ def main(argv=None) -> int:
         return _HANDLERS[cfg.command](cfg)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    except (SingularCovarianceError, ConvergenceError) as exc:
+    except (SingularCovarianceError, ConvergenceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

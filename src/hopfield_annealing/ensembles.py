@@ -125,6 +125,10 @@ def _ensemble_cell(
     master_seed: int,
     gamma_index: int,
 ) -> EnsembleStats:
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"threshold x must lie in [0, 1], got {x}")
     instances = [
         generate_instance(
             protocol, n, p, rule, gamma, anneal_time,
@@ -169,8 +173,6 @@ def run_ensemble(
     master_seed: int = 0,
 ) -> EnsembleStats:
     """Average recall success over `count` seeded instances."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
     return _ensemble_cell(
         protocol, n, p, rule, gamma, anneal_time, count, x, dt, master_seed,
         gamma_index=0,

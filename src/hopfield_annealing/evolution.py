@@ -36,6 +36,7 @@ __all__ = [
     "evolve",
     "evolve_batch",
     "halving_convergence",
+    "check_halving",
     "DEFAULT_DT",
 ]
 
@@ -47,6 +48,9 @@ _STEP_TOL = 1e-14
 _KMAX = 45
 _THETA = 3.5
 _LOGFACT = np.cumsum(np.log(np.arange(1, _KMAX + 2)))
+
+# largest change of the final overlap accepted when dt is halved
+_HALVING_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,8 @@ class _BatchPropagator:
             raise ValueError(f"H0 must be square, got shape {h0.shape}")
         if d.ndim != 2 or d.shape[0] != h0.shape[0]:
             raise ValueError("diagonal length does not match H0 dimension")
+        if not np.isfinite(d).all():
+            raise FloatingPointError("problem diagonal is not finite")
         self.h0 = h0
         self.dim = h0.shape[0]
         self.n_qubits = int(np.log2(self.dim))
@@ -206,7 +212,7 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
 
 
 def halving_convergence(h0, h1, schedule: AnnealSchedule, answer, dt: float = DEFAULT_DT,
-                        tol: float = 1e-6) -> tuple[float, float]:
+                        tol: float = _HALVING_TOL) -> tuple[float, float]:
     """Answer overlap at dt and dt/2; raises `ConvergenceError` if they differ.
 
     This is the standing accuracy check for the default time step: the
@@ -215,8 +221,13 @@ def halving_convergence(h0, h1, schedule: AnnealSchedule, answer, dt: float = DE
     """
     q_full = answer_overlap(evolve(h0, h1, schedule, dt), answer)
     q_half = answer_overlap(evolve(h0, h1, schedule, dt / 2.0), answer)
+    check_halving(q_full, q_half, dt, tol)
+    return q_full, q_half
+
+
+def check_halving(q_full: float, q_half: float, dt: float, tol: float = _HALVING_TOL) -> None:
+    """Raise `ConvergenceError` if the overlaps at dt and dt/2 differ by more than tol."""
     if abs(q_full - q_half) > tol:
         raise ConvergenceError(
             f"overlap moved by {abs(q_full - q_half):.3e} (> {tol:g}) when halving dt={dt}"
         )
-    return q_full, q_half

@@ -89,6 +89,101 @@ def test_config_echo_round_trip(tmp_path, capsys):
     assert reparsed == original
 
 
+# each command's options, exactly those its handler reads, with a cheap run
+COMMAND_KEYS = {
+    "spectrum": (["--hadamard", "--n", "4", "--gamma", "1.0", "--input", "+1,+1,+1,+1",
+                  "--T", "10", "--samples", "5"],
+                 "n p rule gamma T seed memories input out samples hadamard"),
+    "recall": (["--n", "4", "--p", "2", "--rule", "storkey", "--T", "20", "--dt", "0.02",
+                "--seed", "7", "--check-dt"],
+               "n p rule gamma T dt x seed protocol memories input out check_dt"),
+    "classical": (["--input", "+1,-1,+1,+1", "--mode", "synchronous", "--max-sweeps", "5"],
+                  "n p rule gamma T seed protocol memories input out mode max_sweeps"),
+    "bias-sweep": (["--n", "4", "--p-list", "1", "--gamma-grid", "0.3", "--T", "20",
+                    "--N", "2"],
+                   "n rule T dt N x seed protocol out p_list gamma_grid"),
+    "anneal-sweep": (["--n", "4", "--p-list", "1", "--gamma", "0.5", "--T-list", "10,20",
+                      "--N", "2"],
+                     "n rule gamma dt N x seed protocol out p_list T_list"),
+    "figures": (["--id", "f1", "--n", "4", "--T", "10", "--samples", "5"],
+                "n p rule T dt N x seed memories out id p_list gamma_grid T_list samples"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_config_echo_holds_only_read_options_and_round_trips(tmp_path, capsys, command):
+    flags, keys = COMMAND_KEYS[command]
+    argv = [command, *flags, "--out", str(tmp_path / "run")]
+    assert run(capsys, *argv)[0] == 0
+    echo = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert set(echo) == {"command", *keys.split()}
+    reparsed = parse_config([command, "--config", str(tmp_path / "run" / "config.json")])
+    assert reparsed == parse_config(argv)
+
+
+# options a command does not read, and abbreviations of options it does: argparse
+# would otherwise take `anneal-sweep --T` as --T-list and `bias-sweep --p` as --p-list
+@pytest.mark.parametrize("command, flag", [
+    ("spectrum", "--dt"), ("spectrum", "--N"), ("spectrum", "--x"), ("spectrum", "--protocol"),
+    ("recall", "--N"),
+    ("classical", "--dt"), ("classical", "--N"), ("classical", "--x"),
+    ("bias-sweep", "--p"), ("bias-sweep", "--gamma"), ("bias-sweep", "--memories"),
+    ("bias-sweep", "--input"),
+    ("anneal-sweep", "--p"), ("anneal-sweep", "--T"), ("anneal-sweep", "--memories"),
+    ("anneal-sweep", "--input"),
+    ("figures", "--gamma"), ("figures", "--protocol"), ("figures", "--input"),
+    ("bias-sweep", "--gamma-g"), ("anneal-sweep", "--T-l"), ("recall", "--check"),
+])
+def test_unread_or_abbreviated_flag_is_fast_usage_error(tmp_path, capsys, command, flag):
+    start = time.perf_counter()
+    code, _, err = run(capsys, command, "--n", "4", flag, "1", "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("anneal-sweep", "T"), ("bias-sweep", "gamma"), ("figures", "protocol"), ("recall", "N"),
+])
+def test_unread_config_key_is_usage_error(tmp_path, capsys, command, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: 1}))
+    code, _, err = run(capsys, command, "--n", "4", "--config", str(config))
+    assert code == 2
+    assert f"unknown config key {key!r}" in err
+
+
+def test_config_null_only_for_options_without_default(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"gamma": None}))
+    code, _, err = run(capsys, "recall", "--n", "4", "--p", "1", "--config", str(config))
+    assert code == 2
+    assert "--gamma: " in err and "null" in err
+    config.write_text(json.dumps({"n": None, "p": 1, "memories": None}))
+    cfg = parse_config(["recall", "--config", str(config)])
+    assert cfg.params["n"] is None and cfg.params["p"] == 1
+
+
+@pytest.mark.parametrize("key, value", [("gamma", {"value": 1}), ("check_dt", "no")])
+def test_malformed_config_value_is_usage_error(tmp_path, capsys, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    code, _, err = run(capsys, "recall", "--n", "4", "--p", "1", "--config", str(config))
+    assert code == 2
+    assert f"--{key.replace('_', '-')}: " in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diagonal overflows
+def test_non_finite_diagonal_is_fast_numerical_failure(tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "recall", "--n", "4", "--p", "1", "--gamma", "1e308",
+                       "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "not finite" in err
+
+
 def test_recall_explicit_memories(tmp_path, capsys):
     mem = tmp_path / "mem.txt"
     mem.write_text("+1 -1 +1 -1\n-1 +1 +1 +1\n")

@@ -79,6 +79,28 @@ def test_ensemble_validation():
         run_ensemble("exact", 4, 1, "hebb", 0.5, 100.0, count=0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"count": 0}, "count"),
+    ({"x": 2.0}, "threshold"),
+    ({"x": float("nan")}, "threshold"),
+])
+def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, monkeypatch):
+    import hopfield_annealing.ensembles as ensembles
+
+    def no_draw(*args, **kw):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(ensembles, "generate_instance", no_draw)
+    args = dict(count=2, x=0.5)
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        bias_sweep("exact", 4, [1], "hebb", [0.5], 1000.0, **args)
+    with pytest.raises(ValueError, match=match):
+        anneal_time_sweep("exact", 4, [1], "hebb", 0.5, [1000.0], **args)
+    with pytest.raises(ValueError, match=match):
+        run_ensemble("exact", 4, 1, "hebb", 0.5, 1000.0, **args)
+
+
 def test_bias_sweep_layout_and_reseeding():
     stats = bias_sweep("exact", 4, [1, 2], "hebb", [0.2, 0.6], 60.0, count=3,
                        master_seed=3)

@@ -56,6 +56,20 @@ def test_evolve_rejects_non_finite_dt(dt):
         evolve_batch(np.zeros((1, 4)), AnnealSchedule.linear(5.0), dt)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_diagonal_rejected_by_every_entry_point(bad):
+    diag = np.zeros(4)
+    diag[2] = bad
+    h0 = transverse_field_hamiltonian(2)
+    schedule = AnnealSchedule.linear(5.0)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        evolve_batch(np.stack([np.zeros(4), diag]), schedule, 0.1)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        evolve(h0, diag, schedule, 0.1)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        magnus_step(uniform_superposition(2), h0, diag, schedule, 0.0, 0.1)
+
+
 # -- magnus_step --------------------------------------------------------------------
 
 def test_step_preserves_norm():
