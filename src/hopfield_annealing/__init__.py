@@ -24,7 +24,7 @@ from .ensembles import (
     success_indicator,
     write_results_csv,
 )
-from .evolution import AnnealSchedule, evolve, evolve_batch, halving_convergence, magnus_step
+from .evolution import AnnealSchedule, evolve_batch, magnus_step
 from .hamiltonians import (
     IsingHamiltonian,
     answer_overlap,
@@ -36,8 +36,7 @@ from .instances import (
     ProblemInstance,
     derive_seed,
     generate_exact_instance,
-    generate_failure_instance,
-    generate_noisy_instance,
+    generate_instance,
 )
 from .learning import (
     SingularCovarianceError,
@@ -83,14 +82,11 @@ __all__ = [
     "delta_energy",
     "derive_seed",
     "emit_figure_data",
-    "evolve",
     "evolve_batch",
     "gamma_upper_bound",
     "generate_exact_instance",
-    "generate_failure_instance",
-    "generate_noisy_instance",
+    "generate_instance",
     "hadamard_memories",
-    "halving_convergence",
     "hamming_distance",
     "hebb_weights",
     "instantaneous_spectrum",

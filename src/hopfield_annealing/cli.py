@@ -68,6 +68,13 @@ def _list_of(convert):
     return parse
 
 
+def _integer(value) -> int:
+    """int() that rejects booleans and non-integral numbers instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # a check is (predicate, message); the message is formatted with the value as {v}
 _FINITE = (math.isfinite, "must be finite, got {v}")
 _ALL_FINITE = (lambda vs: all(map(math.isfinite, vs)), "values must be finite, got {v}")
@@ -86,29 +93,29 @@ def _one_of(choices):
 # option name -> (value normalizer, default, checks in order, help). The flag is
 # "--" + name with "_" -> "-"; only options whose default is None accept null.
 _OPTIONS = {
-    "n": (int, None, [_at_least(1)], "number of neurons / qubits"),
-    "p": (int, None, [_at_least(1)], "number of stored memories"),
+    "n": (_integer, None, [_at_least(1)], "number of neurons / qubits"),
+    "p": (_integer, None, [_at_least(1)], "number of stored memories"),
     "rule": (str, "hebb", [_one_of(LEARNING_RULES)], f"learning rule, one of {LEARNING_RULES}"),
     "gamma": (float, 0.1, [_FINITE, (lambda v: v >= 0, "must be non-negative, got {v}")],
               "bias energy scale"),
     "T": (float, 1000.0, [_FINITE, _POSITIVE], "annealing time"),
     "dt": (float, DEFAULT_DT, [_FINITE, _POSITIVE], "propagator time step"),
-    "N": (int, DEFAULT_ENSEMBLE_SIZE, [_at_least(1)], "instances per ensemble cell"),
+    "N": (_integer, DEFAULT_ENSEMBLE_SIZE, [_at_least(1)], "instances per ensemble cell"),
     "x": (float, DEFAULT_THRESHOLD,
           [_FINITE, (lambda v: 0 <= v <= 1, "must lie in [0, 1], got {v}")],
           "success threshold on the answer probability"),
-    "seed": (int, 0, [], "master seed; all randomness derives from it"),
+    "seed": (_integer, 0, [], "master seed; all randomness derives from it"),
     "protocol": (str, "exact", [_one_of(PROTOCOLS)], f"instance protocol, one of {PROTOCOLS}"),
     "memories": (str, None, [], "memory-set file (see README for the format)"),
-    "input": (_list_of(int), None, [], "input key, e.g. '+1,-1,+1,-1'"),
+    "input": (_list_of(_integer), None, [], "input key, e.g. '+1,-1,+1,-1'"),
     "out": (str, None, [], "output directory"),
-    "samples": (int, 201, [_at_least(2)], "time samples for the spectrum grid"),
+    "samples": (_integer, 201, [_at_least(2)], "time samples for the spectrum grid"),
     "hadamard": (bool, False, [_BOOL], "use orthogonal Hadamard-column memories"),
     "check_dt": (bool, False, [_BOOL], "verify the result is stable under dt halving"),
     "mode": (str, "asynchronous", [_one_of(("synchronous", "asynchronous"))],
              "update mode: synchronous or asynchronous"),
-    "max_sweeps": (int, 100, [_at_least(1)], "sweep budget for the classical dynamics"),
-    "p_list": (_list_of(int), [1, 2, 3, 4, 5],
+    "max_sweeps": (_integer, 100, [_at_least(1)], "sweep budget for the classical dynamics"),
+    "p_list": (_list_of(_integer), [1, 2, 3, 4, 5],
                [(lambda ps: all(p >= 1 for p in ps), "memory counts must be at least 1")],
                "memory counts, e.g. '1,2,3,4,5'"),
     "gamma_grid": (_list_of(float), [round(0.05 * k, 2) for k in range(0, 21)],

@@ -12,8 +12,9 @@ directly through a truncated Taylor series with an a-priori term bound and
 automatic sub-stepping, keeping each action accurate to ~1e-14 -- comfortably
 inside the 1e-12 budget -- without ever forming the dense exponential.
 
-Batched evolution shares the work across problem instances: H0 depends only on
-the register size, so a whole ensemble evolves with one matrix product per
+`evolve_batch` holds the one time loop and shares the work across problem
+instances: H0 depends only on the register size, so a whole ensemble (or a
+single instance, as a batch of one) evolves with one matrix product per
 Taylor term. H0 is real, which lets the product run as a real GEMM on the
 interleaved real/imaginary view of the state block.
 """
@@ -23,19 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import (
-    IsingHamiltonian,
-    answer_overlap,
-    transverse_field_hamiltonian,
-)
+from .hamiltonians import transverse_field_hamiltonian
 
 __all__ = [
     "AnnealSchedule",
     "ConvergenceError",
     "magnus_step",
-    "evolve",
     "evolve_batch",
-    "halving_convergence",
     "check_halving",
     "DEFAULT_DT",
 ]
@@ -51,6 +46,10 @@ _LOGFACT = np.cumsum(np.log(np.arange(1, _KMAX + 2)))
 
 # largest change of the final overlap accepted when dt is halved
 _HALVING_TOL = 1e-6
+
+# most propagator sub-steps one anneal may take: 200 times the longest run of
+# the acceptance criteria (T = 5000 at dt = 0.1, 5e4 one-split steps)
+_WORK_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -108,16 +107,11 @@ class _BatchPropagator:
             raise FloatingPointError("problem diagonal is not finite")
         self.h0 = h0
         self.dim = h0.shape[0]
-        self.n_qubits = int(np.log2(self.dim))
         self.d2 = np.repeat(d, 2, axis=1)  # matches the re/im interleaved view
         self.h0_scale = float(np.abs(h0).sum(axis=1).max())
         self.d_scale = float(np.abs(d).max())
         self.term = np.empty((self.dim, d.shape[1]), dtype=complex)
         self.work = np.empty_like(self.term)
-
-    def initial_block(self) -> np.ndarray:
-        return np.full((self.dim, self.d2.shape[1] // 2), 1.0 / np.sqrt(self.dim),
-                       dtype=complex)
 
     def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
         """Advance the block by one propagator application, in place."""
@@ -148,18 +142,28 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
-def _single_propagator(h0, h1) -> _BatchPropagator:
-    """Propagator of one state; h1 is an `IsingHamiltonian` or its diagonal."""
-    if isinstance(h1, IsingHamiltonian):
-        return _BatchPropagator(h0, h1.diagonal()[:, None])
-    return _BatchPropagator(h0, np.asarray(h1, dtype=np.float64)[:, None])
+def _check_work(prop: _BatchPropagator, steps: float, dt: float, total_time: float) -> None:
+    """Refuse a run whose sub-step count would exceed `_WORK_LIMIT`.
+
+    Each step is counted at full schedule weight, an upper bound on the
+    splits `_BatchPropagator.step` takes for schedules with weights in [0, 1].
+    """
+    splits = max(1.0, np.ceil(dt * (prop.h0_scale + prop.d_scale) / _THETA))
+    work = steps * splits
+    if work > _WORK_LIMIT:
+        raise ValueError(
+            f"T={total_time:g} at dt={dt:g} needs about {work:.3g} propagator sub-steps "
+            f"(limit {_WORK_LIMIT:.0e}); shorten T or lower gamma"
+        )
 
 
-def magnus_step(state, h0, h1, schedule: AnnealSchedule, t: float, dt: float) -> np.ndarray:
-    """Single first-order Magnus step from t to t + dt."""
+def magnus_step(state, h0, diagonal, schedule: AnnealSchedule, t: float, dt: float) -> np.ndarray:
+    """Single first-order Magnus step from t to t + dt; `diagonal` is H1's diagonal."""
+    _check_dt(dt)
     if t < 0 or t + dt > schedule.total_time * (1 + 1e-12):
         raise ValueError(f"step [{t}, {t + dt}] lies outside [0, {schedule.total_time}]")
-    prop = _single_propagator(h0, h1)
+    prop = _BatchPropagator(h0, np.asarray(diagonal, dtype=np.float64)[:, None])
+    _check_work(prop, 1, dt, schedule.total_time)
     psi = np.array(state, dtype=complex).reshape(-1, 1)
     if psi.shape[0] != prop.dim:
         raise ValueError("state dimension does not match the Hamiltonians")
@@ -169,8 +173,24 @@ def magnus_step(state, h0, h1, schedule: AnnealSchedule, t: float, dt: float) ->
     return prop.step(psi, a, b, dt)[:, 0]
 
 
-def _propagate(prop: _BatchPropagator, psi: np.ndarray, schedule: AnnealSchedule, dt: float) -> np.ndarray:
+def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) -> np.ndarray:
+    """Evolve the uniform superposition to t = T once per problem diagonal.
+
+    Rows of shape (M, 2^n) in and out. All instances share the same register
+    size, schedule, and time step, so the batch advances in lock step with
+    shared matrix products. Uniform steps of length dt cover [0, T]; a final
+    shorter step lands exactly on T when dt does not divide it.
+    """
+    _check_dt(dt)
+    diagonals = np.atleast_2d(np.asarray(diagonals, dtype=np.float64))
+    count, dim = diagonals.shape
+    n = int(np.log2(dim))
+    if 1 << n != dim:
+        raise ValueError(f"diagonal length {dim} is not a power of two")
+    prop = _BatchPropagator(transverse_field_hamiltonian(n), diagonals.T)
     total = schedule.total_time
+    _check_work(prop, np.ceil(total / dt), dt, total)
+    psi = np.full((dim, count), 1.0 / np.sqrt(dim), dtype=complex)
     t = 0.0
     while t < total * (1.0 - 1e-9):
         h = min(dt, total - t)
@@ -179,50 +199,7 @@ def _propagate(prop: _BatchPropagator, psi: np.ndarray, schedule: AnnealSchedule
         b = float(schedule.problem_weight(t_mid))
         psi = prop.step(psi, a, b, h)
         t += h
-    return psi
-
-
-def evolve(h0, h1, schedule: AnnealSchedule, dt: float = DEFAULT_DT) -> np.ndarray:
-    """Evolve the uniform superposition to t = T; returns the final state.
-
-    Uniform steps of length dt cover [0, T]; a final shorter step lands
-    exactly on T when dt does not divide it.
-    """
-    _check_dt(dt)
-    prop = _single_propagator(h0, h1)
-    psi = prop.initial_block()
-    return _propagate(prop, psi, schedule, dt)[:, 0]
-
-
-def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) -> np.ndarray:
-    """Evolve one state per problem diagonal; rows of shape (M, 2^n) in and out.
-
-    All instances share the same register size, schedule, and time step, so
-    the batch advances in lock step with shared matrix products.
-    """
-    _check_dt(dt)
-    diagonals = np.atleast_2d(np.asarray(diagonals, dtype=np.float64))
-    dim = diagonals.shape[1]
-    n = int(np.log2(dim))
-    if 1 << n != dim:
-        raise ValueError(f"diagonal length {dim} is not a power of two")
-    prop = _BatchPropagator(transverse_field_hamiltonian(n), diagonals.T)
-    psi = prop.initial_block()
-    return _propagate(prop, psi, schedule, dt).T
-
-
-def halving_convergence(h0, h1, schedule: AnnealSchedule, answer, dt: float = DEFAULT_DT,
-                        tol: float = _HALVING_TOL) -> tuple[float, float]:
-    """Answer overlap at dt and dt/2; raises `ConvergenceError` if they differ.
-
-    This is the standing accuracy check for the default time step: the
-    first-order scheme is accepted only when halving dt moves the final
-    overlap by less than ``tol``.
-    """
-    q_full = answer_overlap(evolve(h0, h1, schedule, dt), answer)
-    q_half = answer_overlap(evolve(h0, h1, schedule, dt / 2.0), answer)
-    check_halving(q_full, q_half, dt, tol)
-    return q_full, q_half
+    return psi.T
 
 
 def check_halving(q_full: float, q_half: float, dt: float, tol: float = _HALVING_TOL) -> None:

@@ -23,6 +23,7 @@ the generator are part of the package's reproducibility contract.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,8 +36,6 @@ __all__ = [
     "derive_seed",
     "instance_rng",
     "generate_exact_instance",
-    "generate_noisy_instance",
-    "generate_failure_instance",
     "generate_instance",
     "REJECTION_CAP",
 ]
@@ -149,25 +148,20 @@ def _validate_request(n: int, p: int, rule: str, gamma: float, anneal_time: floa
         raise ValueError(f"anneal_time must be positive, got {anneal_time}")
 
 
-def _draw_distinct(rng, n, count, taken, predicate=None):
-    """Rejection-sample `count` patterns distinct from each other and `taken`."""
+def _draw_distinct(rng, n, count, taken, predicate):
+    """Rejection-sample `count` patterns that pass `predicate`, distinct from
+    each other and from `taken`."""
     out = []
     seen = {tuple(t) for t in taken}
     for _ in range(count):
-        for attempt in range(REJECTION_CAP):
+        for _ in range(REJECTION_CAP):
             cand = random_pattern(n, rng)
-            key = tuple(cand)
-            if key in seen:
-                continue
-            if predicate is not None and not predicate(cand):
-                continue
-            out.append(cand)
-            seen.add(key)
-            break
+            if tuple(cand) not in seen and predicate(cand):
+                break
         else:
-            raise ValueError(
-                f"could not draw a feasible pattern in {REJECTION_CAP} attempts"
-            )
+            raise ValueError(f"could not draw a feasible pattern in {REJECTION_CAP} attempts")
+        out.append(cand)
+        seen.add(tuple(cand))
     return out
 
 
@@ -180,60 +174,72 @@ def _usable_memory_set(memories: np.ndarray, rule: str) -> bool:
     return bool(np.isfinite(cond) and cond <= _COND_LIMIT)
 
 
-def _draw_memory_set(rng, n: int, p: int, rule: str) -> np.ndarray:
-    """p distinct random memories that `rule` can store."""
+def _draw_memory_set(rng, n: int, p: int, rule: str, spacing: int = 1) -> np.ndarray:
+    """p distinct random memories that `rule` can store, every one at Hamming
+    distance >= `spacing` from the first."""
     for _ in range(REJECTION_CAP):
-        memories = np.stack(_draw_distinct(rng, n, p, taken=[]))
+        first = random_pattern(n, rng)
+        others = _draw_distinct(
+            rng, n, p - 1, taken=[first],
+            predicate=lambda z: np.count_nonzero(z != first) >= spacing,
+        )
+        memories = np.stack([first] + others)
         if _usable_memory_set(memories, rule):
             return memories
     raise ValueError("could not draw a usable memory set (covariance singular)")
 
 
-def generate_exact_instance(
-    n: int, p: int, rule: str, gamma: float, anneal_time: float, seed: int
-) -> ProblemInstance:
+def _draw_exact(rng, n: int, p: int, rule: str):
     """Exact-input protocol: the key equals the chosen answer memory."""
-    _validate_request(n, p, rule, gamma, anneal_time)
-    rng = instance_rng(seed)
     memories = _draw_memory_set(rng, n, p, rule)
     answer_index = int(rng.integers(p))
-    return ProblemInstance(
-        protocol="exact",
-        n=n,
-        memories=memories,
-        answer_index=answer_index,
-        input_key=memories[answer_index].copy(),
-        rule=rule,
-        gamma=gamma,
-        anneal_time=anneal_time,
-        seed=seed,
+    return memories, answer_index, memories[answer_index].copy()
+
+
+def _draw_noisy(rng, n: int, p: int, rule: str):
+    """Noisy-input protocol: key at distance 1, other memories at distance >= 2."""
+    memories = _draw_memory_set(rng, n, p, rule, spacing=2)
+    input_key = memories[0].copy()
+    input_key[rng.integers(n)] *= -1
+    return memories, 0, input_key
+
+
+def _draw_failure(rng, n: int, p: int, rule: str, distance: int):
+    """Failure protocol: key at Hamming distance exactly `distance` from the
+    nearest memory, so it is never stored itself."""
+    memories = _draw_memory_set(rng, n, p, rule)
+    for _ in range(REJECTION_CAP):
+        key = random_pattern(n, rng)
+        dists = [hamming_distance(key, m) for m in memories]
+        if min(dists) == distance:
+            return memories, int(np.argmin(dists)), key
+    raise ValueError(
+        f"could not place an input key at distance {distance} in {REJECTION_CAP} attempts"
     )
 
 
-def generate_noisy_instance(
-    n: int, p: int, rule: str, gamma: float, anneal_time: float, seed: int
+# protocol -> draw(rng, n, p, rule) returning (memories, answer_index, input_key)
+_DRAWS = {
+    "exact": _draw_exact,
+    "noisy": _draw_noisy,
+    "failure1": partial(_draw_failure, distance=1),
+    "failure2": partial(_draw_failure, distance=2),
+}
+
+
+def generate_instance(
+    protocol: str, n: int, p: int, rule: str, gamma: float, anneal_time: float, seed: int
 ) -> ProblemInstance:
-    """Noisy-input protocol: key at distance 1, other memories at distance >= 2."""
+    """Generate an instance for any named protocol from its 64-bit seed."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
     _validate_request(n, p, rule, gamma, anneal_time)
-    rng = instance_rng(seed)
-    for _ in range(REJECTION_CAP):
-        answer = random_pattern(n, rng)
-        others = _draw_distinct(
-            rng, n, p - 1, taken=[answer],
-            predicate=lambda z: hamming_distance(z, answer) >= 2,
-        )
-        memories = np.stack([answer] + others)
-        if _usable_memory_set(memories, rule):
-            break
-    else:
-        raise ValueError("could not draw a usable memory set (covariance singular)")
-    input_key = memories[0].copy()
-    input_key[rng.integers(n)] *= -1
+    memories, answer_index, input_key = _DRAWS[protocol](instance_rng(seed), n, p, rule)
     return ProblemInstance(
-        protocol="noisy",
+        protocol=protocol,
         n=n,
         memories=memories,
-        answer_index=0,
+        answer_index=answer_index,
         input_key=input_key,
         rule=rule,
         gamma=gamma,
@@ -242,50 +248,8 @@ def generate_noisy_instance(
     )
 
 
-def generate_failure_instance(
-    n: int, p: int, rule: str, gamma: float, anneal_time: float, seed: int,
-    distance: int,
+def generate_exact_instance(
+    n: int, p: int, rule: str, gamma: float, anneal_time: float, seed: int
 ) -> ProblemInstance:
-    """Failure protocol: key at Hamming distance exactly `distance` (1 or 2)
-    from the nearest memory, so it is never stored itself."""
-    if distance not in (1, 2):
-        raise ValueError(f"distance must be 1 or 2, got {distance}")
-    _validate_request(n, p, rule, gamma, anneal_time)
-    rng = instance_rng(seed)
-    memories = _draw_memory_set(rng, n, p, rule)
-    for _ in range(REJECTION_CAP):
-        key = random_pattern(n, rng)
-        dists = [hamming_distance(key, m) for m in memories]
-        if min(dists) == distance:
-            break
-    else:
-        raise ValueError(
-            f"could not place an input key at distance {distance} "
-            f"in {REJECTION_CAP} attempts"
-        )
-    return ProblemInstance(
-        protocol=f"failure{distance}",
-        n=n,
-        memories=memories,
-        answer_index=int(np.argmin(dists)),
-        input_key=key,
-        rule=rule,
-        gamma=gamma,
-        anneal_time=anneal_time,
-        seed=seed,
-    )
-
-
-def generate_instance(
-    protocol: str, n: int, p: int, rule: str, gamma: float, anneal_time: float, seed: int
-) -> ProblemInstance:
-    """Generate an instance for any named protocol."""
-    if protocol == "exact":
-        return generate_exact_instance(n, p, rule, gamma, anneal_time, seed)
-    if protocol == "noisy":
-        return generate_noisy_instance(n, p, rule, gamma, anneal_time, seed)
-    if protocol in ("failure1", "failure2"):
-        return generate_failure_instance(
-            n, p, rule, gamma, anneal_time, seed, distance=int(protocol[-1])
-        )
-    raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
+    """`generate_instance` under the exact-input protocol."""
+    return generate_instance("exact", n, p, rule, gamma, anneal_time, seed)

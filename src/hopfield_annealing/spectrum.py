@@ -38,11 +38,11 @@ class SpectrumTrace:
 
 def _h1_matrix(h1) -> np.ndarray:
     if isinstance(h1, IsingHamiltonian):
-        return h1.matrix()
+        h1 = h1.diagonal()
     h1 = np.asarray(h1, dtype=np.float64)
-    if h1.ndim == 1:
-        return np.diag(h1)
-    return h1
+    if not np.isfinite(h1).all():
+        raise FloatingPointError("problem Hamiltonian is not finite")
+    return np.diag(h1) if h1.ndim == 1 else h1
 
 
 def instantaneous_spectrum(h0, h1, schedule: AnnealSchedule, t: float) -> np.ndarray:
@@ -60,6 +60,7 @@ def spectrum_trace(h0, h1, schedule: AnnealSchedule, num_samples: int = 101) -> 
     if num_samples < 2:
         raise ValueError(f"need at least 2 samples, got {num_samples}")
     times = np.linspace(0.0, schedule.total_time, num_samples)
+    h1 = _h1_matrix(h1)
     energies = np.stack([instantaneous_spectrum(h0, h1, schedule, t) for t in times])
     return SpectrumTrace(times=times, energies=energies)
 

@@ -174,6 +174,58 @@ def test_malformed_config_value_is_usage_error(tmp_path, capsys, key, value):
     assert f"--{key.replace('_', '-')}: " in err
 
 
+@pytest.mark.parametrize("config_values, flag", [
+    ({"n": 4.7, "p": 1}, "--n"),
+    ({"n": True, "p": 1}, "--n"),
+    ({"n": 4, "p": 1, "seed": 1.9}, "--seed"),
+    ({"n": 4, "p": 1, "input": [1, -1, 1.5, 1]}, "--input"),
+    ({"n": 4, "p": 1, "input": [1, -1, True, 1]}, "--input"),
+], ids=["n-float", "n-bool", "seed-float", "input-float", "input-bool"])
+def test_non_integral_config_integer_is_usage_error(tmp_path, capsys, config_values, flag):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(config_values))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "recall", "--config", str(config), "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"{flag}: expected an integer" in err
+
+
+def test_config_integers_accept_json_integers_and_numeric_strings(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": "4", "p": 1, "seed": 7, "input": ["1", -1, 1, -1]}))
+    params = parse_config(["recall", "--config", str(config)]).params
+    assert (params["n"], params["p"], params["seed"]) == (4, 1, 7)
+    assert params["input"] == [1, -1, 1, -1]
+    config.write_text(json.dumps({"p_list": [1, "2", 3]}))
+    assert parse_config(["bias-sweep", "--config", str(config)]).params["p_list"] == [1, 2, 3]
+    config.write_text(json.dumps({"p_list": [1, 2.5]}))
+    with pytest.raises(ValueError, match="--p-list: expected an integer"):
+        parse_config(["bias-sweep", "--config", str(config)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["recall", "--n", "4", "--p", "1", "--T", "1e9"],
+    ["recall", "--n", "4", "--p", "1", "--T", "10", "--gamma", "1e200"],
+])
+def test_runaway_anneal_is_fast_usage_error(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "sub-steps" in err and "T=" in err and "dt=" in err and "gamma" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diagonal overflows
+def test_spectrum_of_overflowing_hamiltonian_is_fast_numerical_failure(tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "spectrum", "--n", "4", "--p", "1", "--gamma", "1e308",
+                       "--input", "1,1,1,1", "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "not finite" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diagonal overflows
 def test_non_finite_diagonal_is_fast_numerical_failure(tmp_path, capsys):
     start = time.perf_counter()

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hopfield_annealing import evolution
 from hopfield_annealing.evolution import (
     AnnealSchedule,
     ConvergenceError,
-    evolve,
+    check_halving,
     evolve_batch,
-    halving_convergence,
     magnus_step,
 )
 from hopfield_annealing.hamiltonians import (
@@ -25,8 +25,8 @@ from hopfield_annealing.patterns import (
 )
 
 
-# evolve/magnus_step accept a bare diagonal array in place of a full
-# IsingHamiltonian; most tests below use that form directly
+# evolve_batch and magnus_step take the problem Hamiltonian as its diagonal;
+# tests holding an IsingHamiltonian pass h1.diagonal()
 
 
 # -- schedules ---------------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_non_finite_diagonal_rejected_by_every_entry_point(bad):
     with pytest.raises(FloatingPointError, match="not finite"):
         evolve_batch(np.stack([np.zeros(4), diag]), schedule, 0.1)
     with pytest.raises(FloatingPointError, match="not finite"):
-        evolve(h0, diag, schedule, 0.1)
+        evolve_batch(diag, schedule, 0.1)
     with pytest.raises(FloatingPointError, match="not finite"):
         magnus_step(uniform_superposition(2), h0, diag, schedule, 0.0, 0.1)
 
@@ -134,20 +134,20 @@ def test_step_outside_window_rejected():
                     schedule, 0.95, 0.2)
 
 
-# -- evolve -------------------------------------------------------------------------
+# -- evolve_batch -------------------------------------------------------------------
 
 def test_single_memory_recall_probability():
     mem = overlapping_memories()[:1]
     w = hebb_weights(mem)
     h1 = ising_hamiltonian(w, BiasSpec(mem[0], 0.1))
-    psi = evolve(transverse_field_hamiltonian(4), h1, AnnealSchedule.linear(1000.0), 0.1)
+    psi = evolve_batch(h1.diagonal(), AnnealSchedule.linear(1000.0), 0.1)[0]
     assert answer_overlap(psi, mem[0]) >= 0.99
 
 
 def test_complement_symmetry_without_bias():
     mem = overlapping_memories()[:2]
     h1 = ising_hamiltonian(hebb_weights(mem), None)
-    psi = evolve(transverse_field_hamiltonian(4), h1, AnnealSchedule.linear(30.0), 0.1)
+    psi = evolve_batch(h1.diagonal(), AnnealSchedule.linear(30.0), 0.1)[0]
     probs = np.abs(psi) ** 2
     for s in range(16):
         flipped = pattern_to_index(-index_to_pattern(s, 4))
@@ -157,11 +157,10 @@ def test_complement_symmetry_without_bias():
 def test_evolve_batch_agrees_with_single_runs():
     rng = np.random.default_rng(3)
     schedule = AnnealSchedule.linear(7.0)
-    h0 = transverse_field_hamiltonian(3)
     diags = rng.normal(scale=2.0, size=(4, 8))
     batch = evolve_batch(diags, schedule, 0.1)
     for m in range(4):
-        single = evolve(h0, diags[m], schedule, 0.1)
+        single = evolve_batch(diags[m], schedule, 0.1)[0]
         assert np.abs(batch[m] - single).max() < 1e-12
 
 
@@ -172,7 +171,7 @@ def test_final_short_step_lands_on_total_time():
     total = 1.05
     schedule = AnnealSchedule.linear(total)
     h0 = transverse_field_hamiltonian(2)
-    got = evolve(h0, diag, schedule, 5.0)
+    got = evolve_batch(diag, schedule, 5.0)[0]
     t_mid = total / 2
     h_mid = (1 - t_mid / total) * h0 + (t_mid / total) * np.diag(diag)
     exact = expm(-1j * total * h_mid) @ uniform_superposition(2)
@@ -181,9 +180,8 @@ def test_final_short_step_lands_on_total_time():
 
 
 def test_evolve_validation():
-    h0 = transverse_field_hamiltonian(2)
     with pytest.raises(ValueError):
-        evolve(h0, np.zeros(4), AnnealSchedule.linear(5.0), 0.0)
+        evolve_batch(np.zeros(4), AnnealSchedule.linear(5.0), 0.0)
     with pytest.raises(ValueError):
         evolve_batch(np.zeros((2, 5)), AnnealSchedule.linear(5.0), 0.1)
 
@@ -198,13 +196,18 @@ def test_unitarity_along_full_anneal():
 
 # -- dt convergence ------------------------------------------------------------------
 
+def _overlaps_at_dt_and_half(h1, total_time, answer, dt):
+    schedule = AnnealSchedule.linear(total_time)
+    return [answer_overlap(evolve_batch(h1.diagonal(), schedule, step)[0], answer)
+            for step in (dt, dt / 2.0)]
+
+
 def test_halving_convergence_accepts_default_dt():
     mem = overlapping_memories()[:2]
     w = weights_for_rule("projection", mem)
     h1 = ising_hamiltonian(w, BiasSpec(mem[0], 0.3))
-    q_full, q_half = halving_convergence(
-        transverse_field_hamiltonian(4), h1, AnnealSchedule.linear(150.0), mem[0], dt=0.1
-    )
+    q_full, q_half = _overlaps_at_dt_and_half(h1, 150.0, mem[0], dt=0.1)
+    check_halving(q_full, q_half, 0.1)
     assert abs(q_full - q_half) <= 1e-6
 
 
@@ -212,8 +215,37 @@ def test_halving_convergence_flags_coarse_dt():
     mem = overlapping_memories()[:2]
     w = hebb_weights(mem)
     h1 = ising_hamiltonian(w, BiasSpec(mem[0], 0.9))
+    q_full, q_half = _overlaps_at_dt_and_half(h1, 60.0, mem[0], dt=15.0)
     with pytest.raises(ConvergenceError):
-        halving_convergence(
-            transverse_field_hamiltonian(4), h1, AnnealSchedule.linear(60.0),
-            mem[0], dt=15.0,
-        )
+        check_halving(q_full, q_half, 15.0)
+
+
+# -- input checks ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+def test_magnus_step_rejects_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        magnus_step(uniform_superposition(2), transverse_field_hamiltonian(2), np.zeros(4),
+                    AnnealSchedule.linear(5.0), 0.0, dt)
+
+
+def test_work_budget_refuses_runaway_anneals():
+    schedule = AnnealSchedule.linear(1e9)
+    with pytest.raises(ValueError, match=r"T=1e\+09 at dt=0.1 .*lower gamma"):
+        evolve_batch(np.zeros(4), schedule, 0.1)
+    # a huge problem scale explodes the split count of every step
+    huge = np.full(4, 1e200)
+    with pytest.raises(ValueError, match="sub-steps"):
+        evolve_batch(huge, AnnealSchedule.linear(10.0), 0.1)
+    with pytest.raises(ValueError, match="sub-steps"):
+        magnus_step(uniform_superposition(2), transverse_field_hamiltonian(2), huge,
+                    AnnealSchedule.linear(10.0), 0.0, 0.1)
+
+
+def test_work_budget_admits_the_longest_acceptance_anneal():
+    # T = 5000 at dt = 0.1 with a unit-scale diagonal: 5e4 one-split steps
+    # are well inside the budget, so only the estimate runs here
+    prop = evolution._BatchPropagator(transverse_field_hamiltonian(5), np.ones((32, 1)))
+    evolution._check_work(prop, 5e4, 0.1, 5000.0)
+    with pytest.raises(ValueError):
+        evolution._check_work(prop, 1e7 + 1, 0.1, 5000.0)

@@ -5,9 +5,7 @@ from hopfield_annealing.instances import (
     PROTOCOLS,
     derive_seed,
     generate_exact_instance,
-    generate_failure_instance,
     generate_instance,
-    generate_noisy_instance,
     instance_rng,
 )
 from hopfield_annealing.learning import covariance_matrix
@@ -53,6 +51,35 @@ def test_generation_is_deterministic(protocol):
     assert a.answer_index == b.answer_index
 
 
+# one instance per protocol at n=6, p=4, recorded when each protocol had its own
+# generator; a change in the order of the draws from the Philox stream moves them
+_PINNED_INSTANCES = [
+    ("exact", "hebb", 7,
+     [[-1, 1, 1, -1, -1, -1], [1, -1, -1, -1, -1, 1], [1, -1, -1, 1, -1, -1],
+      [1, 1, 1, 1, -1, 1]], 0, [-1, 1, 1, -1, -1, -1]),
+    ("noisy", "storkey", 8,
+     [[-1, 1, 1, -1, -1, 1], [1, -1, 1, -1, -1, 1], [-1, -1, -1, 1, 1, -1],
+      [-1, -1, -1, -1, -1, -1]], 0, [-1, 1, 1, -1, -1, -1]),
+    ("failure1", "projection", 9,
+     [[1, -1, -1, 1, 1, -1], [1, 1, -1, 1, -1, 1], [-1, 1, 1, 1, 1, 1],
+      [-1, -1, 1, -1, -1, 1]], 1, [1, 1, -1, -1, -1, 1]),
+    ("failure2", "hebb", 10,
+     [[1, 1, -1, -1, 1, -1], [1, 1, -1, -1, 1, 1], [-1, -1, -1, 1, 1, -1],
+      [-1, -1, -1, 1, -1, 1]], 0, [1, -1, 1, -1, 1, -1]),
+]
+
+
+@pytest.mark.parametrize("protocol, rule, seed, memories, answer_index, key",
+                         _PINNED_INSTANCES, ids=[row[0] for row in _PINNED_INSTANCES])
+def test_generation_matches_pinned_instances(protocol, rule, seed, memories,
+                                             answer_index, key):
+    inst = generate_instance(protocol, 6, 4, rule, 0.2, 50.0, seed=seed)
+    assert inst.protocol == protocol
+    assert inst.memories.tolist() == memories
+    assert inst.answer_index == answer_index
+    assert inst.input_key.tolist() == key
+
+
 def test_exact_instance_constraints():
     for seed in range(30):
         inst = generate_exact_instance(5, 5, "hebb", 0.2, 50.0, seed=seed)
@@ -65,7 +92,7 @@ def test_exact_instance_constraints():
 
 def test_noisy_instance_constraints():
     for seed in range(30):
-        inst = generate_noisy_instance(5, 4, "storkey", 0.2, 50.0, seed=seed)
+        inst = generate_instance("noisy", 5, 4, "storkey", 0.2, 50.0, seed=seed)
         assert hamming_distance(inst.input_key, inst.answer) == 1
         for k, mem in enumerate(inst.memories):
             if k != inst.answer_index:
@@ -78,8 +105,8 @@ def test_noisy_instance_constraints():
 def test_failure_instance_constraints():
     for distance in (1, 2):
         for seed in range(30):
-            inst = generate_failure_instance(5, 3, "hebb", 0.2, 50.0, seed=seed,
-                                             distance=distance)
+            inst = generate_instance(f"failure{distance}", 5, 3, "hebb", 0.2, 50.0,
+                                     seed=seed)
             dists = [hamming_distance(inst.input_key, m) for m in inst.memories]
             assert min(dists) == distance
             assert dists[inst.answer_index] == distance
@@ -91,7 +118,7 @@ def test_failure_instance_constraints():
 
 def test_failure_distance_validation():
     with pytest.raises(ValueError):
-        generate_failure_instance(5, 3, "hebb", 0.2, 50.0, seed=0, distance=3)
+        generate_instance("failure3", 5, 3, "hebb", 0.2, 50.0, seed=0)
 
 
 def test_projection_instances_have_invertible_covariance():
@@ -117,7 +144,7 @@ def test_infeasible_requests_rejected():
 def test_generation_completes_quickly_at_full_load():
     # rejection sampling head-room: n=5 with p=5 draws must not stall
     for seed in range(50):
-        generate_noisy_instance(5, 5, "hebb", 0.5, 10.0, seed=seed)
+        generate_instance("noisy", 5, 5, "hebb", 0.5, 10.0, seed=seed)
 
 
 def test_instance_field_consistency_enforced():

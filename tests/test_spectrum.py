@@ -72,6 +72,17 @@ def test_trace_sample_validation():
         spectrum_trace(h0, np.zeros(4), AnnealSchedule.linear(1.0), num_samples=1)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_problem_hamiltonian_rejected(bad):
+    h0 = transverse_field_hamiltonian(2)
+    schedule = AnnealSchedule.linear(1.0)
+    diag = np.array([0.0, 1.0, bad, -1.0])
+    with pytest.raises(FloatingPointError, match="not finite"):
+        instantaneous_spectrum(h0, diag, schedule, 0.5)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        spectrum_trace(h0, np.diag(diag), schedule, num_samples=3)
+
+
 def test_trace_curves_are_continuous(biased_hadamard):
     h0, h1 = biased_hadamard
     schedule = AnnealSchedule.linear(10.0)
