@@ -4,7 +4,7 @@ Part 1 stores two orthogonal 8-spin memories and corrupts them one spin at a
 time: every corrupted key falls straight back into its memory, the textbook
 content-addressable behavior.
 
-Part 2 loads the bundled 4-spin overlapping set at three stored patterns
+Part 2 takes the 4-spin set `overlapping_memories()` at three stored patterns
 (three quarters of capacity). Here single-spin corruptions land on spurious
 fixed points or sit ambiguously between two memories, and the over-bias bound
 reports, key by key, the largest bias for which the intended memory can still

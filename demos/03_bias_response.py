@@ -1,4 +1,4 @@
-"""Recall probability versus applied bias for the bundled memory set.
+"""Recall probability versus applied bias for `overlapping_memories()`.
 
 Anneals the first pattern of the overlapping set back out of the network for
 p = 1, 2, 3 stored memories and a grid of bias strengths, once per learning

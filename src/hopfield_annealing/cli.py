@@ -34,8 +34,7 @@ from .instances import PROTOCOLS, ProblemInstance, generate_instance
 from .learning import LEARNING_RULES, SingularCovarianceError, weights_for_rule
 from .memio import (
     FIGURE_IDS,
-    FIGURE_PROTOCOL,
-    bundled_memories_path,
+    FIGURES,
     emit_figure_data,
     load_memories,
     provenance_line,
@@ -43,7 +42,7 @@ from .memio import (
     write_text_atomic,
 )
 from .network import BiasSpec, classical_update, network_energy
-from .patterns import as_pattern, hadamard_memories, hamming_distance
+from .patterns import as_pattern, hadamard_memories, overlapping_memories
 from .spectrum import SpectrumTrace, min_gap, spectrum_trace, write_spectrum_csv
 
 __all__ = ["RunConfig", "parse_config", "main"]
@@ -242,19 +241,21 @@ def _echo_outputs(cfg: RunConfig) -> str:
 
 
 def _load_memory_set(cfg: RunConfig):
+    """The --memories file, the --hadamard set or `overlapping_memories()`,
+    cut to its first --p patterns."""
     params = cfg.params
     if params["memories"] is not None:
         mem = load_memories(params["memories"])
     elif params.get("hadamard"):
         if params["n"] is None:
             raise ValueError("--hadamard: requires --n")
-        mem = hadamard_memories(params["n"], params["p"])
+        mem = hadamard_memories(params["n"])
     else:
-        mem = load_memories(bundled_memories_path())
-        if params["p"] is not None:
-            if not 1 <= params["p"] <= mem.shape[0]:
-                raise ValueError(f"--p: bundled memory set holds {mem.shape[0]} patterns")
-            mem = mem[: params["p"]]
+        mem = overlapping_memories()
+    if params["p"] is not None:
+        if params["p"] > mem.shape[0]:
+            raise ValueError(f"--p: memory set holds {mem.shape[0]} patterns")
+        mem = mem[: params["p"]]
     if params["n"] is not None and mem.shape[1] != params["n"]:
         raise ValueError(f"--n: memory set has n={mem.shape[1]}, flag says {params['n']}")
     return mem
@@ -299,21 +300,24 @@ def _instance(cfg: RunConfig) -> ProblemInstance:
     is --input (default: the first memory)."""
     params = cfg.params
     if params["memories"] is None and params["n"] is not None and params["p"] is not None:
+        if params["input"] is not None:
+            raise ValueError("--input: a generated instance (--n and --p) draws its own key")
         return generate_instance(
             params["protocol"], params["n"], params["p"], params["rule"],
             params["gamma"], params["T"], seed=params["seed"],
         )
+    if params["protocol"] != "exact":
+        raise ValueError(f"--protocol: {params['protocol']} needs --n and --p without --memories")
     memories = _load_memory_set(cfg)
     n = memories.shape[1]
     key = _input_key(cfg, n)
     if key is None:
         key = memories[0].copy()
-    dists = [hamming_distance(key, m) for m in memories]
     return ProblemInstance(
         protocol="exact",
         n=n,
         memories=memories,
-        answer_index=int(np.argmin(dists)),
+        answer_index=int(np.argmin(np.count_nonzero(memories != key, axis=1))),
         input_key=key,
         rule=params["rule"],
         gamma=params["gamma"],
@@ -361,8 +365,6 @@ def _cmd_classical(cfg: RunConfig) -> int:
         key, weights, bias, mode=params["mode"],
         max_sweeps=params["max_sweeps"], seed=params["seed"],
     )
-    recalled = [int(hamming_distance(state, m) == 0) for m in memories]
-    out = _echo_outputs(cfg)
     payload = {
         "rule": params["rule"],
         "mode": params["mode"],
@@ -371,8 +373,9 @@ def _cmd_classical(cfg: RunConfig) -> int:
         "converged": converged,
         "sweeps": sweeps,
         "energy": network_energy(state, weights, bias),
-        "is_stored_memory": int(any(recalled)),
+        "is_stored_memory": int((memories == state).all(axis=1).any()),
     }
+    out = _echo_outputs(cfg)
     write_json_atomic(os.path.join(out, "outcome.json"), payload)
     print(f"final state {state.tolist()} converged={converged} sweeps={sweeps}")
     return 0
@@ -410,28 +413,25 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-# bias of each rule in the annealing-time figure f10
-_FIGURE_RULE_GAMMA = {"hebb": 0.5, "storkey": 0.15, "projection": 0.15}
-
-
 def _cmd_figures(cfg: RunConfig) -> int:
     params = cfg.params
     fid = params["id"]
-    n = params["n"] if params["n"] is not None else (4 if fid in ("f1", "f2") else 5)
-    if fid in ("f1", "f2"):
+    kind, setting = FIGURES[fid]
+    n = params["n"] if params["n"] is not None else (4 if kind == "spectrum" else 5)
+    if kind == "spectrum":
         memories = hadamard_memories(n, params["p"])
-        bias = BiasSpec(memories[0], 1.0) if fid == "f2" else None
+        bias = None if setting is None else BiasSpec(memories[0], setting)
         results = _spectrum(params, memories, bias)
-    elif fid in ("f3", "f4", "f5"):
+    elif kind == "bias-response":
+        if params["p"] is not None:
+            raise ValueError(f"--p: figure {fid} stores p={setting} memories")
         memories = _load_memory_set(cfg)
-        p = {"f3": 1, "f4": 2, "f5": 3}[fid]
-        results = bias_response(memories[:p], memories[0], params["gamma_grid"],
+        results = bias_response(memories[:setting], memories[0], params["gamma_grid"],
                                 params["T"], params["dt"])
-    elif fid == "f10":
-        results = _sweep("anneal-sweep", params, "exact", n, _FIGURE_RULE_GAMMA)
+    elif kind == "anneal-sweep":
+        results = _sweep(kind, params, "exact", n, setting)
     else:
-        results = _sweep("bias-sweep", params, FIGURE_PROTOCOL[fid], n,
-                         dict.fromkeys(LEARNING_RULES))
+        results = _sweep(kind, params, setting, n, dict.fromkeys(LEARNING_RULES))
     out = _echo_outputs(cfg)
     written = emit_figure_data(results, fid, out)
     for path in written:

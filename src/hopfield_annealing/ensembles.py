@@ -94,6 +94,12 @@ def _instance_hamiltonian(instance: ProblemInstance):
     return ising_hamiltonian(weights, bias)
 
 
+def _anneal(diagonals, targets, anneal_time: float, dt: float):
+    """Final states of a linear anneal per row of `diagonals`, and each row's P_ans."""
+    states = evolve_batch(diagonals, AnnealSchedule.linear(anneal_time), dt)
+    return states, np.abs(states[np.arange(len(states)), targets]) ** 2
+
+
 def run_instance(
     instance: ProblemInstance,
     x: float = DEFAULT_THRESHOLD,
@@ -101,13 +107,14 @@ def run_instance(
 ) -> RecallOutcome:
     """Anneal one instance and score the recall probability of its target."""
     h1 = _instance_hamiltonian(instance)
-    schedule = AnnealSchedule.linear(instance.anneal_time)
-    psi = evolve_batch(h1.diagonal()[None, :], schedule, dt)[0]
-    p_ans = float(np.abs(psi[pattern_to_index(instance.target_pattern())]) ** 2)
+    states, p_ans = _anneal(h1.diagonal()[None, :],
+                            [pattern_to_index(instance.target_pattern())],
+                            instance.anneal_time, dt)
+    p_ans = float(p_ans[0])
     return RecallOutcome(
         p_ans=p_ans,
         success=success_indicator(p_ans, x),
-        ground_overlap=ground_state_mass(psi, h1),
+        ground_overlap=ground_state_mass(states[0], h1),
         instance=instance,
     )
 
@@ -137,14 +144,9 @@ def _ensemble_cell(
         for i in range(count)
     ]
     diagonals = np.stack([_instance_hamiltonian(inst).diagonal() for inst in instances])
-    schedule = AnnealSchedule.linear(anneal_time)
-    states = evolve_batch(diagonals, schedule, dt)
     targets = [pattern_to_index(inst.target_pattern()) for inst in instances]
-    p_ans = np.abs(states[np.arange(count), targets]) ** 2
-    successes = np.fromiter(
-        (success_indicator(float(q), x) for q in p_ans), dtype=float, count=count
-    )
-    mean = float(successes.mean())
+    _, p_ans = _anneal(diagonals, targets, anneal_time, dt)
+    mean = float(np.mean(p_ans >= x))
     return EnsembleStats(
         protocol=protocol,
         rule=rule,
@@ -243,17 +245,15 @@ def bias_response(memories, answer, gammas, anneal_time: float,
     Returns ``{"gamma": [...], "hebb": [...], "storkey": [...],
     "projection": [...]}``, the bias-response input of figures f3-f5.
     """
-    target = pattern_to_index(answer)
+    targets = [pattern_to_index(answer)] * len(gammas)
     curves = {"gamma": [float(g) for g in gammas]}
-    schedule = AnnealSchedule.linear(anneal_time)
     for rule in LEARNING_RULES:
         weights = weights_for_rule(rule, memories)
         diagonals = np.stack([
             ising_hamiltonian(weights, BiasSpec(answer, float(g))).diagonal()
             for g in gammas
         ])
-        states = evolve_batch(diagonals, schedule, dt)
-        curves[rule] = [float(np.abs(states[i, target]) ** 2) for i in range(len(gammas))]
+        curves[rule] = _anneal(diagonals, targets, anneal_time, dt)[1].tolist()
     return curves
 
 

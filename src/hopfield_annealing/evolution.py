@@ -202,9 +202,9 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
     return psi.T
 
 
-def check_halving(q_full: float, q_half: float, dt: float, tol: float = _HALVING_TOL) -> None:
-    """Raise `ConvergenceError` if the overlaps at dt and dt/2 differ by more than tol."""
-    if abs(q_full - q_half) > tol:
+def check_halving(q_full: float, q_half: float, dt: float) -> None:
+    """Raise `ConvergenceError` if the overlaps at dt and dt/2 differ by more than _HALVING_TOL."""
+    if (moved := abs(q_full - q_half)) > _HALVING_TOL:
         raise ConvergenceError(
-            f"overlap moved by {abs(q_full - q_half):.3e} (> {tol:g}) when halving dt={dt}"
+            f"overlap moved by {moved:.3e} (> {_HALVING_TOL:g}) when halving dt={dt}"
         )

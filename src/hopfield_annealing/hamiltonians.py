@@ -29,9 +29,13 @@ __all__ = [
     "uniform_superposition",
     "answer_overlap",
     "ground_state_mass",
+    "DEGENERACY_TOL",
 ]
 
 MAX_QUBITS = 12
+
+# energies within this distance of the lowest one belong to the ground manifold
+DEGENERACY_TOL = 1e-9
 
 
 class QubitBudgetError(ValueError):
@@ -75,8 +79,10 @@ class IsingHamiltonian:
     def diagonal(self) -> np.ndarray:
         """Energies of all 2^n basis states, index-aligned with the basis."""
         z = all_patterns(self.n).astype(np.float64)
-        quad = np.einsum("si,ij,sj->s", z, self.couplings, z)
-        return -0.5 * quad - z @ self.fields
+        # an overflow shows up as a non-finite entry, which consumers reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = np.einsum("si,ij,sj->s", z, self.couplings, z)
+            return -0.5 * quad - z @ self.fields
 
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n representation."""
@@ -116,8 +122,8 @@ def answer_overlap(state, answer) -> float:
     return float(np.abs(psi[pattern_to_index(z)]) ** 2)
 
 
-def ground_state_mass(state, hamiltonian: IsingHamiltonian, tol: float = 1e-9) -> float:
+def ground_state_mass(state, hamiltonian: IsingHamiltonian) -> float:
     """Total probability the state assigns to the ground manifold of H1."""
     diag = hamiltonian.diagonal()
-    members = np.abs(diag - diag.min()) <= tol
+    members = np.abs(diag - diag.min()) <= DEGENERACY_TOL
     return float(np.sum(np.abs(np.asarray(state)[members]) ** 2))

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .learning import LEARNING_RULES, covariance_matrix, _COND_LIMIT
-from .patterns import as_memory_set, as_pattern, hamming_distance, random_pattern
+from .patterns import as_memory_set, as_pattern, random_pattern
 
 __all__ = [
     "PROTOCOLS",
@@ -142,6 +142,8 @@ def _validate_request(n: int, p: int, rule: str, gamma: float, anneal_time: floa
         raise ValueError(f"p={p} infeasible for n={n} (need 1 <= p <= 2^(n-1))")
     if rule not in LEARNING_RULES:
         raise ValueError(f"unknown learning rule {rule!r}; choose from {LEARNING_RULES}")
+    if rule == "projection" and p > n:  # p patterns of length n span at most n dimensions
+        raise ValueError(f"p={p} infeasible for the projection rule at n={n} (need p <= n)")
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     if anneal_time <= 0:
@@ -198,6 +200,8 @@ def _draw_exact(rng, n: int, p: int, rule: str):
 
 def _draw_noisy(rng, n: int, p: int, rule: str):
     """Noisy-input protocol: key at distance 1, other memories at distance >= 2."""
+    if rule == "projection" and n == p == 2:  # the second memory can only be -first
+        raise ValueError("the projection rule cannot store p=2 noisy memories at n=2")
     memories = _draw_memory_set(rng, n, p, rule, spacing=2)
     input_key = memories[0].copy()
     input_key[rng.integers(n)] *= -1
@@ -210,8 +214,8 @@ def _draw_failure(rng, n: int, p: int, rule: str, distance: int):
     memories = _draw_memory_set(rng, n, p, rule)
     for _ in range(REJECTION_CAP):
         key = random_pattern(n, rng)
-        dists = [hamming_distance(key, m) for m in memories]
-        if min(dists) == distance:
+        dists = np.count_nonzero(memories != key, axis=1)
+        if dists.min() == distance:
             return memories, int(np.argmin(dists)), key
     raise ValueError(
         f"could not place an input key at distance {distance} in {REJECTION_CAP} attempts"

@@ -9,13 +9,13 @@ so output files are complete or absent, never partial.
 """
 
 import os
-from importlib import resources
 
 import numpy as np
 
 from ._atomic import write_csv_atomic, write_json_atomic, write_text_atomic
 from ._version import __version__
 from .ensembles import EnsembleStats, write_results_csv
+from .learning import LEARNING_RULES
 from .patterns import as_memory_set
 from .spectrum import SpectrumTrace, write_spectrum_csv
 
@@ -23,20 +23,26 @@ __all__ = [
     "MemoryFileError",
     "load_memories",
     "save_memories",
-    "bundled_memories_path",
     "emit_figure_data",
     "provenance_line",
     "write_json_atomic",
     "write_text_atomic",
+    "FIGURES",
     "FIGURE_IDS",
-    "FIGURE_PROTOCOL",
     "ERROR_FLOOR",
 ]
 
-FIGURE_IDS = tuple(f"f{i}" for i in range(1, 11))
-
-# instance protocol of the bias-sweep figures f6-f9
-FIGURE_PROTOCOL = {"f6": "exact", "f7": "noisy", "f8": "failure1", "f9": "failure2"}
+# figure id -> (kind, fixed setting): the bias of f2's spectrum, the memory
+# count of the f3-f5 bias responses, the instance protocol of the f6-f9 bias
+# sweeps and the bias per rule of the f10 annealing-time sweep
+FIGURES = {
+    "f1": ("spectrum", None), "f2": ("spectrum", 1.0),
+    "f3": ("bias-response", 1), "f4": ("bias-response", 2), "f5": ("bias-response", 3),
+    "f6": ("bias-sweep", "exact"), "f7": ("bias-sweep", "noisy"),
+    "f8": ("bias-sweep", "failure1"), "f9": ("bias-sweep", "failure2"),
+    "f10": ("anneal-sweep", {"hebb": 0.5, "storkey": 0.15, "projection": 0.15}),
+}
+FIGURE_IDS = tuple(FIGURES)
 
 # log-scale recall-error series are clipped here; below this the numbers are
 # double-precision noise
@@ -84,11 +90,6 @@ def save_memories(memories, path) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def bundled_memories_path() -> str:
-    """Path of the packaged overlapping 4-spin memory-set fixture."""
-    return str(resources.files("hopfield_annealing") / "data" / "overlapping_memories_n4.txt")
-
-
 def provenance_line(master_seed) -> str:
     """One-line run fingerprint: tool version, master seed, basis convention."""
     return (
@@ -99,11 +100,10 @@ def provenance_line(master_seed) -> str:
 
 def _write_bias_csv(path, results: dict, prefix: str, value) -> None:
     """Per-rule series `value(q)` against gamma, columns ``<prefix>_<rule>``."""
-    rules = ("hebb", "storkey", "projection")
     write_csv_atomic(
         path,
-        ["gamma"] + [f"{prefix}_{rule}" for rule in rules],
-        ([f"{float(g):.17g}"] + [f"{value(results[rule][i]):.17g}" for rule in rules]
+        ["gamma"] + [f"{prefix}_{rule}" for rule in LEARNING_RULES],
+        ([f"{float(g):.17g}"] + [f"{value(results[rule][i]):.17g}" for rule in LEARNING_RULES]
          for i, g in enumerate(results["gamma"])),
     )
 
@@ -123,46 +123,36 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
     """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
+    kind, setting = FIGURES[figure_id]
     os.makedirs(out_dir, exist_ok=True)
     written = []
     manifest = {"figure": figure_id, "basis": "little-endian (spin i -> bit 2^i)"}
 
-    if figure_id in ("f1", "f2"):
+    if kind == "spectrum":
         _require(isinstance(results, SpectrumTrace), figure_id, "expected a SpectrumTrace")
-        path = os.path.join(out_dir, f"{figure_id}_spectrum.csv")
-        write_spectrum_csv(results, path)
-        written.append(path)
-        manifest.update(
-            x_label="t",
-            y_label="energy",
-            series=[f"E_{i}" for i in range(results.energies.shape[1])],
-            files=[os.path.basename(path)],
-        )
-    elif figure_id in ("f3", "f4", "f5"):
+        written.append(os.path.join(out_dir, f"{figure_id}_spectrum.csv"))
+        write_spectrum_csv(results, written[0])
+        manifest.update(x_label="t", y_label="energy",
+                        series=[f"E_{i}" for i in range(results.energies.shape[1])])
+    elif kind == "bias-response":
         _require(isinstance(results, dict), figure_id, "expected a bias-response dict")
-        missing = {"gamma", "hebb", "storkey", "projection"} - set(results)
+        missing = {"gamma", *LEARNING_RULES} - set(results)
         _require(not missing, figure_id, f"missing series {sorted(missing)}")
-        path = os.path.join(out_dir, f"{figure_id}_recall_vs_bias.csv")
-        _write_bias_csv(path, results, "q", float)
-        err_path = os.path.join(out_dir, f"{figure_id}_recall_error.csv")
-        _write_bias_csv(err_path, results, "err",
-                        lambda q: max(1.0 - float(q), ERROR_FLOOR))
-        written += [path, err_path]
-        manifest.update(
-            x_label="gamma",
-            y_label="recall probability q",
-            series=["q_hebb", "q_storkey", "q_projection"],
-            inset={"y_label": "1 - q", "floor": ERROR_FLOOR,
-                   "files": [os.path.basename(err_path)]},
-            files=[os.path.basename(path), os.path.basename(err_path)],
-        )
-    else:  # f6-f9 bias sweeps, f10 annealing-time sweep
+        written += [os.path.join(out_dir, f"{figure_id}_recall_vs_bias.csv"),
+                    os.path.join(out_dir, f"{figure_id}_recall_error.csv")]
+        _write_bias_csv(written[0], results, "q", float)
+        _write_bias_csv(written[1], results, "err", lambda q: max(1.0 - float(q), ERROR_FLOOR))
+        manifest.update(x_label="gamma", y_label="recall probability q",
+                        series=[f"q_{rule}" for rule in LEARNING_RULES],
+                        inset={"y_label": "1 - q", "floor": ERROR_FLOOR,
+                               "files": [os.path.basename(written[1])]})
+    else:
         stats = list(results)
         _require(
             stats and all(isinstance(s, EnsembleStats) for s in stats),
             figure_id, "expected a list of EnsembleStats",
         )
-        if figure_id == "f10":
+        if kind == "anneal-sweep":
             _require(
                 len({s.anneal_time for s in stats}) > 1,
                 figure_id, "expected results at more than one annealing time",
@@ -170,22 +160,16 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
             x_label = "p"
             series = {f"{s.rule},T={s.anneal_time:g}" for s in stats}
         else:
-            wanted = FIGURE_PROTOCOL[figure_id]
             _require(
-                all(s.protocol == wanted for s in stats),
-                figure_id, f"expected protocol {wanted!r}",
+                all(s.protocol == setting for s in stats),
+                figure_id, f"expected protocol {setting!r}",
             )
             x_label = "gamma"
             series = {f"{s.rule},p={s.p}" for s in stats}
-        path = os.path.join(out_dir, f"{figure_id}_mean_success.csv")
-        write_results_csv(stats, path)
-        written.append(path)
-        manifest.update(
-            x_label=x_label,
-            y_label="mean success",
-            series=sorted(series),
-            files=[os.path.basename(path)],
-        )
+        written.append(os.path.join(out_dir, f"{figure_id}_mean_success.csv"))
+        write_results_csv(stats, written[0])
+        manifest.update(x_label=x_label, y_label="mean success", series=sorted(series))
+    manifest["files"] = [os.path.basename(path) for path in written]
 
     manifest_path = os.path.join(out_dir, f"{figure_id}_manifest.json")
     write_json_atomic(manifest_path, manifest)

@@ -66,11 +66,16 @@ def _thresholds(bias: BiasSpec | None, n: int) -> np.ndarray:
 
 
 def network_energy(state, weights, bias: BiasSpec | None = None) -> float:
-    """Ising energy E(z; theta) of a spin state."""
+    """Ising energy E(z; theta) of a spin state; `FloatingPointError` if it
+    overflows."""
     z = as_pattern(state).astype(np.float64)
     w = _check_square(weights, z.size)
     theta = _thresholds(bias, z.size)
-    return float(-0.5 * z @ w @ z - theta @ z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(-0.5 * z @ w @ z - theta @ z)
+    if not np.isfinite(energy):
+        raise FloatingPointError("network energy is not finite")
+    return energy
 
 
 def delta_energy(state, flip_index: int, weights) -> float:

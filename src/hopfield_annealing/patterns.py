@@ -106,8 +106,8 @@ def overlapping_memories() -> np.ndarray:
     """Four 4-spin memories with pairwise overlaps.
 
     Memories 1-3 have non-zero mutual inner products while memories 2 and 4
-    are orthogonal, which makes the set a compact recall stress test. The same
-    set ships as a text fixture (see `memio.bundled_memories_path`).
+    are orthogonal, which makes the set a compact recall stress test. It is
+    the CLI's default memory set.
     """
     return np.array(
         [

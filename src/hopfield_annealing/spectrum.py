@@ -15,7 +15,7 @@ import numpy as np
 
 from ._atomic import write_csv_atomic
 from .evolution import AnnealSchedule
-from .hamiltonians import IsingHamiltonian
+from .hamiltonians import DEGENERACY_TOL, IsingHamiltonian
 
 __all__ = [
     "SpectrumTrace",
@@ -24,8 +24,6 @@ __all__ = [
     "min_gap",
     "write_spectrum_csv",
 ]
-
-DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,17 +63,17 @@ def spectrum_trace(h0, h1, schedule: AnnealSchedule, num_samples: int = 101) -> 
     return SpectrumTrace(times=times, energies=energies)
 
 
-def min_gap(trace: SpectrumTrace, degeneracy_tolerance: float = DEGENERACY_TOL) -> tuple[float, float]:
+def min_gap(trace: SpectrumTrace) -> tuple[float, float]:
     """Minimum gap above the ground manifold, and the time where it occurs.
 
     Returns (gap, t_at_min). The manifold dimension is the multiplicity of the
-    final-time ground eigenvalue under the tolerance; if the manifold spans
+    final-time ground eigenvalue within `hamiltonians.DEGENERACY_TOL`; if the manifold spans
     the whole spectrum the gap is 0 at t = T by convention.
     """
     if trace.times.size == 0:
         raise ValueError("empty spectrum trace")
     final = trace.energies[-1]
-    d = int(np.sum(np.abs(final - final[0]) <= degeneracy_tolerance))
+    d = int(np.sum(np.abs(final - final[0]) <= DEGENERACY_TOL))
     if d >= trace.energies.shape[1]:
         return 0.0, float(trace.times[-1])
     gaps = trace.energies[:, d] - trace.energies[:, 0]

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -216,24 +217,84 @@ def test_runaway_anneal_is_fast_usage_error(tmp_path, capsys, argv):
     assert "sub-steps" in err and "T=" in err and "dt=" in err and "gamma" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diagonal overflows
 def test_spectrum_of_overflowing_hamiltonian_is_fast_numerical_failure(tmp_path, capsys):
+    warnings.simplefilter("error", RuntimeWarning)  # the overflow is reported once, not warned
     start = time.perf_counter()
     code, _, err = run(capsys, "spectrum", "--n", "4", "--p", "1", "--gamma", "1e308",
                        "--input", "1,1,1,1", "--out", str(tmp_path / "run"))
     assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert "not finite" in err
+    assert "not finite" in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diagonal overflows
 def test_non_finite_diagonal_is_fast_numerical_failure(tmp_path, capsys):
+    warnings.simplefilter("error", RuntimeWarning)  # the overflow is reported once, not warned
     start = time.perf_counter()
     code, _, err = run(capsys, "recall", "--n", "4", "--p", "1", "--gamma", "1e308",
                        "--out", str(tmp_path / "run"))
     assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert "not finite" in err
+    assert "not finite" in err and len(err.splitlines()) == 1
+
+
+def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys):
+    warnings.simplefilter("error", RuntimeWarning)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "classical", "--n", "4", "--p", "1", "--gamma", "1e308",
+                       "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "energy is not finite" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+# options the run would otherwise ignore: a generated instance draws its own key,
+# a loaded memory set is recalled under the exact protocol, and f3-f5 fix p
+@pytest.mark.parametrize("argv, flag", [
+    (["recall", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
+    (["classical", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
+    (["recall", "--protocol", "noisy"], "--protocol"),
+    (["classical", "--protocol", "noisy"], "--protocol"),
+    (["recall", "--memories", "{mem}", "--p", "1", "--protocol", "failure1"], "--protocol"),
+    (["classical", "--memories", "{mem}", "--n", "4", "--p", "1", "--protocol", "noisy"],
+     "--protocol"),
+    (["figures", "--id", "f3", "--p", "1"], "--p"),
+    (["figures", "--id", "f4", "--p", "1"], "--p"),
+    (["figures", "--id", "f5", "--p", "3"], "--p"),
+], ids=["recall-generated-input", "classical-generated-input", "recall-default-protocol",
+        "classical-default-protocol", "recall-memories-protocol",
+        "classical-memories-protocol", "f3-p", "f4-p", "f5-p"])
+def test_ignored_option_is_fast_usage_error(tmp_path, capsys, argv, flag):
+    mem = tmp_path / "mem.txt"
+    mem.write_text("+1 -1 +1 -1\n-1 +1 +1 +1\n")
+    argv = [a.format(mem=mem) for a in argv]
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"{flag}: " in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_p_keeps_the_first_patterns_of_any_memory_set(tmp_path, capsys):
+    full, first = tmp_path / "full.txt", tmp_path / "first.txt"
+    full.write_text("+1 -1 +1 -1\n-1 +1 +1 +1\n-1 -1 +1 +1\n")
+    first.write_text("+1 -1 +1 -1\n-1 +1 +1 +1\n")
+    spectra = {}
+    for name, argv in (("cut", ["--memories", str(full), "--p", "2"]),
+                       ("file", ["--memories", str(first)]),
+                       ("all", ["--memories", str(full)]),
+                       ("default", ["--p", "2"])):
+        out = tmp_path / name
+        assert run(capsys, "spectrum", *argv, "--T", "10", "--samples", "5",
+                   "--out", str(out))[0] == 0
+        spectra[name] = (out / "spectrum.csv").read_bytes()
+    assert spectra["cut"] == spectra["file"] != spectra["all"]
+    # the default set is overlapping_memories(), whose first two rows are first.txt
+    assert spectra["default"] == spectra["file"]
+    code, _, err = run(capsys, "recall", "--memories", str(first), "--p", "3",
+                       "--out", str(tmp_path / "run"))
+    assert code == 2 and "--p: memory set holds 2 patterns" in err
 
 
 def test_recall_explicit_memories(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,18 @@ def test_infeasible_requests_rejected():
         generate_instance("grover", 5, 3, "hebb", 0.1, 50.0, seed=0)
     with pytest.raises(ValueError):
         generate_exact_instance(5, 3, "quantum", 0.1, 50.0, seed=0)
+
+
+@pytest.mark.parametrize("protocol, n, p", [
+    ("exact", 4, 5), ("failure2", 4, 8), ("noisy", 3, 4), ("noisy", 2, 2),
+])
+def test_unstorable_projection_sets_rejected_before_sampling(protocol, n, p):
+    # every such set is linearly dependent; rejection sampling would retry
+    # REJECTION_CAP sets (seconds) before giving up
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="projection"):
+        generate_instance(protocol, n, p, "projection", 0.1, 50.0, seed=0)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_generation_completes_quickly_at_full_load():

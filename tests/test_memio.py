@@ -10,7 +10,6 @@ from hopfield_annealing.learning import hebb_weights
 from hopfield_annealing.memio import (
     ERROR_FLOOR,
     MemoryFileError,
-    bundled_memories_path,
     emit_figure_data,
     load_memories,
     provenance_line,
@@ -18,13 +17,6 @@ from hopfield_annealing.memio import (
 )
 from hopfield_annealing.patterns import hadamard_memories, overlapping_memories
 from hopfield_annealing.spectrum import spectrum_trace
-
-
-def test_bundled_fixture_matches_builtin_set():
-    mem = load_memories(bundled_memories_path())
-    assert mem.shape == (4, 4)
-    assert np.array_equal(mem, overlapping_memories())
-    assert np.array_equal(mem[0], [1, -1, 1, -1])
 
 
 def test_parse_accepts_bare_ones_and_comments(tmp_path):
