@@ -178,8 +178,9 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
 
     Rows of shape (M, 2^n) in and out. All instances share the same register
     size, schedule, and time step, so the batch advances in lock step with
-    shared matrix products. Uniform steps of length dt cover [0, T]; a final
-    shorter step lands exactly on T when dt does not divide it.
+    shared matrix products. Step k starts at t_k = k * dt and the last one
+    ends exactly on T, shorter when dt does not divide T; a remainder under
+    1e-9 T joins the last step instead of making a step of its own.
     """
     _check_dt(dt)
     diagonals = np.atleast_2d(np.asarray(diagonals, dtype=np.float64))
@@ -189,16 +190,16 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
         raise ValueError(f"diagonal length {dim} is not a power of two")
     prop = _BatchPropagator(transverse_field_hamiltonian(n), diagonals.T)
     total = schedule.total_time
-    _check_work(prop, np.ceil(total / dt), dt, total)
+    steps = max(1.0, np.ceil(total / dt * (1.0 - 1e-9)))  # inf when T / dt overflows
+    _check_work(prop, steps, dt, total)
     psi = np.full((dim, count), 1.0 / np.sqrt(dim), dtype=complex)
-    t = 0.0
-    while t < total * (1.0 - 1e-9):
-        h = min(dt, total - t)
+    for k in range(int(steps)):
+        t = k * dt
+        h = dt if k < steps - 1 else total - t
         t_mid = t + h / 2.0
         a = float(schedule.driver_weight(t_mid))
         b = float(schedule.problem_weight(t_mid))
         psi = prop.step(psi, a, b, h)
-        t += h
     return psi.T
 
 

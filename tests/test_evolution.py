@@ -179,6 +179,23 @@ def test_final_short_step_lands_on_total_time():
     assert np.abs(got - exact).max() < 1e-12
 
 
+def test_time_grid_starts_at_multiples_of_dt_and_ends_on_total_time():
+    # T = 2.05 at dt = 0.1: steps start at k * dt, not at a running sum of dt
+    # (ten additions of 0.1 already give 0.9999999999999999), and the 21st
+    # step, shorter, ends exactly on T
+    total, dt = 2.05, 0.1
+    mids = []
+
+    def driver(t):
+        mids.append(t)
+        return 1.0 - t / total
+
+    evolve_batch(np.zeros(4), AnnealSchedule(total, driver, lambda t: t / total), dt)
+    last = 20 * dt
+    assert mids == [k * dt + dt / 2 for k in range(20)] + [last + (total - last) / 2]
+    assert last + (total - last) == total
+
+
 def test_evolve_validation():
     with pytest.raises(ValueError):
         evolve_batch(np.zeros(4), AnnealSchedule.linear(5.0), 0.0)
