@@ -107,9 +107,8 @@ def run_instance(
 ) -> RecallOutcome:
     """Anneal one instance and score the recall probability of its target."""
     h1 = _instance_hamiltonian(instance)
-    states, p_ans = _anneal(h1.diagonal()[None, :],
-                            [pattern_to_index(instance.target_pattern())],
-                            instance.anneal_time, dt)
+    target = pattern_to_index(instance.target_pattern())
+    states, p_ans = _anneal(h1.diagonal()[None, :], [target], instance.anneal_time, dt)
     p_ans = float(p_ans[0])
     return RecallOutcome(
         p_ans=p_ans,
