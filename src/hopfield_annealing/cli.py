@@ -148,6 +148,15 @@ _COMMAND_DEFAULTS = {
     "classical": {"gamma": 0.0},
 }
 
+# the figures options each figure kind reads besides --id and --out; any other
+# one set away from its default would be ignored, so it is a usage error
+_FIGURE_PARAMS = {
+    "spectrum": ("n", "p", "rule", "T", "samples"),
+    "bias-response": ("n", "memories", "T", "dt", "gamma_grid"),
+    "bias-sweep": ("n", "T", "dt", "N", "x", "seed", "p_list", "gamma_grid"),
+    "anneal-sweep": ("n", "dt", "N", "x", "seed", "p_list", "T_list"),
+}
+
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
@@ -244,6 +253,8 @@ def _load_memory_set(cfg: RunConfig):
     """The --memories file, the --hadamard set or `overlapping_memories()`,
     cut to its first --p patterns."""
     params = cfg.params
+    if params["memories"] is not None and params.get("hadamard"):
+        raise ValueError("--hadamard: cannot be combined with --memories")
     if params["memories"] is not None:
         mem = load_memories(params["memories"])
     elif params.get("hadamard"):
@@ -417,15 +428,20 @@ def _cmd_figures(cfg: RunConfig) -> int:
     params = cfg.params
     fid = params["id"]
     kind, setting = FIGURES[fid]
+    for name in _COMMAND_PARAMS["figures"]:
+        if (name not in ("id", "out", *_FIGURE_PARAMS[kind])
+                and params[name] != _OPTIONS[name][1]):
+            raise ValueError(f"{_flag(name)}: figure {fid} ({kind}) does not read it")
     n = params["n"] if params["n"] is not None else (4 if kind == "spectrum" else 5)
     if kind == "spectrum":
         memories = hadamard_memories(n, params["p"])
         bias = None if setting is None else BiasSpec(memories[0], setting)
         results = _spectrum(params, memories, bias)
     elif kind == "bias-response":
-        if params["p"] is not None:
-            raise ValueError(f"--p: figure {fid} stores p={setting} memories")
         memories = _load_memory_set(cfg)
+        if memories.shape[0] < setting:
+            raise ValueError(f"--memories: figure {fid} stores p={setting} memories, "
+                             f"the set holds {memories.shape[0]}")
         results = bias_response(memories[:setting], memories[0], params["gamma_grid"],
                                 params["T"], params["dt"])
     elif kind == "anneal-sweep":

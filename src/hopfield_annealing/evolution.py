@@ -13,10 +13,20 @@ automatic sub-stepping, keeping each action accurate to ~1e-14 -- comfortably
 inside the 1e-12 budget -- without ever forming the dense exponential.
 
 `evolve_batch` holds the one time loop and shares the work across problem
-instances: H0 depends only on the register size, so a whole ensemble (or a
-single instance, as a batch of one) evolves with one matrix product per
-Taylor term. H0 is real, which lets the product run as a real GEMM on the
-interleaved real/imaginary view of the state block.
+instances: H0 = -sum_i X_i depends only on the register size, so a whole
+ensemble (or a single instance, as a batch of one) evolves with one driver
+action per Taylor term, which the propagator builds from n. H0 is real, so
+the action runs as real matrix products on the interleaved real/imaginary
+view of the state block. Up to n = 6 it is one dense 2^n x 2^n GEMM. From
+n = 7 it uses the exact split
+
+    H0(n) = I_{2^(n-5)} (x) H0(5) + H0(n-5) (x) I_32,
+
+a batched 32 x 32 product over the low five qubits plus a 2^(n-5) square
+GEMM over the rest, which costs O(2^n (32 + 2^(n-5))) per column instead of
+O(4^n). With 20 columns on two OpenBLAS threads of a 2-CPU Intel Xeon, one
+driver action took 8 us dense against 11 us split at n = 6, 30 against 17 us
+at n = 7, 99 against 33 us at n = 8 and 30 ms against 1.1 ms at n = 12.
 """
 
 from dataclasses import dataclass
@@ -24,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import transverse_field_hamiltonian
+from .hamiltonians import _check_qubit_count, _transverse_field_cached
 
 __all__ = [
     "AnnealSchedule",
@@ -46,6 +56,11 @@ _LOGFACT = np.cumsum(np.log(np.arange(1, _KMAX + 2)))
 
 # largest change of the final overlap accepted when dt is halved
 _HALVING_TOL = 1e-6
+
+# registers up to this size apply H0 as one dense GEMM; larger ones use the
+# Kronecker split over the lowest _LOW_QUBITS qubits and the rest
+_DENSE_MAX_QUBITS = 6
+_LOW_QUBITS = 5
 
 # most propagator sub-steps one anneal may take: 200 times the longest run of
 # the acceptance criteria (T = 5000 at dt = 0.1, 5e4 one-split steps)
@@ -92,26 +107,35 @@ class _BatchPropagator:
     """Applies exp(-i*dt*(a*H0 + b*diag_m)) to a block of states.
 
     States live in a (dim, M) complex array, one instance per column with its
-    own problem diagonal, so `diagonals` is (dim, M) too. Buffers are
+    own problem diagonal, so `diagonals` is (dim, M) too. The driver H0 of
+    the n = log2(dim) qubit register is built here, dense up to
+    _DENSE_MAX_QUBITS and as the Kronecker split above. Buffers are
     allocated once and reused per step.
     """
 
-    def __init__(self, h0: np.ndarray, diagonals: np.ndarray):
-        h0 = np.asarray(h0, dtype=np.float64)
+    def __init__(self, diagonals: np.ndarray):
         d = np.asarray(diagonals, dtype=np.float64)
-        if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-            raise ValueError(f"H0 must be square, got shape {h0.shape}")
-        if d.ndim != 2 or d.shape[0] != h0.shape[0]:
-            raise ValueError("diagonal length does not match H0 dimension")
+        if d.ndim != 2:
+            raise ValueError(f"diagonals must be (dim, M), got shape {d.shape}")
+        self.dim, count = d.shape
+        self.n = self.dim.bit_length() - 1
+        if self.dim < 1 or self.dim != 1 << self.n:
+            raise ValueError(f"diagonal length {self.dim} is not a power of two")
+        _check_qubit_count(self.n)
         if not np.isfinite(d).all():
             raise FloatingPointError("problem diagonal is not finite")
-        self.h0 = h0
-        self.dim = h0.shape[0]
         self.d2 = np.repeat(d, 2, axis=1)  # matches the re/im interleaved view
-        self.h0_scale = float(np.abs(h0).sum(axis=1).max())
+        self.h0_scale = float(self.n)  # largest row sum of |H0|: n bit flips
         self.d_scale = float(np.abs(d).max())
-        self.term = np.empty((self.dim, d.shape[1]), dtype=complex)
+        self.term = np.empty((self.dim, count), dtype=complex)
         self.work = np.empty_like(self.term)
+        if self.n <= _DENSE_MAX_QUBITS:
+            self.h0 = _transverse_field_cached(self.n)
+            return
+        # H0(n) = I (x) H0(low) + H0(high) (x) I on the index s = hi * 2^low + lo
+        self.h0_low = _transverse_field_cached(_LOW_QUBITS)
+        self.h0_high = _transverse_field_cached(self.n - _LOW_QUBITS)
+        self.high_part = np.empty_like(self.term)
 
     def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
         """Advance the block by one propagator application, in place."""
@@ -123,12 +147,26 @@ class _BatchPropagator:
         term_v = term.view(np.float64)
         work_v = work.view(np.float64)
         psi_v = psi.view(np.float64)
-        a_h0 = a * self.h0
+        dense = self.n <= _DENSE_MAX_QUBITS
+        if dense:
+            a_h0 = a * self.h0
+        else:
+            a_low, a_high = a * self.h0_low, a * self.h0_high
+            high_v = self.high_part.view(np.float64)
+            # views of the contiguous buffers: (hi, lo, 2M) and (hi, lo * 2M)
+            blocks = (a_high.shape[0], a_low.shape[0], -1)
+            term_low, work_low = term_v.reshape(blocks), work_v.reshape(blocks)
+            term_high, high_part = term_v.reshape(blocks[0], -1), high_v.reshape(blocks[0], -1)
         b_d2 = b * self.d2
         for _ in range(splits):
             np.copyto(term, psi)
             for k in range(1, n_terms + 1):
-                np.dot(a_h0, term_v, out=work_v)        # a*H0 @ term (real GEMM)
+                if dense:
+                    np.dot(a_h0, term_v, out=work_v)    # a*H0 @ term (real GEMM)
+                else:
+                    np.matmul(a_low, term_low, out=work_low)    # I (x) a*H0(low)
+                    np.dot(a_high, term_high, out=high_part)    # a*H0(high) (x) I
+                    np.add(work_v, high_v, out=work_v)
                 np.multiply(b_d2, term_v, out=term_v)   # b*diag * term
                 np.add(term_v, work_v, out=term_v)
                 np.multiply(term, -1j * h / k, out=term)
@@ -158,11 +196,17 @@ def _check_work(prop: _BatchPropagator, steps: float, dt: float, total_time: flo
 
 
 def magnus_step(state, h0, diagonal, schedule: AnnealSchedule, t: float, dt: float) -> np.ndarray:
-    """Single first-order Magnus step from t to t + dt; `diagonal` is H1's diagonal."""
+    """Single first-order Magnus step from t to t + dt; `diagonal` is H1's diagonal.
+
+    `h0` must be `transverse_field_hamiltonian(n)` for the diagonal's n: the
+    propagator applies that driver itself.
+    """
     _check_dt(dt)
     if t < 0 or t + dt > schedule.total_time * (1 + 1e-12):
         raise ValueError(f"step [{t}, {t + dt}] lies outside [0, {schedule.total_time}]")
-    prop = _BatchPropagator(h0, np.asarray(diagonal, dtype=np.float64)[:, None])
+    prop = _BatchPropagator(np.asarray(diagonal, dtype=np.float64)[:, None])
+    if not np.array_equal(h0, _transverse_field_cached(prop.n)):
+        raise ValueError(f"h0 is not the {prop.n}-qubit driver -sum_i X_i")
     _check_work(prop, 1, dt, schedule.total_time)
     psi = np.array(state, dtype=complex).reshape(-1, 1)
     if psi.shape[0] != prop.dim:
@@ -185,10 +229,7 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
     _check_dt(dt)
     diagonals = np.atleast_2d(np.asarray(diagonals, dtype=np.float64))
     count, dim = diagonals.shape
-    n = int(np.log2(dim))
-    if 1 << n != dim:
-        raise ValueError(f"diagonal length {dim} is not a power of two")
-    prop = _BatchPropagator(transverse_field_hamiltonian(n), diagonals.T)
+    prop = _BatchPropagator(diagonals.T)
     total = schedule.total_time
     steps = max(1.0, np.ceil(total / dt * (1.0 - 1e-9)))  # inf when T / dt overflows
     _check_work(prop, steps, dt, total)

@@ -7,9 +7,12 @@ s is exactly the network energy E(z; theta) of the spin pattern z encoded by
 s, with couplings J = w and fields h = theta. Ordering is little endian
 throughout: qubit i is bit 2**i of the state label (see `patterns`).
 
-Everything here is dense, which is the point: the package targets small
+States and spectra are dense, which is the point: the package targets small
 registers (n <= 12 by default) where full 2^n state vectors and spectra are
-exact and cheap.
+exact and cheap. The dense driver matrix serves the spectra and registers up
+to n = 6; the propagator applies the driver of larger registers as a
+Kronecker split of two small cached matrices (see `evolution`), so it never
+forms the 2^n x 2^n driver there.
 """
 
 from dataclasses import dataclass

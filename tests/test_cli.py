@@ -249,7 +249,9 @@ def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys)
 
 
 # options the run would otherwise ignore: a generated instance draws its own key,
-# a loaded memory set is recalled under the exact protocol, and f3-f5 fix p
+# a loaded memory set is recalled under the exact protocol, f3-f5 fix p, each
+# figure kind reads only some of the figures options, and --hadamard picks a
+# memory set as --memories does
 @pytest.mark.parametrize("argv, flag", [
     (["recall", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
     (["classical", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
@@ -261,9 +263,27 @@ def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys)
     (["figures", "--id", "f3", "--p", "1"], "--p"),
     (["figures", "--id", "f4", "--p", "1"], "--p"),
     (["figures", "--id", "f5", "--p", "3"], "--p"),
+    (["figures", "--id", "f5", "--memories", "{mem}"], "--memories"),
+    (["figures", "--id", "f1", "--N", "2"], "--N"),
+    (["figures", "--id", "f2", "--memories", "{mem}"], "--memories"),
+    (["figures", "--id", "f2", "--gamma-grid", "0.2"], "--gamma-grid"),
+    (["figures", "--id", "f3", "--rule", "storkey"], "--rule"),
+    (["figures", "--id", "f4", "--seed", "3"], "--seed"),
+    (["figures", "--id", "f5", "--samples", "5"], "--samples"),
+    (["figures", "--id", "f6", "--p", "2"], "--p"),
+    (["figures", "--id", "f7", "--memories", "{mem}"], "--memories"),
+    (["figures", "--id", "f8", "--rule", "projection"], "--rule"),
+    (["figures", "--id", "f9", "--T-list", "10"], "--T-list"),
+    (["figures", "--id", "f10", "--T", "50"], "--T"),
+    (["figures", "--id", "f10", "--gamma-grid", "0.2"], "--gamma-grid"),
+    (["figures", "--id", "f10", "--p", "1"], "--p"),
+    (["spectrum", "--memories", "{mem}", "--hadamard"], "--hadamard"),
 ], ids=["recall-generated-input", "classical-generated-input", "recall-default-protocol",
         "classical-default-protocol", "recall-memories-protocol",
-        "classical-memories-protocol", "f3-p", "f4-p", "f5-p"])
+        "classical-memories-protocol", "f3-p", "f4-p", "f5-p", "f5-short-memories",
+        "f1-N", "f2-memories", "f2-gamma-grid", "f3-rule", "f4-seed", "f5-samples",
+        "f6-p", "f7-memories", "f8-rule", "f9-T-list", "f10-T", "f10-gamma-grid", "f10-p",
+        "spectrum-memories-hadamard"])
 def test_ignored_option_is_fast_usage_error(tmp_path, capsys, argv, flag):
     mem = tmp_path / "mem.txt"
     mem.write_text("+1 -1 +1 -1\n-1 +1 +1 +1\n")

@@ -16,10 +16,10 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hopfield_annealing.cli import COMMANDS, _COMMAND_PARAMS, main, parse_config
+from hopfield_annealing.cli import COMMANDS, _COMMAND_PARAMS, _FIGURE_PARAMS, main, parse_config
 from hopfield_annealing.instances import PROTOCOLS
 from hopfield_annealing.learning import LEARNING_RULES
-from hopfield_annealing.memio import FIGURE_IDS
+from hopfield_annealing.memio import FIGURE_IDS, FIGURES
 
 # values of each option as command-line text: (valid, invalid); the sizes stay
 # tiny (n <= 4, T <= 5, N <= 2, lists of at most 2 values)
@@ -63,6 +63,13 @@ def invocations(draw):
     names = [name for name in _COMMAND_PARAMS[command] if name != "out"]
     # at most one option takes an invalid value, so most runs get past parsing
     bad = draw(st.sampled_from([None] * len(names) + [n for n in names if n in TEXT]))
+    if command == "figures":
+        # a figure id fixes the options its kind reads; at most one other is set
+        figure = draw(st.sampled_from(FIGURE_IDS))
+        unread = [n for n in names
+                  if n not in ("n", "id", bad, *_FIGURE_PARAMS[FIGURES[figure][0]])]
+        extra = draw(st.sampled_from([None] * len(names) + unread))
+        names = [n for n in names if n not in unread or n == extra]
     values, sources = {}, {}
     for name in names:
         # sweeps require n, and the figures command's default n of 5 is above
@@ -73,6 +80,8 @@ def invocations(draw):
             continue
         if name in SWITCHES:
             values[name] = True
+        elif name == "id" and name != bad:
+            values[name] = figure
         else:
             valid, invalid = TEXT[name]
             values[name] = draw(st.sampled_from(invalid if name == bad else valid))

@@ -109,21 +109,41 @@ def test_single_qubit_driver_rotation():
     assert np.allclose(psi, [np.cos(dt), 1j * np.sin(dt)], atol=1e-12)
 
 
-def test_step_action_matches_dense_exponential():
+def _check_step_action(n):
     # the contract: each propagator application accurate to 1e-12
     rng = np.random.default_rng(8)
-    n = 3
+    dim = 1 << n
     h0 = transverse_field_hamiltonian(n)
     for a, b, dt in [(0.9, 0.1, 0.1), (0.4, 0.6, 0.7), (0.0, 1.0, 2.5), (0.3, 0.7, 6.0)]:
-        diag = rng.normal(scale=4.0, size=8)
+        diag = rng.normal(scale=4.0, size=dim)
         schedule = AnnealSchedule(
             total_time=10.0, driver_weight=lambda t: a, problem_weight=lambda t: b
         )
-        psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi0 /= np.linalg.norm(psi0)
         got = magnus_step(psi0, h0, diag, schedule, 1.0, dt)
         exact = expm(-1j * dt * (a * h0 + b * np.diag(diag))) @ psi0
         assert np.abs(got - exact).max() < 1e-12
+
+
+def test_step_action_matches_dense_exponential():
+    _check_step_action(3)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_split_driver_step_matches_dense_exponential(n):
+    # from n = 7 the propagator applies H0 as I (x) H0(5) + H0(n-5) (x) I
+    assert n > evolution._DENSE_MAX_QUBITS
+    _check_step_action(n)
+
+
+def test_magnus_step_rejects_a_driver_other_than_minus_sum_x():
+    schedule = AnnealSchedule.linear(5.0)
+    psi, diag = uniform_superposition(3), np.zeros(8)
+    h0 = transverse_field_hamiltonian(3)
+    for bad in (2.0 * h0, h0 + np.diag(np.ones(8)), transverse_field_hamiltonian(2)):
+        with pytest.raises(ValueError, match="not the 3-qubit driver"):
+            magnus_step(psi, bad, diag, schedule, 0.0, 0.1)
 
 
 def test_step_outside_window_rejected():
@@ -177,6 +197,22 @@ def test_final_short_step_lands_on_total_time():
     exact = expm(-1j * total * h_mid) @ uniform_superposition(2)
     assert abs(np.linalg.norm(got) - 1.0) < 1e-12
     assert np.abs(got - exact).max() < 1e-12
+
+
+def test_split_driver_anneal_matches_dense_midpoint_propagation():
+    # n = 8, T = 2: every midpoint step of evolve_batch against the dense
+    # exponential of the full 256 x 256 generator
+    rng = np.random.default_rng(21)
+    n, total, dt = 8, 2.0, 0.1
+    diags = rng.normal(scale=2.0, size=(2, 1 << n))
+    got = evolve_batch(diags, AnnealSchedule.linear(total), dt)
+    h0 = transverse_field_hamiltonian(n)
+    for diag, psi_got in zip(diags, got):
+        psi = uniform_superposition(n)
+        for k in range(20):
+            s = (k * dt + dt / 2) / total
+            psi = expm(-1j * dt * ((1 - s) * h0 + s * np.diag(diag))) @ psi
+        assert np.abs(psi_got - psi).max() < 1e-12
 
 
 def test_time_grid_starts_at_multiples_of_dt_and_ends_on_total_time():
@@ -262,7 +298,7 @@ def test_work_budget_refuses_runaway_anneals():
 def test_work_budget_admits_the_longest_acceptance_anneal():
     # T = 5000 at dt = 0.1 with a unit-scale diagonal: 5e4 one-split steps
     # are well inside the budget, so only the estimate runs here
-    prop = evolution._BatchPropagator(transverse_field_hamiltonian(5), np.ones((32, 1)))
+    prop = evolution._BatchPropagator(np.ones((32, 1)))
     evolution._check_work(prop, 5e4, 0.1, 5000.0)
     with pytest.raises(ValueError):
         evolution._check_work(prop, 1e7 + 1, 0.1, 5000.0)
