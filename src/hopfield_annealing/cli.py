@@ -47,8 +47,6 @@ from .spectrum import SpectrumTrace, min_gap, spectrum_trace, write_spectrum_csv
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
-COMMANDS = ("spectrum", "recall", "classical", "bias-sweep", "anneal-sweep", "figures")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -134,7 +132,7 @@ _COMMAND_PARAMS = {
                  "samples", "hadamard"),
     "recall": ("n", "p", "rule", "gamma", "T", "dt", "x", "seed", "protocol", "memories",
                "input", "out", "check_dt"),
-    "classical": ("n", "p", "rule", "gamma", "T", "seed", "protocol", "memories", "input",
+    "classical": ("n", "p", "rule", "gamma", "seed", "protocol", "memories", "input",
                   "out", "mode", "max_sweeps"),
     "bias-sweep": ("n", "rule", "T", "dt", "N", "x", "seed", "protocol", "out",
                    "p_list", "gamma_grid"),
@@ -143,6 +141,7 @@ _COMMAND_PARAMS = {
     "figures": ("n", "p", "rule", "T", "dt", "N", "x", "seed", "memories", "out",
                 "id", "p_list", "gamma_grid", "T_list", "samples"),
 }
+COMMANDS = tuple(_COMMAND_PARAMS)
 
 _COMMAND_DEFAULTS = {
     "classical": {"gamma": 0.0},
@@ -293,6 +292,8 @@ def _spectrum(params: dict, memories, bias) -> SpectrumTrace:
 def _cmd_spectrum(cfg: RunConfig) -> int:
     memories = _load_memory_set(cfg)
     key = _input_key(cfg, memories.shape[1])
+    if key is None and cfg.params["gamma"] != _OPTIONS["gamma"][1]:
+        raise ValueError("--gamma: scales the bias towards --input, which is not set")
     bias = None if key is None else BiasSpec(input_key=key, gamma=cfg.params["gamma"])
     trace = _spectrum(cfg.params, memories, bias)
     out = _echo_outputs(cfg)
@@ -310,12 +311,13 @@ def _instance(cfg: RunConfig) -> ProblemInstance:
     otherwise an exact-protocol instance over the loaded memory set whose key
     is --input (default: the first memory)."""
     params = cfg.params
+    anneal_time = params.get("T", _OPTIONS["T"][1])  # classical recall does not anneal
     if params["memories"] is None and params["n"] is not None and params["p"] is not None:
         if params["input"] is not None:
             raise ValueError("--input: a generated instance (--n and --p) draws its own key")
         return generate_instance(
             params["protocol"], params["n"], params["p"], params["rule"],
-            params["gamma"], params["T"], seed=params["seed"],
+            params["gamma"], anneal_time, seed=params["seed"],
         )
     if params["protocol"] != "exact":
         raise ValueError(f"--protocol: {params['protocol']} needs --n and --p without --memories")
@@ -332,7 +334,7 @@ def _instance(cfg: RunConfig) -> ProblemInstance:
         input_key=key,
         rule=params["rule"],
         gamma=params["gamma"],
-        anneal_time=params["T"],
+        anneal_time=anneal_time,
         seed=params["seed"],
     )
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import write_csv_atomic
-from .evolution import AnnealSchedule, evolve_batch, DEFAULT_DT
+from .evolution import AnnealSchedule, evolve_batch, DEFAULT_DT, _check_anneal
 from .hamiltonians import ising_hamiltonian, ground_state_mass
-from .instances import ProblemInstance, derive_seed, generate_instance
+from .instances import ProblemInstance, derive_seed, generate_instance, _validate_request
 from .learning import LEARNING_RULES, weights_for_rule
 from .network import BiasSpec
 from .patterns import pattern_to_index
@@ -88,10 +88,10 @@ class EnsembleStats:
         return float(np.sqrt(self.variance / self.count))
 
 
-def _instance_hamiltonian(instance: ProblemInstance):
+def _instance_diagonal(instance: ProblemInstance) -> np.ndarray:
     weights = weights_for_rule(instance.rule, instance.memories)
     bias = BiasSpec(input_key=instance.input_key, gamma=instance.gamma)
-    return ising_hamiltonian(weights, bias)
+    return ising_hamiltonian(weights, bias).diagonal()
 
 
 def _anneal(diagonals, targets, anneal_time: float, dt: float):
@@ -106,14 +106,14 @@ def run_instance(
     dt: float = DEFAULT_DT,
 ) -> RecallOutcome:
     """Anneal one instance and score the recall probability of its target."""
-    h1 = _instance_hamiltonian(instance)
+    diagonal = _instance_diagonal(instance)
     target = pattern_to_index(instance.target_pattern())
-    states, p_ans = _anneal(h1.diagonal()[None, :], [target], instance.anneal_time, dt)
+    states, p_ans = _anneal(diagonal[None, :], [target], instance.anneal_time, dt)
     p_ans = float(p_ans[0])
     return RecallOutcome(
         p_ans=p_ans,
         success=success_indicator(p_ans, x),
-        ground_overlap=ground_state_mass(states[0], h1),
+        ground_overlap=ground_state_mass(states[0], diagonal),
         instance=instance,
     )
 
@@ -131,10 +131,6 @@ def _ensemble_cell(
     master_seed: int,
     gamma_index: int,
 ) -> EnsembleStats:
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"threshold x must lie in [0, 1], got {x}")
     instances = [
         generate_instance(
             protocol, n, p, rule, gamma, anneal_time,
@@ -142,7 +138,7 @@ def _ensemble_cell(
         )
         for i in range(count)
     ]
-    diagonals = np.stack([_instance_hamiltonian(inst).diagonal() for inst in instances])
+    diagonals = np.stack([_instance_diagonal(inst) for inst in instances])
     targets = [pattern_to_index(inst.target_pattern()) for inst in instances]
     _, p_ans = _anneal(diagonals, targets, anneal_time, dt)
     mean = float(np.mean(p_ans >= x))
@@ -174,10 +170,8 @@ def run_ensemble(
     master_seed: int = 0,
 ) -> EnsembleStats:
     """Average recall success over `count` seeded instances."""
-    return _ensemble_cell(
-        protocol, n, p, rule, gamma, anneal_time, count, x, dt, master_seed,
-        gamma_index=0,
-    )
+    return _sweep_cells(protocol, n, [p], rule, [gamma], [anneal_time],
+                        count, x, dt, master_seed)[0]
 
 
 def _sweep_cells(protocol, n, p_list, rule, gamma_grid, time_list, count, x, dt,
@@ -186,14 +180,24 @@ def _sweep_cells(protocol, n, p_list, rule, gamma_grid, time_list, count, x, dt,
 
     Instance seeds take gamma's position in its grid and ignore T's (time
     index 0), so the exact same instances are annealed at every T and the
-    curves differ only by annealing time.
+    curves differ only by annealing time. Every cell's request and budgets
+    are checked before the first instance is drawn.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"threshold x must lie in [0, 1], got {x}")
+    cells = [(int(p), gi, gamma, anneal_time)
+             for p in p_list
+             for gi, gamma in enumerate(gamma_grid)
+             for anneal_time in time_list]
+    for p, _, gamma, anneal_time in cells:
+        _validate_request(n, p, rule, gamma, anneal_time)
+        _check_anneal(n, count, anneal_time, dt)
     return [
-        _ensemble_cell(protocol, n, int(p), rule, gamma, anneal_time, count, x, dt,
+        _ensemble_cell(protocol, n, p, rule, gamma, anneal_time, count, x, dt,
                        master_seed, gamma_index=gi)
-        for p in p_list
-        for gi, gamma in enumerate(gamma_grid)
-        for anneal_time in time_list
+        for p, gi, gamma, anneal_time in cells
     ]
 
 

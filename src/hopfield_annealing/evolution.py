@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import _check_qubit_count, _transverse_field_cached
+from .hamiltonians import _check_qubit_count, _finite_diagonal, _transverse_field_cached
 
 __all__ = [
     "AnnealSchedule",
@@ -65,6 +65,10 @@ _LOW_QUBITS = 5
 # most propagator sub-steps one anneal may take: 200 times the longest run of
 # the acceptance criteria (T = 5000 at dt = 0.1, 5e4 one-split steps)
 _WORK_LIMIT = 10**7
+
+# most amplitudes one state block may hold: about 40 times the largest ensemble
+# cell in use (n = 10, N = 100); a complex buffer of this size takes 64 MB
+_BLOCK_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -114,16 +118,12 @@ class _BatchPropagator:
     """
 
     def __init__(self, diagonals: np.ndarray):
-        d = np.asarray(diagonals, dtype=np.float64)
-        if d.ndim != 2:
-            raise ValueError(f"diagonals must be (dim, M), got shape {d.shape}")
+        d = _finite_diagonal(diagonals, ndim=2)  # (dim, M)
         self.dim, count = d.shape
         self.n = self.dim.bit_length() - 1
         if self.dim < 1 or self.dim != 1 << self.n:
             raise ValueError(f"diagonal length {self.dim} is not a power of two")
-        _check_qubit_count(self.n)
-        if not np.isfinite(d).all():
-            raise FloatingPointError("problem diagonal is not finite")
+        _check_block(self.n, count)
         self.d2 = np.repeat(d, 2, axis=1)  # matches the re/im interleaved view
         self.h0_scale = float(self.n)  # largest row sum of |H0|: n bit flips
         self.d_scale = float(np.abs(d).max())
@@ -137,10 +137,15 @@ class _BatchPropagator:
         self.h0_high = _transverse_field_cached(self.n - _LOW_QUBITS)
         self.high_part = np.empty_like(self.term)
 
+    def splits(self, a: float, b: float, dt: float) -> tuple[float, float]:
+        """Norm bound rho of dt*(a*H0 + b*D) and the equal sub-steps that keep
+        each one's bound under _THETA, as a Python float (inf when rho overflows)."""
+        rho = abs(dt) * (abs(a) * self.h0_scale + abs(b) * self.d_scale)
+        return rho, max(1.0, float(np.ceil(rho / _THETA)))
+
     def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
         """Advance the block by one propagator application, in place."""
-        rho = abs(dt) * (abs(a) * self.h0_scale + abs(b) * self.d_scale)
-        splits = max(1, int(np.ceil(rho / _THETA)))
+        rho, splits = self.splits(a, b, dt)
         h = dt / splits
         n_terms = _taylor_terms(rho / splits)
         term, work = self.term, self.work
@@ -158,7 +163,7 @@ class _BatchPropagator:
             term_low, work_low = term_v.reshape(blocks), work_v.reshape(blocks)
             term_high, high_part = term_v.reshape(blocks[0], -1), high_v.reshape(blocks[0], -1)
         b_d2 = b * self.d2
-        for _ in range(splits):
+        for _ in range(int(splits)):
             np.copyto(term, psi)
             for k in range(1, n_terms + 1):
                 if dense:
@@ -180,14 +185,23 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
+def _check_block(n: int, count: int) -> None:
+    """Refuse a block of `count` n-qubit states above the register cap or `_BLOCK_LIMIT`."""
+    _check_qubit_count(n)
+    if count << n > _BLOCK_LIMIT:
+        raise ValueError(
+            f"{count} states of {n} qubits hold {count << n:.3g} amplitudes "
+            f"(limit {_BLOCK_LIMIT:.3g}); lower N"
+        )
+
+
 def _check_work(prop: _BatchPropagator, steps: float, dt: float, total_time: float) -> None:
     """Refuse a run whose sub-step count would exceed `_WORK_LIMIT`.
 
     Each step is counted at full schedule weight, an upper bound on the
     splits `_BatchPropagator.step` takes for schedules with weights in [0, 1].
     """
-    splits = max(1.0, np.ceil(dt * (prop.h0_scale + prop.d_scale) / _THETA))
-    work = steps * splits
+    work = steps * prop.splits(1.0, 1.0, dt)[1]
     if work > _WORK_LIMIT:
         raise ValueError(
             f"T={total_time:g} at dt={dt:g} needs about {work:.3g} propagator sub-steps "
@@ -217,6 +231,24 @@ def magnus_step(state, h0, diagonal, schedule: AnnealSchedule, t: float, dt: flo
     return prop.step(psi, a, b, dt)[:, 0]
 
 
+def _prepare(diagonals: np.ndarray, total_time: float, dt: float):
+    """The propagator of `diagonals` (dim, M) and the step count of an anneal
+    over [0, total_time]; refuses a bad dt and a run over the work budget."""
+    _check_dt(dt)
+    prop = _BatchPropagator(diagonals)
+    steps = max(1.0, np.ceil(total_time / dt * (1.0 - 1e-9)))  # inf when T / dt overflows
+    _check_work(prop, steps, dt, total_time)
+    return prop, steps
+
+
+def _check_anneal(n: int, count: int, total_time: float, dt: float) -> None:
+    """Refuse, before any diagonal exists, an anneal of `count` n-qubit
+    instances that `evolve_batch` refuses whatever their diagonals: a block
+    over `_BLOCK_LIMIT`, or a run over the work budget at zero problem scale."""
+    _check_block(n, count)
+    _prepare(np.zeros((1 << n, 1)), total_time, dt)
+
+
 def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) -> np.ndarray:
     """Evolve the uniform superposition to t = T once per problem diagonal.
 
@@ -226,13 +258,10 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
     ends exactly on T, shorter when dt does not divide T; a remainder under
     1e-9 T joins the last step instead of making a step of its own.
     """
-    _check_dt(dt)
     diagonals = np.atleast_2d(np.asarray(diagonals, dtype=np.float64))
     count, dim = diagonals.shape
-    prop = _BatchPropagator(diagonals.T)
     total = schedule.total_time
-    steps = max(1.0, np.ceil(total / dt * (1.0 - 1e-9)))  # inf when T / dt overflows
-    _check_work(prop, steps, dt, total)
+    prop, steps = _prepare(diagonals.T, total, dt)
     psi = np.full((dim, count), 1.0 / np.sqrt(dim), dtype=complex)
     for k in range(int(steps)):
         t = k * dt

@@ -12,7 +12,9 @@ registers (n <= 12 by default) where full 2^n state vectors and spectra are
 exact and cheap. The dense driver matrix serves the spectra and registers up
 to n = 6; the propagator applies the driver of larger registers as a
 Kronecker split of two small cached matrices (see `evolution`), so it never
-forms the 2^n x 2^n driver there.
+forms the 2^n x 2^n driver there. H1 is only ever held as its diagonal: the
+propagator, the spectra and `ground_state_mass` take an `IsingHamiltonian`
+or its diagonal and reject one with a non-finite entry.
 """
 
 from dataclasses import dataclass
@@ -87,9 +89,18 @@ class IsingHamiltonian:
             quad = np.einsum("si,ij,sj->s", z, self.couplings, z)
             return -0.5 * quad - z @ self.fields
 
-    def matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n representation."""
-        return np.diag(self.diagonal())
+
+def _finite_diagonal(h1, ndim: int = 1) -> np.ndarray:
+    """H1's diagonal as float64, from an `IsingHamiltonian` or an `ndim`-D array
+    of diagonals; raises `FloatingPointError` if an entry is not finite."""
+    if isinstance(h1, IsingHamiltonian):
+        h1 = h1.diagonal()
+    d = np.asarray(h1, dtype=np.float64)
+    if not np.isfinite(d).all():
+        raise FloatingPointError("problem Hamiltonian is not finite")
+    if d.ndim != ndim:
+        raise ValueError(f"problem Hamiltonian must be {ndim}-D diagonals, got shape {d.shape}")
+    return d
 
 
 def ising_hamiltonian(weights, bias) -> IsingHamiltonian:
@@ -125,8 +136,9 @@ def answer_overlap(state, answer) -> float:
     return float(np.abs(psi[pattern_to_index(z)]) ** 2)
 
 
-def ground_state_mass(state, hamiltonian: IsingHamiltonian) -> float:
-    """Total probability the state assigns to the ground manifold of H1."""
-    diag = hamiltonian.diagonal()
+def ground_state_mass(state, hamiltonian) -> float:
+    """Total probability the state assigns to the ground manifold of H1,
+    given as an `IsingHamiltonian` or its diagonal."""
+    diag = _finite_diagonal(hamiltonian)
     members = np.abs(diag - diag.min()) <= DEGENERACY_TOL
     return float(np.sum(np.abs(np.asarray(state)[members]) ** 2))

@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .learning import LEARNING_RULES, covariance_matrix, _COND_LIMIT
+from .learning import LEARNING_RULES, SingularCovarianceError, projection_weights
 from .patterns import as_memory_set, as_pattern, random_pattern
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "generate_instance",
     "REJECTION_CAP",
 ]
-
-PROTOCOLS = ("exact", "noisy", "failure1", "failure2")
 
 # attempts allowed per rejection-sampling loop before declaring infeasibility
 REJECTION_CAP = 10_000
@@ -150,44 +148,28 @@ def _validate_request(n: int, p: int, rule: str, gamma: float, anneal_time: floa
         raise ValueError(f"anneal_time must be positive, got {anneal_time}")
 
 
-def _draw_distinct(rng, n, count, taken, predicate):
-    """Rejection-sample `count` patterns that pass `predicate`, distinct from
-    each other and from `taken`."""
-    out = []
-    seen = {tuple(t) for t in taken}
-    for _ in range(count):
-        for _ in range(REJECTION_CAP):
-            cand = random_pattern(n, rng)
-            if tuple(cand) not in seen and predicate(cand):
-                break
-        else:
-            raise ValueError(f"could not draw a feasible pattern in {REJECTION_CAP} attempts")
-        out.append(cand)
-        seen.add(tuple(cand))
-    return out
-
-
-def _usable_memory_set(memories: np.ndarray, rule: str) -> bool:
-    # the projection rule cannot store linearly dependent memories; ensembles
-    # for that rule draw sets with invertible covariance
-    if rule != "projection":
-        return True
-    cond = np.linalg.cond(covariance_matrix(memories))
-    return bool(np.isfinite(cond) and cond <= _COND_LIMIT)
-
-
 def _draw_memory_set(rng, n: int, p: int, rule: str, spacing: int = 1) -> np.ndarray:
     """p distinct random memories that `rule` can store, every one at Hamming
-    distance >= `spacing` from the first."""
+    distance >= `spacing` from the first; a set the rule refuses is redrawn."""
     for _ in range(REJECTION_CAP):
         first = random_pattern(n, rng)
-        others = _draw_distinct(
-            rng, n, p - 1, taken=[first],
-            predicate=lambda z: np.count_nonzero(z != first) >= spacing,
-        )
-        memories = np.stack([first] + others)
-        if _usable_memory_set(memories, rule):
-            return memories
+        memories, seen = [first], {tuple(first)}
+        for _ in range(p - 1):
+            for _ in range(REJECTION_CAP):
+                cand = random_pattern(n, rng)
+                if tuple(cand) not in seen and np.count_nonzero(cand != first) >= spacing:
+                    break
+            else:
+                raise ValueError(f"could not draw a feasible pattern in {REJECTION_CAP} attempts")
+            memories.append(cand)
+            seen.add(tuple(cand))
+        memories = np.stack(memories)
+        try:
+            if rule == "projection":  # the only rule that can refuse a set
+                projection_weights(memories)
+        except SingularCovarianceError:
+            continue
+        return memories
     raise ValueError("could not draw a usable memory set (covariance singular)")
 
 
@@ -222,13 +204,15 @@ def _draw_failure(rng, n: int, p: int, rule: str, distance: int):
     )
 
 
-# protocol -> draw(rng, n, p, rule) returning (memories, answer_index, input_key)
+# protocol -> draw(rng, n, p, rule) returning (memories, answer_index, input_key);
+# PROTOCOLS keeps this order, and `derive_seed` hashes a protocol's index in it
 _DRAWS = {
     "exact": _draw_exact,
     "noisy": _draw_noisy,
     "failure1": partial(_draw_failure, distance=1),
     "failure2": partial(_draw_failure, distance=2),
 }
+PROTOCOLS = tuple(_DRAWS)
 
 
 def generate_instance(

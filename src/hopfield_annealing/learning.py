@@ -30,8 +30,6 @@ __all__ = [
     "LEARNING_RULES",
 ]
 
-LEARNING_RULES = ("hebb", "storkey", "projection")
-
 # covariance condition numbers beyond this are treated as singular
 _COND_LIMIT = 1e12
 
@@ -90,7 +88,11 @@ def storkey_weights(memories, zero_diagonal: bool = True) -> np.ndarray:
 
 def covariance_matrix(memories) -> np.ndarray:
     """Memory covariance C_{mu mu'} = (1/n) <xi^mu, xi^mu'>; shape (p, p)."""
-    xi = as_memory_set(memories).astype(np.float64)
+    return _covariance(as_memory_set(memories).astype(np.float64))
+
+
+def _covariance(xi: np.ndarray) -> np.ndarray:
+    # of a memory set already validated and converted to float
     return (xi @ xi.T) / xi.shape[1]
 
 
@@ -109,7 +111,7 @@ def projection_weights(
     """
     xi = as_memory_set(memories).astype(np.float64)
     n = xi.shape[1]
-    c = covariance_matrix(xi)
+    c = _covariance(xi)
     cond = np.linalg.cond(c)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         if not allow_pseudoinverse:
@@ -123,12 +125,12 @@ def projection_weights(
     return w
 
 
+_RULES = {"hebb": hebb_weights, "storkey": storkey_weights, "projection": projection_weights}
+LEARNING_RULES = tuple(_RULES)
+
+
 def weights_for_rule(rule: str, memories, zero_diagonal: bool = True) -> np.ndarray:
     """Dispatch a rule name from `LEARNING_RULES` to its weight constructor."""
-    if rule == "hebb":
-        return hebb_weights(memories, zero_diagonal)
-    if rule == "storkey":
-        return storkey_weights(memories, zero_diagonal)
-    if rule == "projection":
-        return projection_weights(memories, zero_diagonal)
-    raise ValueError(f"unknown learning rule {rule!r}; choose from {LEARNING_RULES}")
+    if rule not in _RULES:
+        raise ValueError(f"unknown learning rule {rule!r}; choose from {LEARNING_RULES}")
+    return _RULES[rule](memories, zero_diagonal)

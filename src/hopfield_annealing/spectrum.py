@@ -7,6 +7,10 @@ the degeneracy of the final-time (t = T) ground energy: eigenvalues within the
 degeneracy tolerance of the t = T minimum count as one manifold, and the gap
 at each time is E_d(t) - E_0(t). Level crossings along the way are not
 tracked, so d is a final-time approximation of the manifold.
+
+H1 is passed as an `IsingHamiltonian` or as its 1-D diagonal of 2^n energies;
+a dense 2-D H1 is refused. H(t) is formed as A(t) H0 with B(t) H1 added on
+its diagonal.
 """
 
 from dataclasses import dataclass
@@ -15,7 +19,7 @@ import numpy as np
 
 from ._atomic import write_csv_atomic
 from .evolution import AnnealSchedule
-from .hamiltonians import DEGENERACY_TOL, IsingHamiltonian
+from .hamiltonians import DEGENERACY_TOL, _finite_diagonal
 
 __all__ = [
     "SpectrumTrace",
@@ -24,6 +28,9 @@ __all__ = [
     "min_gap",
     "write_spectrum_csv",
 ]
+
+# most samples one trace may take: about 200 times the figure default of 201
+_SAMPLE_LIMIT = 40_000
 
 
 @dataclass(frozen=True)
@@ -34,22 +41,14 @@ class SpectrumTrace:
     energies: np.ndarray
 
 
-def _h1_matrix(h1) -> np.ndarray:
-    if isinstance(h1, IsingHamiltonian):
-        h1 = h1.diagonal()
-    h1 = np.asarray(h1, dtype=np.float64)
-    if not np.isfinite(h1).all():
-        raise FloatingPointError("problem Hamiltonian is not finite")
-    return np.diag(h1) if h1.ndim == 1 else h1
-
-
 def instantaneous_spectrum(h0, h1, schedule: AnnealSchedule, t: float) -> np.ndarray:
     """All eigenvalues of A(t) H0 + B(t) H1 in ascending order."""
     if not 0 <= t <= schedule.total_time * (1 + 1e-12):
         raise ValueError(f"t={t} outside [0, {schedule.total_time}]")
     a = float(schedule.driver_weight(t))
     b = float(schedule.problem_weight(t))
-    h = a * np.asarray(h0, dtype=np.float64) + b * _h1_matrix(h1)
+    h = a * np.asarray(h0, dtype=np.float64)
+    h[np.diag_indices_from(h)] += b * _finite_diagonal(h1)
     return np.linalg.eigvalsh(h)
 
 
@@ -57,8 +56,10 @@ def spectrum_trace(h0, h1, schedule: AnnealSchedule, num_samples: int = 101) -> 
     """Spectrum on a uniform time grid including both endpoints."""
     if num_samples < 2:
         raise ValueError(f"need at least 2 samples, got {num_samples}")
+    if num_samples > _SAMPLE_LIMIT:
+        raise ValueError(f"{num_samples} samples exceed the limit of {_SAMPLE_LIMIT}")
     times = np.linspace(0.0, schedule.total_time, num_samples)
-    h1 = _h1_matrix(h1)
+    h1 = _finite_diagonal(h1)
     energies = np.stack([instantaneous_spectrum(h0, h1, schedule, t) for t in times])
     return SpectrumTrace(times=times, energies=energies)
 

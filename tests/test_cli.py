@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+import hopfield_annealing
 from hopfield_annealing.cli import RunConfig, main, parse_config
 
 
@@ -99,7 +103,7 @@ COMMAND_KEYS = {
                 "--seed", "7", "--check-dt"],
                "n p rule gamma T dt x seed protocol memories input out check_dt"),
     "classical": (["--input", "+1,-1,+1,+1", "--mode", "synchronous", "--max-sweeps", "5"],
-                  "n p rule gamma T seed protocol memories input out mode max_sweeps"),
+                  "n p rule gamma seed protocol memories input out mode max_sweeps"),
     "bias-sweep": (["--n", "4", "--p-list", "1", "--gamma-grid", "0.3", "--T", "20",
                     "--N", "2"],
                    "n rule T dt N x seed protocol out p_list gamma_grid"),
@@ -127,7 +131,7 @@ def test_config_echo_holds_only_read_options_and_round_trips(tmp_path, capsys, c
 @pytest.mark.parametrize("command, flag", [
     ("spectrum", "--dt"), ("spectrum", "--N"), ("spectrum", "--x"), ("spectrum", "--protocol"),
     ("recall", "--N"),
-    ("classical", "--dt"), ("classical", "--N"), ("classical", "--x"),
+    ("classical", "--dt"), ("classical", "--N"), ("classical", "--x"), ("classical", "--T"),
     ("bias-sweep", "--p"), ("bias-sweep", "--gamma"), ("bias-sweep", "--memories"),
     ("bias-sweep", "--input"),
     ("anneal-sweep", "--p"), ("anneal-sweep", "--T"), ("anneal-sweep", "--memories"),
@@ -217,6 +221,28 @@ def test_runaway_anneal_is_fast_usage_error(tmp_path, capsys, argv):
     assert "sub-steps" in err and "T=" in err and "dt=" in err and "gamma" in err
 
 
+# requests that would run for minutes or exhaust memory, some only after a
+# first cell that runs: each is refused before any work
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--samples", "1000000000000"],
+    ["spectrum", "--samples", "40001"],
+    ["figures", "--id", "f1", "--samples", "1000000000000"],
+    ["bias-sweep", "--n", "4", "--N", "1000000000000", "--p-list", "1", "--gamma-grid", "0.1",
+     "--T", "1"],
+    ["bias-sweep", "--n", "5", "--N", "100", "--p-list", "1,17", "--gamma-grid", "0.1"],
+    ["bias-sweep", "--n", "5", "--N", "100", "--p-list", "1,6", "--gamma-grid", "0.1",
+     "--rule", "projection"],
+    ["anneal-sweep", "--n", "5", "--N", "100", "--p-list", "1", "--T-list", "3000,1e9"],
+], ids=["spectrum-samples", "spectrum-samples-over-limit", "f1-samples", "sweep-N",
+        "sweep-p-list", "sweep-projection-p-list", "sweep-T-list"])
+def test_runaway_request_is_fast_usage_error(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_spectrum_of_overflowing_hamiltonian_is_fast_numerical_failure(tmp_path, capsys):
     warnings.simplefilter("error", RuntimeWarning)  # the overflow is reported once, not warned
     start = time.perf_counter()
@@ -278,12 +304,13 @@ def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys)
     (["figures", "--id", "f10", "--gamma-grid", "0.2"], "--gamma-grid"),
     (["figures", "--id", "f10", "--p", "1"], "--p"),
     (["spectrum", "--memories", "{mem}", "--hadamard"], "--hadamard"),
+    (["spectrum", "--gamma", "0.9"], "--gamma"),
 ], ids=["recall-generated-input", "classical-generated-input", "recall-default-protocol",
         "classical-default-protocol", "recall-memories-protocol",
         "classical-memories-protocol", "f3-p", "f4-p", "f5-p", "f5-short-memories",
         "f1-N", "f2-memories", "f2-gamma-grid", "f3-rule", "f4-seed", "f5-samples",
         "f6-p", "f7-memories", "f8-rule", "f9-T-list", "f10-T", "f10-gamma-grid", "f10-p",
-        "spectrum-memories-hadamard"])
+        "spectrum-memories-hadamard", "spectrum-gamma-without-input"])
 def test_ignored_option_is_fast_usage_error(tmp_path, capsys, argv, flag):
     mem = tmp_path / "mem.txt"
     mem.write_text("+1 -1 +1 -1\n-1 +1 +1 +1\n")
@@ -529,3 +556,21 @@ def test_figures_f3_matches_pinned_values(tmp_path, capsys):
         assert [float(r[0]) for r in rows[1:]] == [0.0, 0.25, 0.5, 1.0]
         got = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
         assert np.abs(got - np.array(expect)[:, None]).max() <= 1e-12, fname
+
+
+def test_import_and_recall_load_no_scipy(tmp_path):
+    # scipy is a test dependency only; importing it would cost every run its load time
+    script = (
+        "import sys\n"
+        "import hopfield_annealing\n"
+        "from hopfield_annealing import cli\n"
+        "argv = ['recall', '--n', '3', '--p', '1', '--T', '2', '--out', sys.argv[1]]\n"
+        "assert cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(hopfield_annealing.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -2,8 +2,10 @@
 command, at sizes small enough that a whole run takes milliseconds.
 
 Whatever the input, `main` must return 0, 2 or 3 without letting an exception
-escape; a usage error (2) must come back in under a second; and a successful
-run's `config.json` must parse back to the configuration that produced it.
+escape; a usage error (2) must come back in under a second; a runaway size
+(10^12 instances, samples or annealing time) must be such a usage error; and a
+successful run's `config.json` must parse back to the configuration that
+produced it.
 """
 
 import contextlib
@@ -14,12 +16,15 @@ import time
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hopfield_annealing.cli import COMMANDS, _COMMAND_PARAMS, _FIGURE_PARAMS, main, parse_config
 from hopfield_annealing.instances import PROTOCOLS
 from hopfield_annealing.learning import LEARNING_RULES
 from hopfield_annealing.memio import FIGURE_IDS, FIGURES
+
+# a size no run can afford; a request holding it must be refused before any work
+RUNAWAY = "1000000000000"
 
 # values of each option as command-line text: (valid, invalid); the sizes stay
 # tiny (n <= 4, T <= 5, N <= 2, lists of at most 2 values)
@@ -30,18 +35,18 @@ TEXT = {
     "gamma": (["0", "0.3", "1"], ["1e200", "1e308", "-0.1", "nan"]),
     "T": (["1", "2.5", "5"], ["0", "-1", "inf"]),
     "dt": (["0.05", "0.5", "2", "7"], ["0", "nan"]),
-    "N": (["1", "2"], ["0"]),
+    "N": (["1", "2"], ["0", RUNAWAY]),
     "x": (["0", "0.5", "1"], ["1.5"]),
     "seed": (["0", "7", "-3"], ["1.5"]),
     "protocol": (list(PROTOCOLS), ["fuzzy"]),
     "memories": (["{good}"], ["{short}", "{bad}", "{missing}"]),
     "input": (["1,1,1,1", "1,-1,1,-1"], ["-1,1", "1,-1,1,-1,1", "1,2,1,1"]),
-    "samples": (["2", "3"], ["1"]),
+    "samples": (["2", "3"], ["1", RUNAWAY]),
     "mode": (["synchronous", "asynchronous"], ["chaotic"]),
     "max_sweeps": (["1", "3"], ["0"]),
     "p_list": (["1", "1,2", "2,3"], ["0", "9"]),
     "gamma_grid": (["0.2", "0,1"], ["2"]),
-    "T_list": (["1,3", "2"], ["3,1", "0"]),
+    "T_list": (["1,3", "2"], ["3,1", "0", "1," + RUNAWAY]),
     "id": (list(FIGURE_IDS), ["f0"]),
 }
 SWITCHES = ("hadamard", "check_dt")
@@ -110,6 +115,15 @@ def _write_config(path: Path, command, entries: dict, junk) -> None:
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(invocations())
+# each runaway size at least once; the samples one comes from the config file
+@example(invocation=("bias-sweep",
+                     {"n": "4", "N": RUNAWAY, "p_list": "1", "gamma_grid": "0.2", "T": "1"},
+                     dict.fromkeys(["n", "N", "p_list", "gamma_grid", "T"], "flag"), None))
+@example(invocation=("spectrum", {"samples": RUNAWAY, "T": "1"},
+                     {"samples": "config", "T": "flag"}, None))
+@example(invocation=("anneal-sweep",
+                     {"n": "4", "N": "2", "p_list": "1", "T_list": "1," + RUNAWAY},
+                     dict.fromkeys(["n", "N", "p_list", "T_list"], "flag"), None))
 def test_cli_boundary(tmp_path, invocation):
     command, values, sources, junk = invocation
     work = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -141,6 +155,8 @@ def test_cli_boundary(tmp_path, invocation):
     elapsed = time.perf_counter() - start
 
     assert code in (0, 2, 3), argv
+    if any(RUNAWAY in str(value) for value in values.values()):
+        assert code == 2, argv
     if code == 2:
         assert elapsed < 1.0, (argv, elapsed)
     if code == 0:

@@ -79,18 +79,23 @@ def test_ensemble_validation():
         run_ensemble("exact", 4, 1, "hebb", 0.5, 100.0, count=0)
 
 
-@pytest.mark.parametrize("kwargs, match", [
-    ({"count": 0}, "count"),
-    ({"x": 2.0}, "threshold"),
-    ({"x": float("nan")}, "threshold"),
-])
-def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, monkeypatch):
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if an ensemble draws an instance."""
     import hopfield_annealing.ensembles as ensembles
 
     def no_draw(*args, **kw):
         raise AssertionError("an instance was drawn")
 
     monkeypatch.setattr(ensembles, "generate_instance", no_draw)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"count": 0}, "count"),
+    ({"x": 2.0}, "threshold"),
+    ({"x": float("nan")}, "threshold"),
+])
+def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, no_draws):
     args = dict(count=2, x=0.5)
     args.update(kwargs)
     with pytest.raises(ValueError, match=match):
@@ -99,6 +104,20 @@ def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, monkeypatch
         anneal_time_sweep("exact", 4, [1], "hebb", 0.5, [1000.0], **args)
     with pytest.raises(ValueError, match=match):
         run_ensemble("exact", 4, 1, "hebb", 0.5, 1000.0, **args)
+
+
+# an entry of the request that no cell can run, after one that runs: every
+# cell's request and budgets are checked before the first instance is drawn
+@pytest.mark.parametrize("sweep, match", [
+    (lambda: bias_sweep("exact", 5, [1, 17], "hebb", [0.1], 1000.0), "p=17 infeasible"),
+    (lambda: bias_sweep("exact", 5, [1, 6], "projection", [0.1], 1000.0), "projection"),
+    (lambda: anneal_time_sweep("exact", 5, [1], "hebb", 0.1, [3000.0, 1e9]), "sub-steps"),
+    (lambda: bias_sweep("exact", 4, [1], "hebb", [0.1], 1.0, count=10**12), "amplitudes"),
+    (lambda: run_ensemble("exact", 4, 1, "hebb", 0.1, 1.0, count=10**12), "amplitudes"),
+], ids=["p-list", "projection-p-list", "T-list", "sweep-N", "ensemble-N"])
+def test_sweeps_check_every_cell_before_drawing(sweep, match, no_draws):
+    with pytest.raises(ValueError, match=match):
+        sweep()
 
 
 def test_bias_sweep_layout_and_reseeding():

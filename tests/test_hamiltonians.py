@@ -131,14 +131,6 @@ def test_argmin_matches_brute_force_larger_registers():
         assert set(np.flatnonzero(np.abs(diag - diag.min()) <= 1e-12)) == best_states
 
 
-def test_matrix_is_diagonal():
-    w = hebb_weights(overlapping_memories()[:2])
-    h1 = ising_hamiltonian(w, None)
-    m = h1.matrix()
-    assert np.array_equal(np.diag(np.diag(m)), m)
-    assert np.allclose(np.diag(m), h1.diagonal())
-
-
 def test_hamiltonian_validation():
     with pytest.raises(ValueError):
         ising_hamiltonian(np.zeros((2, 3)), None)
@@ -181,3 +173,14 @@ def test_ground_state_mass():
     psi[pattern_to_index(-mem[0])] = np.sqrt(0.5) * 1j
     assert ground_state_mass(psi, h1) == pytest.approx(1.0, abs=1e-12)
     assert ground_state_mass(uniform_superposition(4), h1) == pytest.approx(2 / 16)
+
+
+def test_ground_state_mass_takes_the_diagonal():
+    mem = overlapping_memories()[:2]
+    h1 = ising_hamiltonian(hebb_weights(mem), BiasSpec(mem[0], 0.2))
+    psi = np.random.default_rng(3).normal(size=16) + 0j
+    assert ground_state_mass(psi, h1.diagonal()) == ground_state_mass(psi, h1)
+    diag = h1.diagonal()
+    diag[5] = np.nan
+    with pytest.raises(FloatingPointError, match="problem Hamiltonian is not finite"):
+        ground_state_mass(psi, diag)

@@ -72,6 +72,23 @@ def test_trace_sample_validation():
         spectrum_trace(h0, np.zeros(4), AnnealSchedule.linear(1.0), num_samples=1)
 
 
+def test_trace_refuses_a_runaway_sample_count():
+    h0 = transverse_field_hamiltonian(2)
+    for samples in (40_001, 10**12):
+        with pytest.raises(ValueError, match="exceed the limit"):
+            spectrum_trace(h0, np.zeros(4), AnnealSchedule.linear(1.0), num_samples=samples)
+
+
+def test_dense_problem_hamiltonian_rejected():
+    h0 = transverse_field_hamiltonian(2)
+    schedule = AnnealSchedule.linear(1.0)
+    dense = np.diag([0.0, 1.0, 2.0, -1.0])
+    with pytest.raises(ValueError, match="must be 1-D diagonals"):
+        instantaneous_spectrum(h0, dense, schedule, 0.5)
+    with pytest.raises(ValueError, match="must be 1-D diagonals"):
+        spectrum_trace(h0, dense, schedule, num_samples=3)
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_non_finite_problem_hamiltonian_rejected(bad):
     h0 = transverse_field_hamiltonian(2)
