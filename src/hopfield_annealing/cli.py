@@ -22,13 +22,12 @@ import numpy as np
 from .ensembles import (
     DEFAULT_ENSEMBLE_SIZE,
     DEFAULT_THRESHOLD,
-    anneal_time_sweep,
     bias_response,
-    bias_sweep,
     run_instance,
     write_results_csv,
+    _sweep_cells,
 )
-from .evolution import AnnealSchedule, ConvergenceError, DEFAULT_DT, check_halving
+from .evolution import AnnealSchedule, ConvergenceError, DEFAULT_DT, check_halving, _check_anneal
 from .hamiltonians import ising_hamiltonian, transverse_field_hamiltonian
 from .instances import PROTOCOLS, ProblemInstance, generate_instance
 from .learning import LEARNING_RULES, SingularCovarianceError, weights_for_rule
@@ -341,6 +340,8 @@ def _instance(cfg: RunConfig) -> ProblemInstance:
 
 def _cmd_recall(cfg: RunConfig) -> int:
     params = cfg.params
+    if params["n"] is not None:  # a register over the cap is refused before n spins are drawn
+        _check_anneal(params["n"], 1, params["T"], params["dt"])
     instance = _instance(cfg)
     outcome = run_instance(instance, x=params["x"], dt=params["dt"])
     if params["check_dt"]:
@@ -395,30 +396,21 @@ def _cmd_classical(cfg: RunConfig) -> int:
 
 
 def _sweep(kind: str, params: dict, protocol: str, n: int, rule_gammas: dict) -> list:
-    """One sweep per rule of `rule_gammas`, cells concatenated.
-
-    kind "bias-sweep" sweeps the bias grid at fixed T; "anneal-sweep" sweeps
-    the T list at the rule's gamma from `rule_gammas`.
-    """
-    common = dict(count=params["N"], x=params["x"], dt=params["dt"],
-                  master_seed=params["seed"])
-    stats = []
-    for rule, gamma in rule_gammas.items():
-        if kind == "bias-sweep":
-            stats += bias_sweep(protocol, n, params["p_list"], rule,
-                                params["gamma_grid"], params["T"], **common)
-        else:
-            stats += anneal_time_sweep(protocol, n, params["p_list"], rule, gamma,
-                                       params["T_list"], **common)
-    return stats
+    """Every cell of one sweep over the rules of `rule_gammas` (rule -> bias
+    grid), all checked before the first anneal: at --T for kind "bias-sweep",
+    over --T-list for "anneal-sweep"."""
+    time_list = [params["T"]] if kind == "bias-sweep" else params["T_list"]
+    return _sweep_cells(protocol, n, params["p_list"], rule_gammas, time_list,
+                        params["N"], params["x"], params["dt"], params["seed"])
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     params = cfg.params
     if params["n"] is None:
         raise ValueError(f"--n: required for {cfg.command}")
+    gammas = params["gamma_grid"] if cfg.command == "bias-sweep" else [params["gamma"]]
     stats = _sweep(cfg.command, params, params["protocol"], params["n"],
-                   {params["rule"]: params.get("gamma")})
+                   {params["rule"]: gammas})
     out = _echo_outputs(cfg)
     path = os.path.join(out, "results.csv")
     write_results_csv(stats, path)
@@ -447,9 +439,10 @@ def _cmd_figures(cfg: RunConfig) -> int:
         results = bias_response(memories[:setting], memories[0], params["gamma_grid"],
                                 params["T"], params["dt"])
     elif kind == "anneal-sweep":
-        results = _sweep(kind, params, "exact", n, setting)
+        results = _sweep(kind, params, "exact", n, {rule: [g] for rule, g in setting.items()})
     else:
-        results = _sweep(kind, params, setting, n, dict.fromkeys(LEARNING_RULES))
+        results = _sweep(kind, params, setting, n,
+                         dict.fromkeys(LEARNING_RULES, params["gamma_grid"]))
     out = _echo_outputs(cfg)
     written = emit_figure_data(results, fid, out)
     for path in written:

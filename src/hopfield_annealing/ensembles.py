@@ -10,7 +10,9 @@ Instances inside an ensemble share the register size and schedule, so their
 quantum evolutions run as one batch (see `evolution.evolve_batch`). Cells of a
 sweep are independent of each other and of execution order: every instance
 seed is derived from (master seed, protocol, p, bias index, time index,
-instance index) alone.
+instance index) alone. Seeds leave out the learning rule, so Hebb and Storkey
+cells at the same (p, bias index) anneal the same instances, and projection
+cells differ only where that rule rejects a memory set and redraws.
 """
 
 from dataclasses import dataclass
@@ -170,34 +172,38 @@ def run_ensemble(
     master_seed: int = 0,
 ) -> EnsembleStats:
     """Average recall success over `count` seeded instances."""
-    return _sweep_cells(protocol, n, [p], rule, [gamma], [anneal_time],
+    return _sweep_cells(protocol, n, [p], {rule: [gamma]}, [anneal_time],
                         count, x, dt, master_seed)[0]
 
 
-def _sweep_cells(protocol, n, p_list, rule, gamma_grid, time_list, count, x, dt,
+def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
                  master_seed) -> list[EnsembleStats]:
-    """One ensemble per (p, gamma, T) cell, in that nesting order.
+    """One ensemble per (rule, p, gamma, T) cell, in that nesting order;
+    `rule_gammas` maps each learning rule to its own bias grid.
 
-    Instance seeds take gamma's position in its grid and ignore T's (time
-    index 0), so the exact same instances are annealed at every T and the
-    curves differ only by annealing time. Every cell's request and budgets
-    are checked before the first instance is drawn.
+    Instance seeds take gamma's position in its rule's grid and leave out the
+    rule and T (time index 0): Hebb and Storkey cells at the same (p, gamma
+    index) anneal the same instances, projection cells differ only where that
+    rule rejects a memory set and redraws, and every T anneals the same
+    instances, so curves differ only by annealing time. Every cell of every
+    rule is checked, request and budgets, before the first instance is drawn.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"threshold x must lie in [0, 1], got {x}")
-    cells = [(int(p), gi, gamma, anneal_time)
+    cells = [(rule, int(p), gi, gamma, anneal_time)
+             for rule, gamma_grid in rule_gammas.items()
              for p in p_list
              for gi, gamma in enumerate(gamma_grid)
              for anneal_time in time_list]
-    for p, _, gamma, anneal_time in cells:
+    for rule, p, _, gamma, anneal_time in cells:
         _validate_request(n, p, rule, gamma, anneal_time)
         _check_anneal(n, count, anneal_time, dt)
     return [
         _ensemble_cell(protocol, n, p, rule, gamma, anneal_time, count, x, dt,
                        master_seed, gamma_index=gi)
-        for p, gi, gamma, anneal_time in cells
+        for rule, p, gi, gamma, anneal_time in cells
     ]
 
 
@@ -217,7 +223,7 @@ def bias_sweep(
     gamma_grid = [float(g) for g in gamma_grid]
     if any(not 0.0 <= g <= 1.0 for g in gamma_grid):
         raise ValueError("gamma grid values must lie in [0, 1]")
-    return _sweep_cells(protocol, n, p_list, rule, gamma_grid, [anneal_time],
+    return _sweep_cells(protocol, n, p_list, {rule: gamma_grid}, [anneal_time],
                         count, x, dt, master_seed)
 
 
@@ -237,7 +243,7 @@ def anneal_time_sweep(
     time_list = [float(t) for t in time_list]
     if any(t <= 0 for t in time_list) or sorted(time_list) != time_list:
         raise ValueError("time_list must be positive and ascending")
-    return _sweep_cells(protocol, n, p_list, rule, [gamma], time_list,
+    return _sweep_cells(protocol, n, p_list, {rule: [gamma]}, time_list,
                         count, x, dt, master_seed)
 
 
@@ -246,12 +252,14 @@ def bias_response(memories, answer, gammas, anneal_time: float,
     """Recall probability of `answer` versus bias, once per learning rule.
 
     Returns ``{"gamma": [...], "hebb": [...], "storkey": [...],
-    "projection": [...]}``, the bias-response input of figures f3-f5.
+    "projection": [...]}``, the bias-response input of figures f3-f5. Every
+    rule's weights are built before the first anneal, so a memory set one
+    rule cannot store fails before any rule has annealed.
     """
     targets = [pattern_to_index(answer)] * len(gammas)
     curves = {"gamma": [float(g) for g in gammas]}
-    for rule in LEARNING_RULES:
-        weights = weights_for_rule(rule, memories)
+    rule_weights = {rule: weights_for_rule(rule, memories) for rule in LEARNING_RULES}
+    for rule, weights in rule_weights.items():
         diagonals = np.stack([
             ising_hamiltonian(weights, BiasSpec(answer, float(g))).diagonal()
             for g in gammas

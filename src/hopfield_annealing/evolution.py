@@ -97,13 +97,13 @@ class ConvergenceError(RuntimeError):
     """Halving the time step moved the result more than the tolerance."""
 
 
-def _taylor_terms(rho: float, tol: float = _STEP_TOL) -> int:
-    """Smallest K with rho^(K+1) / (K+1)! <= tol (remainder bound)."""
+def _taylor_terms(rho: float) -> int:
+    """Smallest K with rho^(K+1) / (K+1)! <= _STEP_TOL (remainder bound)."""
     if rho <= 0.0:
         return 1
     ks = np.arange(1, _KMAX + 1)
     log_rem = (ks + 1) * np.log(rho) - _LOGFACT[1 : _KMAX + 1]
-    hits = np.flatnonzero(log_rem <= np.log(tol))
+    hits = np.flatnonzero(log_rem <= np.log(_STEP_TOL))
     return int(ks[hits[0]]) if hits.size else _KMAX
 
 

@@ -47,12 +47,12 @@ class QubitBudgetError(ValueError):
     """Register size would exceed the dense-simulation cap."""
 
 
-def _check_qubit_count(n: int, cap: int = MAX_QUBITS) -> None:
+def _check_qubit_count(n: int) -> None:
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    if n > cap:
+    if n > MAX_QUBITS:
         raise QubitBudgetError(
-            f"n={n} qubits needs a dense {2**n}-dimensional basis; cap is {cap}"
+            f"n={n} qubits needs a dense 2^{n}-dimensional basis; cap is {MAX_QUBITS}"
         )
 
 

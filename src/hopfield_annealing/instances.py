@@ -136,7 +136,7 @@ class ProblemInstance:
 def _validate_request(n: int, p: int, rule: str, gamma: float, anneal_time: float) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not 1 <= p <= 1 << (n - 1):
+    if not (p >= 1 and (p - 1).bit_length() <= n - 1):  # p <= 2^(n-1), never building 2^(n-1)
         raise ValueError(f"p={p} infeasible for n={n} (need 1 <= p <= 2^(n-1))")
     if rule not in LEARNING_RULES:
         raise ValueError(f"unknown learning rule {rule!r}; choose from {LEARNING_RULES}")

@@ -96,30 +96,20 @@ def _covariance(xi: np.ndarray) -> np.ndarray:
     return (xi @ xi.T) / xi.shape[1]
 
 
-def projection_weights(
-    memories,
-    zero_diagonal: bool = True,
-    allow_pseudoinverse: bool = False,
-) -> np.ndarray:
+def projection_weights(memories, zero_diagonal: bool = True) -> np.ndarray:
     """Projection-rule weight matrix (1/n) Xi^T C^-1 Xi.
 
     For linearly independent memories the raw matrix is the orthogonal
     projector onto their span. A singular covariance raises
-    `SingularCovarianceError` unless ``allow_pseudoinverse=True``, which
-    substitutes the Moore-Penrose inverse; that fallback is a convenience
-    beyond the rule's own definition and is never used implicitly.
+    `SingularCovarianceError`.
     """
     xi = as_memory_set(memories).astype(np.float64)
     n = xi.shape[1]
     c = _covariance(xi)
     cond = np.linalg.cond(c)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
-        if not allow_pseudoinverse:
-            raise SingularCovarianceError(float(cond))
-        c_inv = np.linalg.pinv(c)
-    else:
-        c_inv = np.linalg.inv(c)
-    w = _mirror_upper(xi.T @ c_inv @ xi / n)
+        raise SingularCovarianceError(float(cond))
+    w = _mirror_upper(xi.T @ np.linalg.inv(c) @ xi / n)
     if zero_diagonal:
         np.fill_diagonal(w, 0.0)
     return w

@@ -222,7 +222,9 @@ def test_runaway_anneal_is_fast_usage_error(tmp_path, capsys, argv):
 
 
 # requests that would run for minutes or exhaust memory, some only after a
-# first cell that runs: each is refused before any work
+# first cell or rule that runs: each is refused before any work. The huge
+# registers ask for allocations the system refuses at once, so a missing
+# check shows as a MemoryError rather than as a long run.
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--samples", "1000000000000"],
     ["spectrum", "--samples", "40001"],
@@ -233,8 +235,19 @@ def test_runaway_anneal_is_fast_usage_error(tmp_path, capsys, argv):
     ["bias-sweep", "--n", "5", "--N", "100", "--p-list", "1,6", "--gamma-grid", "0.1",
      "--rule", "projection"],
     ["anneal-sweep", "--n", "5", "--N", "100", "--p-list", "1", "--T-list", "3000,1e9"],
+    ["figures", "--id", "f6", "--n", "5", "--p-list", "1,6", "--gamma-grid", "0.1,0.5",
+     "--T", "1000", "--N", "100"],
+    ["figures", "--id", "f6", "--n", "5", "--p-list", "6", "--gamma-grid", "0.1,0.5",
+     "--T", "1000", "--N", "100"],
+    ["figures", "--id", "f10", "--n", "5", "--p-list", "1,6", "--T-list", "50,500",
+     "--N", "100"],
+    ["recall", "--n", "1000000000000", "--p", "1"],
+    ["recall", "--n", "100000", "--p", "1"],
+    ["bias-sweep", "--n", "1000000000000", "--p-list", "1", "--gamma-grid", "0.1", "--T", "1"],
 ], ids=["spectrum-samples", "spectrum-samples-over-limit", "f1-samples", "sweep-N",
-        "sweep-p-list", "sweep-projection-p-list", "sweep-T-list"])
+        "sweep-p-list", "sweep-projection-p-list", "sweep-T-list", "f6-projection-p-list",
+        "f6-projection-only-p", "f10-projection-p-list", "recall-huge-n", "recall-large-n",
+        "sweep-huge-n"])
 def test_runaway_request_is_fast_usage_error(tmp_path, capsys, argv):
     start = time.perf_counter()
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "run"))
@@ -460,15 +473,23 @@ def test_memory_file_parse_error_is_usage_error(tmp_path, capsys):
     assert "position 3" in err
 
 
-def test_singular_covariance_is_numerical_failure(tmp_path, capsys):
+def test_singular_covariance_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    import hopfield_annealing.ensembles as ensembles
+
+    def no_anneal(*args, **kw):
+        raise AssertionError("a rule was annealed")
+
+    monkeypatch.setattr(ensembles, "_anneal", no_anneal)
     mem = tmp_path / "dup.txt"
-    mem.write_text("+1 -1 +1 -1\n+1 -1 +1 -1\n")
-    code, _, err = run(
-        capsys, "recall", "--memories", str(mem), "--rule", "projection",
-        "--T", "20",
-    )
-    assert code == 3
-    assert "condition number" in err
+    mem.write_text("+1 -1 +1 -1\n+1 -1 +1 -1\n-1 -1 +1 +1\n")
+    # f5 stores the three patterns under every rule: the projection rule's
+    # refusal comes before any rule has annealed
+    for argv in (["recall", "--rule", "projection"], ["figures", "--id", "f5"]):
+        code, _, err = run(capsys, *argv, "--memories", str(mem), "--T", "20",
+                           "--out", str(tmp_path / "run"))
+        assert code == 3
+        assert "condition number" in err
+        assert not (tmp_path / "run").exists()
 
 
 def test_check_dt_flags_unconverged_step(tmp_path, capsys):

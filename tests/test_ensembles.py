@@ -10,6 +10,7 @@ from hopfield_annealing.ensembles import (
     run_instance,
     success_indicator,
     write_results_csv,
+    _sweep_cells,
 )
 from hopfield_annealing.instances import generate_exact_instance, generate_instance
 from hopfield_annealing.learning import LEARNING_RULES
@@ -114,7 +115,9 @@ def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, no_draws):
     (lambda: anneal_time_sweep("exact", 5, [1], "hebb", 0.1, [3000.0, 1e9]), "sub-steps"),
     (lambda: bias_sweep("exact", 4, [1], "hebb", [0.1], 1.0, count=10**12), "amplitudes"),
     (lambda: run_ensemble("exact", 4, 1, "hebb", 0.1, 1.0, count=10**12), "amplitudes"),
-], ids=["p-list", "projection-p-list", "T-list", "sweep-N", "ensemble-N"])
+    (lambda: _sweep_cells("exact", 5, [1, 6], dict.fromkeys(LEARNING_RULES, [0.1]), [1000.0],
+                          100, 0.5, 0.1, 0), "projection"),
+], ids=["p-list", "projection-p-list", "T-list", "sweep-N", "ensemble-N", "three-rules"])
 def test_sweeps_check_every_cell_before_drawing(sweep, match, no_draws):
     with pytest.raises(ValueError, match=match):
         sweep()

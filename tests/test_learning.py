@@ -166,13 +166,6 @@ def test_projection_duplicate_memory_raises():
     assert "condition number" in str(err.value)
 
 
-def test_projection_pseudoinverse_opt_in():
-    mem = [[1, -1, 1, -1], [1, -1, 1, -1]]
-    w = projection_weights(mem, allow_pseudoinverse=True, zero_diagonal=False)
-    # the pinv projector still fixes the (single independent) stored pattern
-    assert np.allclose(w @ np.array(mem[0]), mem[0], atol=1e-12)
-
-
 # -- shared invariants ---------------------------------------------------------
 
 def test_all_rules_symmetric_zero_diagonal():
