@@ -27,8 +27,8 @@ from .ensembles import (
     write_results_csv,
     _sweep_cells,
 )
-from .evolution import AnnealSchedule, ConvergenceError, DEFAULT_DT, check_halving, _check_anneal
-from .hamiltonians import ising_hamiltonian, transverse_field_hamiltonian
+from .evolution import AnnealSchedule, ConvergenceError, DEFAULT_DT, check_halving
+from .hamiltonians import MAX_QUBITS, ising_hamiltonian, transverse_field_hamiltonian
 from .instances import PROTOCOLS, ProblemInstance, generate_instance
 from .learning import LEARNING_RULES, SingularCovarianceError, weights_for_rule
 from .memio import (
@@ -76,10 +76,15 @@ _FINITE = (math.isfinite, "must be finite, got {v}")
 _ALL_FINITE = (lambda vs: all(map(math.isfinite, vs)), "values must be finite, got {v}")
 _POSITIVE = (lambda v: v > 0, "must be positive, got {v}")
 _BOOL = (lambda v: isinstance(v, bool), "must be true or false, got {v!r}")
+_NON_EMPTY = (lambda vs: len(vs) > 0, "must list at least one value")
 
 
 def _at_least(low):
     return (lambda v: v is None or v >= low, f"must be at least {low}, got {{v}}")
+
+
+def _at_most(high):
+    return (lambda v: v is None or v <= high, f"must be at most {high}, got {{v}}")
 
 
 def _one_of(choices):
@@ -89,7 +94,8 @@ def _one_of(choices):
 # option name -> (value normalizer, default, checks in order, help). The flag is
 # "--" + name with "_" -> "-"; only options whose default is None accept null.
 _OPTIONS = {
-    "n": (_integer, None, [_at_least(1)], "number of neurons / qubits"),
+    "n": (_integer, None, [_at_least(1), _at_most(MAX_QUBITS)],
+          f"number of neurons / qubits, at most {MAX_QUBITS} (dense simulation)"),
     "p": (_integer, None, [_at_least(1)], "number of stored memories"),
     "rule": (str, "hebb", [_one_of(LEARNING_RULES)], f"learning rule, one of {LEARNING_RULES}"),
     "gamma": (float, 0.1, [_FINITE, (lambda v: v >= 0, "must be non-negative, got {v}")],
@@ -112,15 +118,17 @@ _OPTIONS = {
              "update mode: synchronous or asynchronous"),
     "max_sweeps": (_integer, 100, [_at_least(1)], "sweep budget for the classical dynamics"),
     "p_list": (_list_of(_integer), [1, 2, 3, 4, 5],
-               [(lambda ps: all(p >= 1 for p in ps), "memory counts must be at least 1")],
+               [_NON_EMPTY,
+                (lambda ps: all(p >= 1 for p in ps), "memory counts must be at least 1")],
                "memory counts, e.g. '1,2,3,4,5'"),
     "gamma_grid": (_list_of(float), [round(0.05 * k, 2) for k in range(0, 21)],
-                   [_ALL_FINITE, (lambda gs: all(0 <= g <= 1 for g in gs),
-                                  "bias values must lie in [0, 1]")],
+                   [_NON_EMPTY, _ALL_FINITE,
+                    (lambda gs: all(0 <= g <= 1 for g in gs), "bias values must lie in [0, 1]")],
                    "bias grid, e.g. '0.05,0.15,0.5'"),
     "T_list": (_list_of(float), [50.0, 500.0, 5000.0],
-               [_ALL_FINITE, (lambda ts: all(t > 0 for t in ts) and sorted(ts) == ts,
-                              "annealing times must be positive and ascending")],
+               [_NON_EMPTY, _ALL_FINITE,
+                (lambda ts: all(t > 0 for t in ts) and sorted(ts) == ts,
+                 "annealing times must be positive and ascending")],
                "annealing times, ascending"),
     "id": (str, None, [_one_of(FIGURE_IDS)], f"figure id, one of {FIGURE_IDS}"),
 }
@@ -340,8 +348,6 @@ def _instance(cfg: RunConfig) -> ProblemInstance:
 
 def _cmd_recall(cfg: RunConfig) -> int:
     params = cfg.params
-    if params["n"] is not None:  # a register over the cap is refused before n spins are drawn
-        _check_anneal(params["n"], 1, params["T"], params["dt"])
     instance = _instance(cfg)
     outcome = run_instance(instance, x=params["x"], dt=params["dt"])
     if params["check_dt"]:
@@ -439,6 +445,8 @@ def _cmd_figures(cfg: RunConfig) -> int:
         results = bias_response(memories[:setting], memories[0], params["gamma_grid"],
                                 params["T"], params["dt"])
     elif kind == "anneal-sweep":
+        if len(set(params["T_list"])) < 2:
+            raise ValueError(f"--T-list: figure {fid} compares at least two annealing times")
         results = _sweep(kind, params, "exact", n, {rule: [g] for rule, g in setting.items()})
     else:
         results = _sweep(kind, params, setting, n,

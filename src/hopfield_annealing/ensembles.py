@@ -12,7 +12,9 @@ sweep are independent of each other and of execution order: every instance
 seed is derived from (master seed, protocol, p, bias index, time index,
 instance index) alone. Seeds leave out the learning rule, so Hebb and Storkey
 cells at the same (p, bias index) anneal the same instances, and projection
-cells differ only where that rule rejects a memory set and redraws.
+cells differ only where that rule rejects a memory set and redraws. Seeds
+leave out T too (time index 0): a sweep draws each (rule, p, bias) instance
+set once and anneals that same set at every annealing time.
 """
 
 from dataclasses import dataclass
@@ -120,45 +122,6 @@ def run_instance(
     )
 
 
-def _ensemble_cell(
-    protocol: str,
-    n: int,
-    p: int,
-    rule: str,
-    gamma: float,
-    anneal_time: float,
-    count: int,
-    x: float,
-    dt: float,
-    master_seed: int,
-    gamma_index: int,
-) -> EnsembleStats:
-    instances = [
-        generate_instance(
-            protocol, n, p, rule, gamma, anneal_time,
-            seed=derive_seed(master_seed, protocol, p, gamma_index, 0, i),
-        )
-        for i in range(count)
-    ]
-    diagonals = np.stack([_instance_diagonal(inst) for inst in instances])
-    targets = [pattern_to_index(inst.target_pattern()) for inst in instances]
-    _, p_ans = _anneal(diagonals, targets, anneal_time, dt)
-    mean = float(np.mean(p_ans >= x))
-    return EnsembleStats(
-        protocol=protocol,
-        rule=rule,
-        n=n,
-        p=p,
-        gamma=gamma,
-        anneal_time=anneal_time,
-        count=count,
-        threshold=x,
-        mean_success=mean,
-        variance=mean * (1.0 - mean),
-        master_seed=master_seed,
-    )
-
-
 def run_ensemble(
     protocol: str,
     n: int,
@@ -183,28 +146,45 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
 
     Instance seeds take gamma's position in its rule's grid and leave out the
     rule and T (time index 0): Hebb and Storkey cells at the same (p, gamma
-    index) anneal the same instances, projection cells differ only where that
-    rule rejects a memory set and redraws, and every T anneals the same
-    instances, so curves differ only by annealing time. Every cell of every
-    rule is checked, request and budgets, before the first instance is drawn.
+    index) anneal the same instances, and projection cells differ only where
+    that rule rejects a memory set and redraws. Each (rule, p, gamma) instance
+    set is drawn once and annealed at every T, as one block in draw order, so
+    curves differ only by annealing time. Every cell of every rule is checked,
+    request and budgets, before the first instance is drawn.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"threshold x must lie in [0, 1], got {x}")
-    cells = [(rule, int(p), gi, gamma, anneal_time)
-             for rule, gamma_grid in rule_gammas.items()
-             for p in p_list
-             for gi, gamma in enumerate(gamma_grid)
-             for anneal_time in time_list]
-    for rule, p, _, gamma, anneal_time in cells:
-        _validate_request(n, p, rule, gamma, anneal_time)
-        _check_anneal(n, count, anneal_time, dt)
-    return [
-        _ensemble_cell(protocol, n, p, rule, gamma, anneal_time, count, x, dt,
-                       master_seed, gamma_index=gi)
-        for rule, p, gi, gamma, anneal_time in cells
-    ]
+    if not time_list:  # no cell to anneal, so no instance to draw
+        return []
+    sets = [(rule, int(p), gi, gamma)
+            for rule, gamma_grid in rule_gammas.items()
+            for p in p_list
+            for gi, gamma in enumerate(gamma_grid)]
+    for rule, p, _, gamma in sets:
+        for anneal_time in time_list:
+            _validate_request(n, p, rule, gamma, anneal_time)
+            _check_anneal(n, count, anneal_time, dt)
+    stats = []
+    for rule, p, gi, gamma in sets:
+        # draws do not read T, so the first T of the list serves them all
+        instances = [
+            generate_instance(protocol, n, p, rule, gamma, time_list[0],
+                              seed=derive_seed(master_seed, protocol, p, gi, 0, i))
+            for i in range(count)
+        ]
+        diagonals = np.stack([_instance_diagonal(inst) for inst in instances])
+        targets = [pattern_to_index(inst.target_pattern()) for inst in instances]
+        for anneal_time in time_list:
+            mean = float(np.mean(_anneal(diagonals, targets, anneal_time, dt)[1] >= x))
+            stats.append(EnsembleStats(
+                protocol=protocol, rule=rule, n=n, p=p, gamma=gamma,
+                anneal_time=anneal_time, count=count, threshold=x,
+                mean_success=mean, variance=mean * (1.0 - mean),
+                master_seed=master_seed,
+            ))
+    return stats
 
 
 def bias_sweep(

@@ -244,10 +244,15 @@ def test_runaway_anneal_is_fast_usage_error(tmp_path, capsys, argv):
     ["recall", "--n", "1000000000000", "--p", "1"],
     ["recall", "--n", "100000", "--p", "1"],
     ["bias-sweep", "--n", "1000000000000", "--p-list", "1", "--gamma-grid", "0.1", "--T", "1"],
+    ["classical", "--n", "1000000000000", "--p", "1"],
+    ["classical", "--n", "100000", "--p", "1"],
+    ["spectrum", "--hadamard", "--n", "1099511627776"],
+    ["figures", "--id", "f1", "--n", "1099511627776"],
 ], ids=["spectrum-samples", "spectrum-samples-over-limit", "f1-samples", "sweep-N",
         "sweep-p-list", "sweep-projection-p-list", "sweep-T-list", "f6-projection-p-list",
         "f6-projection-only-p", "f10-projection-p-list", "recall-huge-n", "recall-large-n",
-        "sweep-huge-n"])
+        "sweep-huge-n", "classical-huge-n", "classical-large-n", "spectrum-hadamard-huge-n",
+        "f1-huge-n"])
 def test_runaway_request_is_fast_usage_error(tmp_path, capsys, argv):
     start = time.perf_counter()
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "run"))
@@ -290,7 +295,8 @@ def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys)
 # options the run would otherwise ignore: a generated instance draws its own key,
 # a loaded memory set is recalled under the exact protocol, f3-f5 fix p, each
 # figure kind reads only some of the figures options, and --hadamard picks a
-# memory set as --memories does
+# memory set as --memories does; and list options that leave the run nothing to
+# do: an empty list, or f10's one annealing time where it compares several
 @pytest.mark.parametrize("argv, flag", [
     (["recall", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
     (["classical", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
@@ -318,12 +324,22 @@ def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys)
     (["figures", "--id", "f10", "--p", "1"], "--p"),
     (["spectrum", "--memories", "{mem}", "--hadamard"], "--hadamard"),
     (["spectrum", "--gamma", "0.9"], "--gamma"),
+    (["bias-sweep", "--n", "4", "--p-list", ","], "--p-list"),
+    (["bias-sweep", "--n", "4", "--gamma-grid", ","], "--gamma-grid"),
+    (["anneal-sweep", "--n", "4", "--T-list", ","], "--T-list"),
+    (["figures", "--id", "f7", "--p-list", ","], "--p-list"),
+    (["figures", "--id", "f10", "--T-list", ","], "--T-list"),
+    (["figures", "--id", "f3", "--gamma-grid", ","], "--gamma-grid"),
+    (["figures", "--id", "f10", "--n", "5", "--p-list", "1,2,3", "--T-list", "300",
+      "--N", "100"], "--T-list"),
 ], ids=["recall-generated-input", "classical-generated-input", "recall-default-protocol",
         "classical-default-protocol", "recall-memories-protocol",
         "classical-memories-protocol", "f3-p", "f4-p", "f5-p", "f5-short-memories",
         "f1-N", "f2-memories", "f2-gamma-grid", "f3-rule", "f4-seed", "f5-samples",
         "f6-p", "f7-memories", "f8-rule", "f9-T-list", "f10-T", "f10-gamma-grid", "f10-p",
-        "spectrum-memories-hadamard", "spectrum-gamma-without-input"])
+        "spectrum-memories-hadamard", "spectrum-gamma-without-input", "sweep-empty-p-list",
+        "sweep-empty-gamma-grid", "anneal-sweep-empty-T-list", "f7-empty-p-list",
+        "f10-empty-T-list", "f3-empty-gamma-grid", "f10-one-T"])
 def test_ignored_option_is_fast_usage_error(tmp_path, capsys, argv, flag):
     mem = tmp_path / "mem.txt"
     mem.write_text("+1 -1 +1 -1\n-1 +1 +1 +1\n")

@@ -133,17 +133,46 @@ def test_bias_sweep_layout_and_reseeding():
         bias_sweep("exact", 4, [1], "hebb", [1.5], 60.0, count=2)
 
 
-def test_anneal_sweep_reuses_instances_across_times():
-    # the sweep must anneal the *same* instances at every T; run_ensemble
-    # derives seeds the same way, so each cell must match it exactly
-    times = [40.0, 90.0]
-    sweep = anneal_time_sweep("exact", 4, [2], "hebb", 0.5, times, count=4,
-                              master_seed=17)
-    for cell, T in zip(sweep, times):
-        solo = run_ensemble("exact", 4, 2, "hebb", 0.5, T, count=4, master_seed=17)
-        assert cell == solo
+def test_anneal_sweep_reuses_instances_across_times(monkeypatch):
+    # the sweep must anneal the *same* instances at every T, drawn once per
+    # (p, gamma); run_ensemble derives seeds the same way, so each cell must
+    # match it exactly
+    import hopfield_annealing.ensembles as ensembles
+
+    draws = []
+
+    def counted(*args, **kw):
+        draws.append(kw["seed"])
+        return generate_instance(*args, **kw)
+
+    monkeypatch.setattr(ensembles, "generate_instance", counted)
+    p_list, count = [1, 2], 4
+    for times in ([40.0, 90.0], [20.0, 60.0, 150.0]):
+        draws.clear()
+        sweep = anneal_time_sweep("exact", 4, p_list, "hebb", 0.5, times, count=count,
+                                  master_seed=17)
+        assert len(draws) == len(set(draws)) == len(p_list) * count
+        cells = [(p, T) for p in p_list for T in times]
+        assert [(s.p, s.anneal_time) for s in sweep] == cells
+        for cell, (p, T) in zip(sweep, cells):
+            assert cell == run_ensemble("exact", 4, p, "hebb", 0.5, T, count=count,
+                                        master_seed=17)
     with pytest.raises(ValueError):
         anneal_time_sweep("exact", 4, [1], "hebb", 0.5, [100.0, 50.0], count=2)
+
+
+def test_multi_rule_sweep_matches_single_cells():
+    # one _sweep_cells call over two rules, each with its own bias, gives cell
+    # for cell what run_ensemble gives, in rule -> p -> T order
+    rule_gammas = {"storkey": [0.2], "projection": [0.4]}
+    p_list, times = [1, 3], [30.0, 90.0]
+    sweep = _sweep_cells("noisy", 4, p_list, rule_gammas, times, 5, 0.5, 0.1, 8)
+    cells = [(rule, p, grid[0], T)
+             for rule, grid in rule_gammas.items() for p in p_list for T in times]
+    assert len(sweep) == len(cells)
+    for cell, (rule, p, gamma, T) in zip(sweep, cells):
+        assert cell == run_ensemble("noisy", 4, p, rule, gamma, T, count=5, x=0.5,
+                                    master_seed=8)
 
 
 def test_results_csv_format_and_determinism(tmp_path):
