@@ -77,6 +77,15 @@ _ALL_FINITE = (lambda vs: all(map(math.isfinite, vs)), "values must be finite, g
 _POSITIVE = (lambda v: v > 0, "must be positive, got {v}")
 _BOOL = (lambda v: isinstance(v, bool), "must be true or false, got {v!r}")
 _NON_EMPTY = (lambda vs: len(vs) > 0, "must list at least one value")
+_DISTINCT = (lambda vs: len(set(vs)) == len(vs), "values must be distinct, got {v}")
+
+
+def _usable_dir(path: str) -> bool:
+    """Whether `path` is a directory or `os.makedirs` could make it one; creates nothing."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):  # the nearest existing ancestor
+        head = os.path.dirname(head)
+    return bool(path) and "\0" not in path and os.path.isdir(head)
 
 
 def _at_least(low):
@@ -110,7 +119,8 @@ _OPTIONS = {
     "protocol": (str, "exact", [_one_of(PROTOCOLS)], f"instance protocol, one of {PROTOCOLS}"),
     "memories": (str, None, [], "memory-set file (see README for the format)"),
     "input": (_list_of(_integer), None, [], "input key, e.g. '+1,-1,+1,-1'"),
-    "out": (str, None, [], "output directory"),
+    "out": (str, None, [(_usable_dir, "must be a directory or creatable as one, got {v!r}")],
+            "output directory"),
     "samples": (_integer, 201, [_at_least(2)], "time samples for the spectrum grid"),
     "hadamard": (bool, False, [_BOOL], "use orthogonal Hadamard-column memories"),
     "check_dt": (bool, False, [_BOOL], "verify the result is stable under dt halving"),
@@ -118,18 +128,18 @@ _OPTIONS = {
              "update mode: synchronous or asynchronous"),
     "max_sweeps": (_integer, 100, [_at_least(1)], "sweep budget for the classical dynamics"),
     "p_list": (_list_of(_integer), [1, 2, 3, 4, 5],
-               [_NON_EMPTY,
+               [_NON_EMPTY, _DISTINCT,
                 (lambda ps: all(p >= 1 for p in ps), "memory counts must be at least 1")],
                "memory counts, e.g. '1,2,3,4,5'"),
     "gamma_grid": (_list_of(float), [round(0.05 * k, 2) for k in range(0, 21)],
-                   [_NON_EMPTY, _ALL_FINITE,
+                   [_NON_EMPTY, _ALL_FINITE, _DISTINCT,
                     (lambda gs: all(0 <= g <= 1 for g in gs), "bias values must lie in [0, 1]")],
                    "bias grid, e.g. '0.05,0.15,0.5'"),
     "T_list": (_list_of(float), [50.0, 500.0, 5000.0],
                [_NON_EMPTY, _ALL_FINITE,
-                (lambda ts: all(t > 0 for t in ts) and sorted(ts) == ts,
-                 "annealing times must be positive and ascending")],
-               "annealing times, ascending"),
+                (lambda ts: ts[0] > 0 and all(a < b for a, b in zip(ts, ts[1:])),
+                 "annealing times must be positive and strictly ascending")],
+               "annealing times, strictly ascending"),
     "id": (str, None, [_one_of(FIGURE_IDS)], f"figure id, one of {FIGURE_IDS}"),
 }
 
@@ -445,7 +455,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
         results = bias_response(memories[:setting], memories[0], params["gamma_grid"],
                                 params["T"], params["dt"])
     elif kind == "anneal-sweep":
-        if len(set(params["T_list"])) < 2:
+        if len(params["T_list"]) < 2:
             raise ValueError(f"--T-list: figure {fid} compares at least two annealing times")
         results = _sweep(kind, params, "exact", n, {rule: [g] for rule, g in setting.items()})
     else:

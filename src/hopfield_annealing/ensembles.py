@@ -165,7 +165,8 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     for rule, p, _, gamma in sets:
         for anneal_time in time_list:
             _validate_request(n, p, rule, gamma, anneal_time)
-            _check_anneal(n, count, anneal_time, dt)
+    for anneal_time in time_list:  # the pre-flight reads no rule, p or gamma
+        _check_anneal(n, count, anneal_time, dt)
     stats = []
     for rule, p, gi, gamma in sets:
         # draws do not read T, so the first T of the list serves them all

@@ -27,6 +27,10 @@ GEMM over the rest, which costs O(2^n (32 + 2^(n-5))) per column instead of
 O(4^n). With 20 columns on two OpenBLAS threads of a 2-CPU Intel Xeon, one
 driver action took 8 us dense against 11 us split at n = 6, 30 against 17 us
 at n = 7, 99 against 33 us at n = 8 and 30 ms against 1.1 ms at n = 12.
+
+One pure pre-flight, `_check_anneal`, returns an anneal's step count and
+refuses a runaway one before any buffer exists; it reads only (n, M, T, dt)
+and the problem scale, so a sweep runs it once per annealing time.
 """
 
 from dataclasses import dataclass
@@ -107,26 +111,56 @@ def _taylor_terms(rho: float) -> int:
     return int(ks[hits[0]]) if hits.size else _KMAX
 
 
+def _splits(rho: float) -> float:
+    """Equal sub-steps that keep the norm bound `rho` of one step under
+    _THETA each, as a Python float (inf when rho overflows)."""
+    return max(1.0, float(np.ceil(rho / _THETA)))
+
+
+def _check_anneal(n: int, count: int, total_time: float, dt: float,
+                  d_scale: float = 0.0) -> int:
+    """Steps `evolve_batch` takes over [0, total_time] for `count` n-qubit
+    states with |diagonal| <= d_scale; refuses a bad dt, a register over the
+    cap, a block over `_BLOCK_LIMIT` and a run over `_WORK_LIMIT` sub-steps,
+    each step counted at full schedule weight (a bound for weights in [0, 1])."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _check_qubit_count(n)
+    if count << n > _BLOCK_LIMIT:
+        raise ValueError(
+            f"{count} states of {n} qubits hold {count << n:.3g} amplitudes "
+            f"(limit {_BLOCK_LIMIT:.3g}); lower N"
+        )
+    steps = max(1.0, np.ceil(total_time / dt * (1.0 - 1e-9)))  # inf when T / dt overflows
+    work = steps * _splits(dt * (n + d_scale))
+    if work > _WORK_LIMIT:
+        raise ValueError(
+            f"T={total_time:g} at dt={dt:g} needs about {work:.3g} propagator sub-steps "
+            f"(limit {_WORK_LIMIT:.0e}); shorten T or lower gamma"
+        )
+    return int(steps)
+
+
 class _BatchPropagator:
     """Applies exp(-i*dt*(a*H0 + b*diag_m)) to a block of states.
 
     States live in a (dim, M) complex array, one instance per column with its
     own problem diagonal, so `diagonals` is (dim, M) too. The driver H0 of
     the n = log2(dim) qubit register is built here, dense up to
-    _DENSE_MAX_QUBITS and as the Kronecker split above. Buffers are
-    allocated once and reused per step.
+    _DENSE_MAX_QUBITS and as the Kronecker split above. `steps` is the
+    pre-flight's count for [0, total_time]; the buffers, allocated after it,
+    are reused per step.
     """
 
-    def __init__(self, diagonals: np.ndarray):
+    def __init__(self, diagonals: np.ndarray, total_time: float, dt: float):
         d = _finite_diagonal(diagonals, ndim=2)  # (dim, M)
         self.dim, count = d.shape
         self.n = self.dim.bit_length() - 1
         if self.dim < 1 or self.dim != 1 << self.n:
             raise ValueError(f"diagonal length {self.dim} is not a power of two")
-        _check_block(self.n, count)
-        self.d2 = np.repeat(d, 2, axis=1)  # matches the re/im interleaved view
-        self.h0_scale = float(self.n)  # largest row sum of |H0|: n bit flips
         self.d_scale = float(np.abs(d).max())
+        self.steps = _check_anneal(self.n, count, total_time, dt, self.d_scale)
+        self.d2 = np.repeat(d, 2, axis=1)  # matches the re/im interleaved view
         self.term = np.empty((self.dim, count), dtype=complex)
         self.work = np.empty_like(self.term)
         if self.n <= _DENSE_MAX_QUBITS:
@@ -137,15 +171,10 @@ class _BatchPropagator:
         self.h0_high = _transverse_field_cached(self.n - _LOW_QUBITS)
         self.high_part = np.empty_like(self.term)
 
-    def splits(self, a: float, b: float, dt: float) -> tuple[float, float]:
-        """Norm bound rho of dt*(a*H0 + b*D) and the equal sub-steps that keep
-        each one's bound under _THETA, as a Python float (inf when rho overflows)."""
-        rho = abs(dt) * (abs(a) * self.h0_scale + abs(b) * self.d_scale)
-        return rho, max(1.0, float(np.ceil(rho / _THETA)))
-
     def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
         """Advance the block by one propagator application, in place."""
-        rho, splits = self.splits(a, b, dt)
+        rho = abs(dt) * (abs(a) * self.n + abs(b) * self.d_scale)  # |H0| row sums: n
+        splits = _splits(rho)
         h = dt / splits
         n_terms = _taylor_terms(rho / splits)
         term, work = self.term, self.work
@@ -179,49 +208,18 @@ class _BatchPropagator:
         return psi
 
 
-def _check_dt(dt: float) -> None:
-    # the schedule has already checked its total time
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-
-
-def _check_block(n: int, count: int) -> None:
-    """Refuse a block of `count` n-qubit states above the register cap or `_BLOCK_LIMIT`."""
-    _check_qubit_count(n)
-    if count << n > _BLOCK_LIMIT:
-        raise ValueError(
-            f"{count} states of {n} qubits hold {count << n:.3g} amplitudes "
-            f"(limit {_BLOCK_LIMIT:.3g}); lower N"
-        )
-
-
-def _check_work(prop: _BatchPropagator, steps: float, dt: float, total_time: float) -> None:
-    """Refuse a run whose sub-step count would exceed `_WORK_LIMIT`.
-
-    Each step is counted at full schedule weight, an upper bound on the
-    splits `_BatchPropagator.step` takes for schedules with weights in [0, 1].
-    """
-    work = steps * prop.splits(1.0, 1.0, dt)[1]
-    if work > _WORK_LIMIT:
-        raise ValueError(
-            f"T={total_time:g} at dt={dt:g} needs about {work:.3g} propagator sub-steps "
-            f"(limit {_WORK_LIMIT:.0e}); shorten T or lower gamma"
-        )
-
-
 def magnus_step(state, h0, diagonal, schedule: AnnealSchedule, t: float, dt: float) -> np.ndarray:
     """Single first-order Magnus step from t to t + dt; `diagonal` is H1's diagonal.
 
     `h0` must be `transverse_field_hamiltonian(n)` for the diagonal's n: the
     propagator applies that driver itself.
     """
-    _check_dt(dt)
+    # a single step over [0, dt]; its pre-flight checks dt before the window does
+    prop = _BatchPropagator(np.asarray(diagonal, dtype=np.float64)[:, None], dt, dt)
     if t < 0 or t + dt > schedule.total_time * (1 + 1e-12):
         raise ValueError(f"step [{t}, {t + dt}] lies outside [0, {schedule.total_time}]")
-    prop = _BatchPropagator(np.asarray(diagonal, dtype=np.float64)[:, None])
     if not np.array_equal(h0, _transverse_field_cached(prop.n)):
         raise ValueError(f"h0 is not the {prop.n}-qubit driver -sum_i X_i")
-    _check_work(prop, 1, dt, schedule.total_time)
     psi = np.array(state, dtype=complex).reshape(-1, 1)
     if psi.shape[0] != prop.dim:
         raise ValueError("state dimension does not match the Hamiltonians")
@@ -229,24 +227,6 @@ def magnus_step(state, h0, diagonal, schedule: AnnealSchedule, t: float, dt: flo
     a = float(schedule.driver_weight(t_mid))
     b = float(schedule.problem_weight(t_mid))
     return prop.step(psi, a, b, dt)[:, 0]
-
-
-def _prepare(diagonals: np.ndarray, total_time: float, dt: float):
-    """The propagator of `diagonals` (dim, M) and the step count of an anneal
-    over [0, total_time]; refuses a bad dt and a run over the work budget."""
-    _check_dt(dt)
-    prop = _BatchPropagator(diagonals)
-    steps = max(1.0, np.ceil(total_time / dt * (1.0 - 1e-9)))  # inf when T / dt overflows
-    _check_work(prop, steps, dt, total_time)
-    return prop, steps
-
-
-def _check_anneal(n: int, count: int, total_time: float, dt: float) -> None:
-    """Refuse, before any diagonal exists, an anneal of `count` n-qubit
-    instances that `evolve_batch` refuses whatever their diagonals: a block
-    over `_BLOCK_LIMIT`, or a run over the work budget at zero problem scale."""
-    _check_block(n, count)
-    _prepare(np.zeros((1 << n, 1)), total_time, dt)
 
 
 def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) -> np.ndarray:
@@ -261,11 +241,11 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
     diagonals = np.atleast_2d(np.asarray(diagonals, dtype=np.float64))
     count, dim = diagonals.shape
     total = schedule.total_time
-    prop, steps = _prepare(diagonals.T, total, dt)
+    prop = _BatchPropagator(diagonals.T, total, dt)
     psi = np.full((dim, count), 1.0 / np.sqrt(dim), dtype=complex)
-    for k in range(int(steps)):
+    for k in range(prop.steps):
         t = k * dt
-        h = dt if k < steps - 1 else total - t
+        h = dt if k < prop.steps - 1 else total - t
         t_mid = t + h / 2.0
         a = float(schedule.driver_weight(t_mid))
         b = float(schedule.problem_weight(t_mid))

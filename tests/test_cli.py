@@ -296,7 +296,8 @@ def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys)
 # a loaded memory set is recalled under the exact protocol, f3-f5 fix p, each
 # figure kind reads only some of the figures options, and --hadamard picks a
 # memory set as --memories does; and list options that leave the run nothing to
-# do: an empty list, or f10's one annealing time where it compares several
+# do: an empty list, a repeated value, or f10's one annealing time where it
+# compares several
 @pytest.mark.parametrize("argv, flag", [
     (["recall", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
     (["classical", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
@@ -332,6 +333,14 @@ def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys)
     (["figures", "--id", "f3", "--gamma-grid", ","], "--gamma-grid"),
     (["figures", "--id", "f10", "--n", "5", "--p-list", "1,2,3", "--T-list", "300",
       "--N", "100"], "--T-list"),
+    (["bias-sweep", "--n", "4", "--p-list", "3", "--gamma-grid", "0.3,0.3", "--N", "10",
+      "--T", "20"], "--gamma-grid"),
+    (["anneal-sweep", "--n", "4", "--p-list", "1,1", "--T-list", "10,20", "--N", "2"],
+     "--p-list"),
+    (["anneal-sweep", "--n", "4", "--p-list", "1", "--T-list", "10,10", "--N", "2"],
+     "--T-list"),
+    (["figures", "--id", "f10", "--n", "5", "--p-list", "1,2,3", "--T-list", "300,300",
+      "--N", "100"], "--T-list"),
 ], ids=["recall-generated-input", "classical-generated-input", "recall-default-protocol",
         "classical-default-protocol", "recall-memories-protocol",
         "classical-memories-protocol", "f3-p", "f4-p", "f5-p", "f5-short-memories",
@@ -339,7 +348,8 @@ def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys)
         "f6-p", "f7-memories", "f8-rule", "f9-T-list", "f10-T", "f10-gamma-grid", "f10-p",
         "spectrum-memories-hadamard", "spectrum-gamma-without-input", "sweep-empty-p-list",
         "sweep-empty-gamma-grid", "anneal-sweep-empty-T-list", "f7-empty-p-list",
-        "f10-empty-T-list", "f3-empty-gamma-grid", "f10-one-T"])
+        "f10-empty-T-list", "f3-empty-gamma-grid", "f10-one-T", "sweep-repeated-gamma",
+        "anneal-sweep-repeated-p", "anneal-sweep-repeated-T", "f10-repeated-T"])
 def test_ignored_option_is_fast_usage_error(tmp_path, capsys, argv, flag):
     mem = tmp_path / "mem.txt"
     mem.write_text("+1 -1 +1 -1\n-1 +1 +1 +1\n")
@@ -350,6 +360,22 @@ def test_ignored_option_is_fast_usage_error(tmp_path, capsys, argv, flag):
     assert code == 2
     assert f"{flag}: " in err
     assert not (tmp_path / "run").exists()
+
+
+# an output directory that cannot be made: refused before the sweep runs
+@pytest.mark.parametrize("out", ["", "afile", "afile/x", "a\0b"],
+                         ids=["empty", "file", "under-file", "nul-byte"])
+def test_unusable_out_is_fast_usage_error(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "bias-sweep", "--n", "5", "--p-list", "1,2",
+                       "--gamma-grid", "0.1,0.5", "--N", "100", "--T", "500", "--out", out)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "--out: " in err and len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_p_keeps_the_first_patterns_of_any_memory_set(tmp_path, capsys):

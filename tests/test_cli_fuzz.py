@@ -44,9 +44,9 @@ TEXT = {
     "samples": (["2", "3"], ["1", RUNAWAY]),
     "mode": (["synchronous", "asynchronous"], ["chaotic"]),
     "max_sweeps": (["1", "3"], ["0"]),
-    "p_list": (["1", "1,2", "2,3"], ["0", "9"]),
-    "gamma_grid": (["0.2", "0,1"], ["2"]),
-    "T_list": (["1,3", "2"], ["3,1", "0", "1," + RUNAWAY]),
+    "p_list": (["1", "1,2", "2,3"], ["0", "9", "2,2"]),
+    "gamma_grid": (["0.2", "0,1"], ["2", "0.2,0.2"]),
+    "T_list": (["1,3", "2"], ["3,1", "3,3", "0", "1," + RUNAWAY]),
     "id": (list(FIGURE_IDS), ["f0"]),
 }
 SWITCHES = ("hadamard", "check_dt")

@@ -297,8 +297,45 @@ def test_work_budget_refuses_runaway_anneals():
 
 def test_work_budget_admits_the_longest_acceptance_anneal():
     # T = 5000 at dt = 0.1 with a unit-scale diagonal: 5e4 one-split steps
-    # are well inside the budget, so only the estimate runs here
-    prop = evolution._BatchPropagator(np.ones((32, 1)))
-    evolution._check_work(prop, 5e4, 0.1, 5000.0)
-    with pytest.raises(ValueError):
-        evolution._check_work(prop, 1e7 + 1, 0.1, 5000.0)
+    # are well inside the budget, so only the pre-flight runs here
+    assert evolution._check_anneal(5, 1, 5000.0, 0.1, 1.0) == 50_000
+    with pytest.raises(ValueError, match="sub-steps"):
+        evolution._check_anneal(5, 1, (1e7 + 1) * 0.1, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("total_time, dt, steps", [
+    (2.0, 0.25, 8),           # dt divides T exactly
+    (1.05, 0.1, 11),          # a shorter last step
+    (1.0 + 1e-11, 0.25, 4),   # a remainder under 1e-9 T joins the last step
+], ids=["exact", "short-last-step", "tiny-remainder"])
+def test_pre_flight_counts_the_steps_evolve_batch_takes(monkeypatch, total_time, dt, steps):
+    taken = []
+    step = evolution._BatchPropagator.step
+
+    def counted(self, psi, a, b, h):
+        taken.append(h)
+        return step(self, psi, a, b, h)
+
+    monkeypatch.setattr(evolution._BatchPropagator, "step", counted)
+    assert evolution._check_anneal(3, 2, total_time, dt) == steps
+    evolve_batch(np.ones((2, 8)), AnnealSchedule.linear(total_time), dt)
+    assert len(taken) == steps
+
+
+def test_oversized_block_is_refused_before_any_buffer(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(evolution, "_BLOCK_LIMIT", 1 << 10)
+    diagonals = np.ones((64, 256))  # 64 states of 8 qubits: 2^14 amplitudes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="amplitudes"):
+            evolve_batch(diagonals, AnnealSchedule.linear(1.0), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * diagonals.size  # one complex state block
+    monkeypatch.setattr(evolution, "_BLOCK_LIMIT", 4)
+    with pytest.raises(ValueError, match="amplitudes"):
+        magnus_step(uniform_superposition(3), transverse_field_hamiltonian(3), np.zeros(8),
+                    AnnealSchedule.linear(1.0), 0.0, 0.1)
