@@ -6,18 +6,26 @@ threshold x = 2/3) is averaged over an ensemble of N independently generated
 instances; the ensemble mean is a binomial parameter, so the reported variance
 is exactly mean * (1 - mean).
 
-Instances inside an ensemble share the register size and schedule, so their
-quantum evolutions run as one batch (see `evolution.evolve_batch`). Cells of a
-sweep are independent of each other and of execution order: every instance
-seed is derived from (master seed, protocol, p, bias index, time index,
-instance index) alone. Seeds leave out the learning rule, so Hebb and Storkey
-cells at the same (p, bias index) anneal the same instances, and projection
-cells differ only where that rule rejects a memory set and redraws. Seeds
-leave out T too (time index 0): a sweep draws each (rule, p, bias) instance
-set once and anneals that same set at every annealing time.
+Cells of a sweep are independent of each other and of execution order: every
+instance seed is derived from (master seed, protocol, p, bias index, time
+index, instance index) alone. Seeds leave out the learning rule, so Hebb and
+Storkey cells at the same (p, bias index) draw the same instances, and
+projection cells differ only where that rule rejects a memory set and
+redraws. Seeds leave out T too (time index 0): a sweep draws each (rule, p,
+bias) instance set once and scores it at every annealing time.
+
+A sweep anneals symmetry classes, not instances. H0 = -sum_i X_i and the
+uniform start state are unchanged by permuting the qubits and by flipping any
+of them, and every learning rule and the bias are equivariant under these
+signed permutations, so P_ans is the same for every instance of a class (the
+symmetry-sector idea of exact diagonalization, applied between instances).
+Each class is keyed by its canonical form (`_class_key`), annealed once per
+annealing time with the other classes of the sweep in packed blocks (see
+`evolution.evolve_batch`), and its P_ans is scored for every member.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -46,6 +54,13 @@ __all__ = [
 
 DEFAULT_THRESHOLD = 2.0 / 3.0
 DEFAULT_ENSEMBLE_SIZE = 100
+
+# most amplitudes one packed block of classes holds: 200 columns at n = 5, 25
+# at n = 8; peak memory stays about one block's diagonals and states
+_PACK_AMPLITUDES = 6400
+# Hebb and projection class keys try every order of the non-answer memories
+# up to this p, at most 24 orders
+_ORDERED_MAX_P = 5
 
 RESULTS_HEADER = [
     "protocol", "rule", "n", "p", "gamma", "T", "N", "x",
@@ -92,10 +107,42 @@ class EnsembleStats:
         return float(np.sqrt(self.variance / self.count))
 
 
-def _instance_diagonal(instance: ProblemInstance) -> np.ndarray:
-    weights = weights_for_rule(instance.rule, instance.memories)
-    bias = BiasSpec(input_key=instance.input_key, gamma=instance.gamma)
-    return ising_hamiltonian(weights, bias).diagonal()
+def _diagonal(rule: str, memories, input_key, gamma: float) -> np.ndarray:
+    weights = weights_for_rule(rule, memories)
+    return ising_hamiltonian(weights, BiasSpec(input_key=input_key, gamma=gamma)).diagonal()
+
+
+def _class_key(instance: ProblemInstance) -> tuple:
+    """(rule, gamma, shape, bytes) of the instance's canonical int8 form.
+
+    The form is the stacked (memories; input key) matrix with spins flipped so
+    the target pattern is all +1 and its spin columns sorted. Hebb and
+    projection weights do not depend on memory order, so for them the answer
+    comes first and the smallest form over the orders of the other memories
+    is taken (up to p = _ORDERED_MAX_P; above it they keep the drawn order).
+    Storkey learns in order, so it keeps its drawn order and the answer's
+    slot. Instances with one key have one P_ans at target index 2^n - 1.
+    """
+    p, answer = instance.p, instance.answer_index
+    rows = np.vstack([instance.memories, instance.input_key]) * instance.target_pattern()
+    if instance.rule == "storkey":
+        orders = [range(p + 1)]
+    else:
+        others = [i for i in range(p) if i != answer]
+        ordered = permutations(others) if p <= _ORDERED_MAX_P else [others]
+        orders = [(answer, *order, p) for order in ordered]
+    stacks = rows[np.array(orders)].astype(np.int8)  # (orders, p + 1, n)
+    columns = np.lexsort(np.moveaxis(stacks, 1, 0)[::-1], axis=-1)  # row 0 sorts first
+    form = min(np.take_along_axis(stacks, columns[:, None, :], axis=2),
+               key=np.ndarray.tobytes)
+    return instance.rule, instance.gamma, form.shape, form.tobytes()
+
+
+def _class_diagonal(key: tuple) -> np.ndarray:
+    """H1's diagonal of the canonical instance a `_class_key` describes."""
+    rule, gamma, shape, data = key
+    form = np.frombuffer(data, dtype=np.int8).reshape(shape)
+    return _diagonal(rule, form[:-1], form[-1], gamma)
 
 
 def _anneal(diagonals, targets, anneal_time: float, dt: float):
@@ -110,7 +157,8 @@ def run_instance(
     dt: float = DEFAULT_DT,
 ) -> RecallOutcome:
     """Anneal one instance and score the recall probability of its target."""
-    diagonal = _instance_diagonal(instance)
+    diagonal = _diagonal(instance.rule, instance.memories, instance.input_key,
+                         instance.gamma)
     target = pattern_to_index(instance.target_pattern())
     states, p_ans = _anneal(diagonal[None, :], [target], instance.anneal_time, dt)
     p_ans = float(p_ans[0])
@@ -146,19 +194,32 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
 
     Instance seeds take gamma's position in its rule's grid and leave out the
     rule and T (time index 0): Hebb and Storkey cells at the same (p, gamma
-    index) anneal the same instances, and projection cells differ only where
-    that rule rejects a memory set and redraws. Each (rule, p, gamma) instance
-    set is drawn once and annealed at every T, as one block in draw order, so
-    curves differ only by annealing time. Every cell of every rule is checked,
-    request and budgets, before the first instance is drawn.
+    index) draw the same instances, and projection cells differ only where
+    that rule rejects a memory set and redraws. Each (rule, p, gamma)
+    instance set is drawn once and keyed by symmetry class. The classes of
+    every cell, in order of first appearance, are packed into blocks of at
+    most `_PACK_AMPLITUDES` amplitudes; each block's diagonals are built just
+    before it is annealed at every T, and each class's P_ans is scored for
+    all its members. Every cell of every rule is checked, request and
+    budgets, before the first instance is drawn; a repeated p, a repeated
+    gamma in one rule's grid and a T list that is not strictly ascending are
+    refused.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"threshold x must lie in [0, 1], got {x}")
+    p_list = [int(p) for p in p_list]
+    if len(set(p_list)) < len(p_list):
+        raise ValueError(f"p_list repeats a value: {p_list}")
+    for rule, gamma_grid in rule_gammas.items():
+        if len(set(gamma_grid)) < len(gamma_grid):
+            raise ValueError(f"the {rule} bias grid repeats a value: {list(gamma_grid)}")
+    if any(a >= b for a, b in zip(time_list, time_list[1:])):
+        raise ValueError(f"time_list must be strictly ascending, got {list(time_list)}")
     if not time_list:  # no cell to anneal, so no instance to draw
         return []
-    sets = [(rule, int(p), gi, gamma)
+    sets = [(rule, p, gi, gamma)
             for rule, gamma_grid in rule_gammas.items()
             for p in p_list
             for gi, gamma in enumerate(gamma_grid)]
@@ -167,18 +228,28 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
             _validate_request(n, p, rule, gamma, anneal_time)
     for anneal_time in time_list:  # the pre-flight reads no rule, p or gamma
         _check_anneal(n, count, anneal_time, dt)
-    stats = []
+    classes = {}  # class key -> class id, in order of first appearance
+    members = []  # per instance set, the class id of each instance
     for rule, p, gi, gamma in sets:
         # draws do not read T, so the first T of the list serves them all
-        instances = [
-            generate_instance(protocol, n, p, rule, gamma, time_list[0],
-                              seed=derive_seed(master_seed, protocol, p, gi, 0, i))
-            for i in range(count)
-        ]
-        diagonals = np.stack([_instance_diagonal(inst) for inst in instances])
-        targets = [pattern_to_index(inst.target_pattern()) for inst in instances]
-        for anneal_time in time_list:
-            mean = float(np.mean(_anneal(diagonals, targets, anneal_time, dt)[1] >= x))
+        instances = (generate_instance(protocol, n, p, rule, gamma, time_list[0],
+                                       seed=derive_seed(master_seed, protocol, p, gi, 0, i))
+                     for i in range(count))
+        members.append([classes.setdefault(_class_key(inst), len(classes))
+                        for inst in instances])
+    keys = list(classes)
+    width = max(1, _PACK_AMPLITUDES >> n)
+    p_ans = np.empty((len(keys), len(time_list)))
+    for first in range(0, len(keys), width):
+        block = keys[first:first + width]
+        diagonals = np.stack([_class_diagonal(key) for key in block])
+        targets = [(1 << n) - 1] * len(block)  # every canonical target is all +1
+        for ti, anneal_time in enumerate(time_list):
+            p_ans[first:first + len(block), ti] = _anneal(diagonals, targets, anneal_time, dt)[1]
+    stats = []
+    for (rule, p, _, gamma), ids in zip(sets, members):
+        for ti, anneal_time in enumerate(time_list):
+            mean = float(np.mean(p_ans[ids, ti] >= x))
             stats.append(EnsembleStats(
                 protocol=protocol, rule=rule, n=n, p=p, gamma=gamma,
                 anneal_time=anneal_time, count=count, threshold=x,
@@ -221,10 +292,7 @@ def anneal_time_sweep(
     master_seed: int = 0,
 ) -> list[EnsembleStats]:
     """One ensemble per (p, T) cell; the same instances at every T."""
-    time_list = [float(t) for t in time_list]
-    if any(t <= 0 for t in time_list) or sorted(time_list) != time_list:
-        raise ValueError("time_list must be positive and ascending")
-    return _sweep_cells(protocol, n, p_list, {rule: [gamma]}, time_list,
+    return _sweep_cells(protocol, n, p_list, {rule: [gamma]}, [float(t) for t in time_list],
                         count, x, dt, master_seed)
 
 

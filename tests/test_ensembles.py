@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,18 @@ from hopfield_annealing.ensembles import (
     run_instance,
     success_indicator,
     write_results_csv,
+    _class_key,
     _sweep_cells,
 )
-from hopfield_annealing.instances import generate_exact_instance, generate_instance
+from hopfield_annealing.instances import (
+    PROTOCOLS,
+    ProblemInstance,
+    derive_seed,
+    generate_exact_instance,
+    generate_instance,
+)
 from hopfield_annealing.learning import LEARNING_RULES
 from hopfield_annealing.patterns import overlapping_memories
-from hopfield_annealing.instances import ProblemInstance
 
 
 def quick_instance(rule="hebb", gamma=0.3, T=60.0):
@@ -117,7 +125,14 @@ def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, no_draws):
     (lambda: run_ensemble("exact", 4, 1, "hebb", 0.1, 1.0, count=10**12), "amplitudes"),
     (lambda: _sweep_cells("exact", 5, [1, 6], dict.fromkeys(LEARNING_RULES, [0.1]), [1000.0],
                           100, 0.5, 0.1, 0), "projection"),
-], ids=["p-list", "projection-p-list", "T-list", "sweep-N", "ensemble-N", "three-rules"])
+    (lambda: bias_sweep("exact", 4, [3], "hebb", [0.3, 0.3], 20.0, count=10), "repeats"),
+    (lambda: bias_sweep("exact", 4, [1, 1], "hebb", [0.3], 20.0), "repeats"),
+    (lambda: anneal_time_sweep("exact", 4, [1], "hebb", 0.3, [10.0, 10.0]), "ascending"),
+    (lambda: anneal_time_sweep("exact", 4, [1], "hebb", 0.3, [100.0, 50.0]), "ascending"),
+    (lambda: _sweep_cells("exact", 4, [1], {"hebb": [0.1], "storkey": [0.2, 0.2]}, [10.0],
+                          2, 0.5, 0.1, 0), "storkey bias grid repeats"),
+], ids=["p-list", "projection-p-list", "T-list", "sweep-N", "ensemble-N", "three-rules",
+        "repeated-gamma", "repeated-p", "repeated-T", "descending-T", "repeated-rule-gamma"])
 def test_sweeps_check_every_cell_before_drawing(sweep, match, no_draws):
     with pytest.raises(ValueError, match=match):
         sweep()
@@ -173,6 +188,92 @@ def test_multi_rule_sweep_matches_single_cells():
     for cell, (rule, p, gamma, T) in zip(sweep, cells):
         assert cell == run_ensemble("noisy", 4, p, rule, gamma, T, count=5, x=0.5,
                                     master_seed=8)
+
+
+def _signed_relabelling(inst, rng, reorder):
+    """`inst` with its qubits permuted and some flipped, and with its memories
+    in a random order when `reorder` is set."""
+    perm, signs = rng.permutation(inst.n), rng.choice([-1, 1], size=inst.n)
+    order = rng.permutation(inst.p) if reorder else np.arange(inst.p)
+    return ProblemInstance(
+        protocol=inst.protocol, n=inst.n, memories=inst.memories[order][:, perm] * signs,
+        answer_index=int(np.flatnonzero(order == inst.answer_index)[0]),
+        input_key=inst.input_key[perm] * signs, rule=inst.rule, gamma=inst.gamma,
+        anneal_time=inst.anneal_time, seed=inst.seed,
+    )
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("rule", LEARNING_RULES)
+def test_class_key_is_invariant_under_signed_relabelling(protocol, rule):
+    # a signed qubit permutation leaves H0 and |+>^n unchanged and every rule
+    # is equivariant under it, so an instance and its relabelling must share a
+    # class key and a P_ans; Hebb and projection ignore memory order as well
+    rng = np.random.default_rng(PROTOCOLS.index(protocol) * 3 + LEARNING_RULES.index(rule))
+    for p in range(1, 5):
+        inst = generate_instance(protocol, 4, p, rule, 0.4, 30.0, seed=int(rng.integers(2**63)))
+        other = _signed_relabelling(inst, rng, reorder=rule != "storkey")
+        assert _class_key(other) == _class_key(inst)
+        assert run_instance(other).p_ans == pytest.approx(run_instance(inst).p_ans,
+                                                          abs=1e-12, rel=0)
+
+
+def test_class_key_keeps_storkey_memory_order():
+    # Storkey learns in order: swapping the answer with another memory is
+    # another problem, and so another class (the swap puts a row that is not
+    # all +1 in the answer's slot of the target-flipped form); the same swap
+    # leaves a Hebb instance in its class
+    for seed in range(10):
+        for rule in ("storkey", "hebb"):
+            inst = generate_exact_instance(5, 3, rule, 0.3, 30.0, seed=seed)
+            slot = (inst.answer_index + 1) % 3
+            order = np.arange(3)
+            order[[inst.answer_index, slot]] = [slot, inst.answer_index]
+            swapped = replace(inst, memories=inst.memories[order], answer_index=slot)
+            assert (_class_key(swapped) == _class_key(inst)) == (rule == "hebb")
+
+
+def test_packed_sweep_matches_every_instance_annealed_alone(monkeypatch):
+    # the oracle anneals every drawn instance on its own with run_instance and
+    # thresholds it per cell; the sweep must draw each instance once and
+    # anneal fewer columns than it has instances, as classes merge
+    import hopfield_annealing.ensembles as ensembles
+
+    drawn, columns = [], []
+
+    def counted(*args, **kw):
+        drawn.append(generate_instance(*args, **kw))
+        return drawn[-1]
+
+    def anneal(diagonals, targets, anneal_time, dt):
+        columns.append(len(diagonals))
+        return real_anneal(diagonals, targets, anneal_time, dt)
+
+    real_anneal = ensembles._anneal
+    monkeypatch.setattr(ensembles, "generate_instance", counted)
+    monkeypatch.setattr(ensembles, "_anneal", anneal)
+    rule_gammas = {"hebb": [0.2, 0.6], "projection": [0.1, 0.5]}
+    p_list, times, count, x = [1, 3], [15.0, 45.0], 6, 0.5
+    sweep = _sweep_cells("exact", 4, p_list, rule_gammas, times, count, x, 0.1, 11)
+    monkeypatch.setattr(ensembles, "_anneal", real_anneal)
+
+    cells = [(rule, p, gi, gamma) for rule, grid in rule_gammas.items()
+             for p in p_list for gi, gamma in enumerate(grid)]
+    assert [(i.rule, i.p, i.gamma, i.seed) for i in drawn] == [
+        (rule, p, gamma, derive_seed(11, "exact", p, gi, 0, i))
+        for rule, p, gi, gamma in cells for i in range(count)
+    ]
+    assert sum(columns) < len(drawn) * len(times)
+    assert len(sweep) == len(cells) * len(times)
+    stats = iter(sweep)
+    for c, (rule, p, _, gamma) in enumerate(cells):
+        instances = drawn[c * count:(c + 1) * count]
+        for T in times:
+            cell = next(stats)
+            assert (cell.rule, cell.p, cell.gamma, cell.anneal_time) == (rule, p, gamma, T)
+            oracle = [run_instance(replace(inst, anneal_time=T), x=x).success
+                      for inst in instances]
+            assert cell.mean_success == np.mean(oracle)
 
 
 def test_results_csv_format_and_determinism(tmp_path):
