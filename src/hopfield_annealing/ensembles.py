@@ -55,8 +55,9 @@ __all__ = [
 DEFAULT_THRESHOLD = 2.0 / 3.0
 DEFAULT_ENSEMBLE_SIZE = 100
 
-# most amplitudes one packed block of classes holds: 200 columns at n = 5, 25
-# at n = 8; peak memory stays about one block's diagonals and states
+# most amplitudes one packed block of classes holds unless a cell's N columns
+# hold more: 200 columns at n = 5, 25 at n = 8; peak memory stays about one
+# block's diagonals and states
 _PACK_AMPLITUDES = 6400
 # Hebb and projection class keys try every order of the non-answer memories
 # up to this p, at most 24 orders
@@ -198,12 +199,12 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     that rule rejects a memory set and redraws. Each (rule, p, gamma)
     instance set is drawn once and keyed by symmetry class. The classes of
     every cell, in order of first appearance, are packed into blocks of at
-    most `_PACK_AMPLITUDES` amplitudes; each block's diagonals are built just
-    before it is annealed at every T, and each class's P_ans is scored for
-    all its members. Every cell of every rule is checked, request and
-    budgets, before the first instance is drawn; a repeated p, a repeated
-    gamma in one rule's grid and a T list that is not strictly ascending are
-    refused.
+    most `_PACK_AMPLITUDES` amplitudes or one cell's N columns, whichever is
+    more; each block's diagonals are built just before it is annealed at
+    every T, and each class's P_ans is scored for all its members. Every cell
+    of every rule is checked, request and budgets, before the first instance
+    is drawn; a repeated p, a repeated gamma in one rule's grid and a T list
+    that is not positive and strictly ascending are refused.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -215,8 +216,9 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     for rule, gamma_grid in rule_gammas.items():
         if len(set(gamma_grid)) < len(gamma_grid):
             raise ValueError(f"the {rule} bias grid repeats a value: {list(gamma_grid)}")
-    if any(a >= b for a, b in zip(time_list, time_list[1:])):
-        raise ValueError(f"time_list must be strictly ascending, got {list(time_list)}")
+    if not all(a < b for a, b in zip([0.0, *time_list], time_list)):
+        raise ValueError(f"time_list must be positive and strictly ascending, "
+                         f"got {list(time_list)}")
     if not time_list:  # no cell to anneal, so no instance to draw
         return []
     sets = [(rule, p, gi, gamma)
@@ -238,7 +240,8 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
         members.append([classes.setdefault(_class_key(inst), len(classes))
                         for inst in instances])
     keys = list(classes)
-    width = max(1, _PACK_AMPLITUDES >> n)
+    # no block is narrower than one cell's N columns, which the pre-flight admits
+    width = max(_PACK_AMPLITUDES >> n, count)
     p_ans = np.empty((len(keys), len(time_list)))
     for first in range(0, len(keys), width):
         block = keys[first:first + width]

@@ -12,6 +12,7 @@ from hopfield_annealing.ensembles import (
     run_instance,
     success_indicator,
     write_results_csv,
+    _ORDERED_MAX_P,
     _class_key,
     _sweep_cells,
 )
@@ -131,8 +132,12 @@ def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, no_draws):
     (lambda: anneal_time_sweep("exact", 4, [1], "hebb", 0.3, [100.0, 50.0]), "ascending"),
     (lambda: _sweep_cells("exact", 4, [1], {"hebb": [0.1], "storkey": [0.2, 0.2]}, [10.0],
                           2, 0.5, 0.1, 0), "storkey bias grid repeats"),
+    (lambda: anneal_time_sweep("exact", 4, [], "hebb", 0.3, [-1.0]), "positive"),
+    (lambda: bias_sweep("exact", 4, [], "hebb", [0.3], 0.0), "positive"),
+    (lambda: anneal_time_sweep("exact", 4, [1], "hebb", 0.3, [float("nan")]), "positive"),
 ], ids=["p-list", "projection-p-list", "T-list", "sweep-N", "ensemble-N", "three-rules",
-        "repeated-gamma", "repeated-p", "repeated-T", "descending-T", "repeated-rule-gamma"])
+        "repeated-gamma", "repeated-p", "repeated-T", "descending-T", "repeated-rule-gamma",
+        "negative-T-no-p", "zero-T-no-p", "nan-T"])
 def test_sweeps_check_every_cell_before_drawing(sweep, match, no_draws):
     with pytest.raises(ValueError, match=match):
         sweep()
@@ -208,11 +213,14 @@ def _signed_relabelling(inst, rng, reorder):
 def test_class_key_is_invariant_under_signed_relabelling(protocol, rule):
     # a signed qubit permutation leaves H0 and |+>^n unchanged and every rule
     # is equivariant under it, so an instance and its relabelling must share a
-    # class key and a P_ans; Hebb and projection ignore memory order as well
+    # class key and a P_ans; Hebb and projection ignore memory order as well,
+    # which the key tries only up to _ORDERED_MAX_P memories (the n = 6 case
+    # is above it and keeps the drawn order)
     rng = np.random.default_rng(PROTOCOLS.index(protocol) * 3 + LEARNING_RULES.index(rule))
-    for p in range(1, 5):
-        inst = generate_instance(protocol, 4, p, rule, 0.4, 30.0, seed=int(rng.integers(2**63)))
-        other = _signed_relabelling(inst, rng, reorder=rule != "storkey")
+    for n, p in [(4, 1), (4, 2), (4, 3), (4, 4), (6, _ORDERED_MAX_P + 1)]:
+        inst = generate_instance(protocol, n, p, rule, 0.4, 30.0, seed=int(rng.integers(2**63)))
+        reorder = rule != "storkey" and p <= _ORDERED_MAX_P
+        other = _signed_relabelling(inst, rng, reorder=reorder)
         assert _class_key(other) == _class_key(inst)
         assert run_instance(other).p_ans == pytest.approx(run_instance(inst).p_ans,
                                                           abs=1e-12, rel=0)
@@ -275,6 +283,23 @@ def test_packed_sweep_matches_every_instance_annealed_alone(monkeypatch):
                       for inst in instances]
             assert cell.mean_success == np.mean(oracle)
 
+
+def test_class_blocks_are_no_narrower_than_a_cell(monkeypatch):
+    # at n = 8 the amplitude budget holds 25 columns; a cell of 30 instances
+    # in 30 classes (p = 8 memories rarely merge) still anneals as one block
+    import hopfield_annealing.ensembles as ensembles
+
+    columns = []
+    real_anneal = ensembles._anneal
+
+    def anneal(diagonals, targets, anneal_time, dt):
+        columns.append(len(diagonals))
+        return real_anneal(diagonals, targets, anneal_time, dt)
+
+    monkeypatch.setattr(ensembles, "_anneal", anneal)
+    count = (ensembles._PACK_AMPLITUDES >> 8) + 5
+    _sweep_cells("exact", 8, [8], {"hebb": [0.3]}, [1.0], count, 0.5, 0.1, 2)
+    assert columns == [count]
 
 def test_results_csv_format_and_determinism(tmp_path):
     stats = bias_sweep("exact", 4, [2, 1], "hebb", [0.6, 0.2], 60.0, count=3,
