@@ -22,15 +22,25 @@ symmetry-sector idea of exact diagonalization, applied between instances).
 Each class is keyed by its canonical form (`_class_key`), annealed once per
 annealing time with the other classes of the sweep in packed blocks (see
 `evolution.evolve_batch`), and its P_ans is scored for every member.
+
+The blocks of a sweep are independent, so they run on `fork`-started worker
+processes, one per CPU this process may use (`_anneal_classes`). A pooled
+block is narrower than an in-process one, and a block's largest |diagonal|
+sets its Taylor term and split counts, so a pooled P_ans may differ from the
+in-process one by about 1e-11; a thresholded result moves only for an
+instance that close to x.
 """
 
+import os
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from ._atomic import write_csv_atomic
-from .evolution import AnnealSchedule, evolve_batch, DEFAULT_DT, _check_anneal
+from .evolution import (
+    AnnealSchedule, evolve_batch, DEFAULT_DT, _check_anneal, _one_thread_columns,
+)
 from .hamiltonians import ising_hamiltonian, ground_state_mass
 from .instances import ProblemInstance, derive_seed, generate_instance, _validate_request
 from .learning import LEARNING_RULES, weights_for_rule
@@ -59,6 +69,13 @@ DEFAULT_ENSEMBLE_SIZE = 100
 # hold more: 200 columns at n = 5, 25 at n = 8; peak memory stays about one
 # block's diagonals and states
 _PACK_AMPLITUDES = 6400
+# a sweep splits its classes over worker processes only if every block keeps
+# at least this much work, its amplitudes (columns << n) times the steps of
+# all its anneals: below it the pool's start-up (fork, pickling, join; about
+# 20-60 ms) outweighs the halved per-step work. Two workers broke even at
+# 4e5-6e5 (n = 5: 24 columns at T = 50, 2 at T = 1000; n = 8: 2 columns at
+# T = 100); the bound keeps a factor of about 2 for timing noise
+_POOL_MIN_WORK = 1 << 20
 # Hebb and projection class keys try every order of the non-answer memories
 # up to this p, at most 24 orders
 _ORDERED_MAX_P = 5
@@ -146,6 +163,62 @@ def _class_diagonal(key: tuple) -> np.ndarray:
     return _diagonal(rule, form[:-1], form[-1], gamma)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell, which
+    also keeps the fork pool to Linux."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _anneal_block(keys, n: int, time_list, dt: float) -> np.ndarray:
+    """P_ans of each class of `keys` (rows) at each annealing time (columns)."""
+    diagonals = np.stack([_class_diagonal(key) for key in keys])
+    targets = [(1 << n) - 1] * len(keys)  # every canonical target is all +1
+    return np.stack([_anneal(diagonals, targets, T, dt)[1] for T in time_list], axis=1)
+
+
+def _anneal_classes(keys, n: int, time_list, dt: float, width: int,
+                    steps: int) -> np.ndarray:
+    """P_ans of every class at every annealing time, in `keys` order; `steps`
+    is the step count of all the annealing times together.
+
+    In-process, the classes run in blocks of `width` columns. Pooled, they
+    split into near-equal blocks, a multiple of the worker count and none
+    wider than `width` or than OpenBLAS runs on one thread, submitted
+    longest first (Graham's LPT rule; every block runs every T, so columns
+    measure its work) and scattered back in order. A failure in a worker is
+    raised here with its type and message, and no worker outlives the call.
+    The call runs in-process with one usable CPU, where no block is narrow
+    enough (n = 12), or where a block would keep under `_POOL_MIN_WORK`.
+    """
+    workers = _usable_cpus()
+    # two processes that each thread their products over two CPUs ran 3-50
+    # times slower than one (n = 5 at 600 columns, n = 10-12 at 5-56)
+    narrow = min(width, _one_thread_columns(n))
+    blocks = -(-len(keys) // max(narrow, 1))
+    blocks = -(-blocks // workers) * workers
+    if workers == 1 or not narrow or ((len(keys) // blocks) << n) * steps < _POOL_MIN_WORK:
+        return np.concatenate([_anneal_block(keys[first:first + width], n, time_list, dt)
+                               for first in range(0, len(keys), width)])
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    edges = [len(keys) * b // blocks for b in range(blocks + 1)]
+    spans = sorted(zip(edges, edges[1:]), key=lambda span: span[0] - span[1])
+    p_ans = np.empty((len(keys), len(time_list)))
+    # fork, not spawn: spawn re-imports __main__, which breaks scripts that
+    # sweep at top level. The executor forks its workers before it starts
+    # its own threads, and OpenBLAS rebuilds its thread pool after a fork.
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        futures = [pool.submit(_anneal_block, keys[a:b], n, time_list, dt) for a, b in spans]
+        try:
+            for (a, b), future in zip(spans, futures):
+                p_ans[a:b] = future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # queued blocks never start
+            raise
+    return p_ans
+
+
 def _anneal(diagonals, targets, anneal_time: float, dt: float):
     """Final states of a linear anneal per row of `diagonals`, and each row's P_ans."""
     states = evolve_batch(diagonals, AnnealSchedule.linear(anneal_time), dt)
@@ -200,11 +273,12 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     instance set is drawn once and keyed by symmetry class. The classes of
     every cell, in order of first appearance, are packed into blocks of at
     most `_PACK_AMPLITUDES` amplitudes or one cell's N columns, whichever is
-    more; each block's diagonals are built just before it is annealed at
-    every T, and each class's P_ans is scored for all its members. Every cell
-    of every rule is checked, request and budgets, before the first instance
-    is drawn; a repeated p, a repeated gamma in one rule's grid and a T list
-    that is not positive and strictly ascending are refused.
+    more, and the blocks run in-process or on one forked worker per usable
+    CPU (`_anneal_classes`); each block's diagonals are built just before it
+    is annealed at every T, and each class's P_ans is scored for all its
+    members. Every cell of every rule is checked, request and budgets, before
+    the first instance is drawn; a repeated p, a repeated gamma in one rule's
+    grid and a T list that is not positive and strictly ascending are refused.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -228,8 +302,8 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     for rule, p, _, gamma in sets:
         for anneal_time in time_list:
             _validate_request(n, p, rule, gamma, anneal_time)
-    for anneal_time in time_list:  # the pre-flight reads no rule, p or gamma
-        _check_anneal(n, count, anneal_time, dt)
+    # the pre-flight reads no rule, p or gamma; its steps size the pool's blocks
+    steps = sum(_check_anneal(n, count, anneal_time, dt) for anneal_time in time_list)
     classes = {}  # class key -> class id, in order of first appearance
     members = []  # per instance set, the class id of each instance
     for rule, p, gi, gamma in sets:
@@ -239,16 +313,10 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
                      for i in range(count))
         members.append([classes.setdefault(_class_key(inst), len(classes))
                         for inst in instances])
-    keys = list(classes)
-    # no block is narrower than one cell's N columns, which the pre-flight admits
+    # no in-process block is narrower than one cell's N columns, which the
+    # pre-flight admits
     width = max(_PACK_AMPLITUDES >> n, count)
-    p_ans = np.empty((len(keys), len(time_list)))
-    for first in range(0, len(keys), width):
-        block = keys[first:first + width]
-        diagonals = np.stack([_class_diagonal(key) for key in block])
-        targets = [(1 << n) - 1] * len(block)  # every canonical target is all +1
-        for ti, anneal_time in enumerate(time_list):
-            p_ans[first:first + len(block), ti] = _anneal(diagonals, targets, anneal_time, dt)[1]
+    p_ans = _anneal_classes(list(classes), n, time_list, dt, width, steps)
     stats = []
     for (rule, p, _, gamma), ids in zip(sets, members):
         for ti, anneal_time in enumerate(time_list):

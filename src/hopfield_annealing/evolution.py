@@ -57,6 +57,10 @@ _STEP_TOL = 1e-14
 _KMAX = 45
 _THETA = 3.5
 _LOGFACT = np.cumsum(np.log(np.arange(1, _KMAX + 2)))
+# log((K+1)!) for K = 1.._KMAX and log(_STEP_TOL) as Python floats, so the
+# term search runs as scalar arithmetic with no array built per step
+_LOGFACT_TERMS = _LOGFACT[1 : _KMAX + 1].tolist()
+_LOG_STEP_TOL = float(np.log(_STEP_TOL))
 
 # largest change of the final overlap accepted when dt is halved
 _HALVING_TOL = 1e-6
@@ -65,6 +69,10 @@ _HALVING_TOL = 1e-6
 # Kronecker split over the lowest _LOW_QUBITS qubits and the rest
 _DENSE_MAX_QUBITS = 6
 _LOW_QUBITS = 5
+
+# OpenBLAS runs a GEMM of m*n*k multiply-adds on one thread below twice its
+# threshold (GEMM_MULTITHREAD_THRESHOLD 4 x SMP_THRESHOLD_MIN 65536)
+_BLAS_ONE_THREAD_MNK = 2 * 4 * 65536
 
 # most propagator sub-steps one anneal may take: 200 times the longest run of
 # the acceptance criteria (T = 5000 at dt = 0.1, 5e4 one-split steps)
@@ -105,16 +113,31 @@ def _taylor_terms(rho: float) -> int:
     """Smallest K with rho^(K+1) / (K+1)! <= _STEP_TOL (remainder bound)."""
     if rho <= 0.0:
         return 1
-    ks = np.arange(1, _KMAX + 1)
-    log_rem = (ks + 1) * np.log(rho) - _LOGFACT[1 : _KMAX + 1]
-    hits = np.flatnonzero(log_rem <= np.log(_STEP_TOL))
-    return int(ks[hits[0]]) if hits.size else _KMAX
+    log_rho = float(np.log(rho))  # numpy's log: math.log differs in the last bit
+    for k, log_fact in enumerate(_LOGFACT_TERMS, start=1):
+        if (k + 1) * log_rho - log_fact <= _LOG_STEP_TOL:
+            return k
+    return _KMAX
 
 
 def _splits(rho: float) -> float:
     """Equal sub-steps that keep the norm bound `rho` of one step under
     _THETA each, as a Python float (inf when rho overflows)."""
     return max(1.0, float(np.ceil(rho / _THETA)))
+
+
+def _one_thread_columns(n: int) -> int:
+    """Most columns a block of n-qubit states may hold while every driver
+    product of a step stays under `_BLAS_ONE_THREAD_MNK` multiply-adds; 0 if
+    one column is already over. Dense, the product is (2^n x 2^n) @ (2^n x
+    2M); split, it is (32 x 32) @ (32 x 2M) per high index and (h x h) @
+    (h x 32 * 2M) with h = 2^(n - 5)."""
+    if n <= _DENSE_MAX_QUBITS:
+        per_column = 2 * 4**n
+    else:
+        high = 2 ** (n - _LOW_QUBITS)
+        per_column = max(2 * 4**_LOW_QUBITS, high * high * 2**(_LOW_QUBITS + 1))
+    return (_BLAS_ONE_THREAD_MNK - 1) // per_column
 
 
 def _check_anneal(n: int, count: int, total_time: float, dt: float,
@@ -149,7 +172,7 @@ class _BatchPropagator:
     the n = log2(dim) qubit register is built here, dense up to
     _DENSE_MAX_QUBITS and as the Kronecker split above. `steps` is the
     pre-flight's count for [0, total_time]; the buffers, allocated after it,
-    are reused per step.
+    are reused per step, the scaled driver a*H0 and problem b*diag included.
     """
 
     def __init__(self, diagonals: np.ndarray, total_time: float, dt: float):
@@ -163,12 +186,16 @@ class _BatchPropagator:
         self.d2 = np.repeat(d, 2, axis=1)  # matches the re/im interleaved view
         self.term = np.empty((self.dim, count), dtype=complex)
         self.work = np.empty_like(self.term)
+        self.b_d2 = np.empty_like(self.d2)
         if self.n <= _DENSE_MAX_QUBITS:
             self.h0 = _transverse_field_cached(self.n)
+            self.a_h0 = np.empty_like(self.h0)
             return
         # H0(n) = I (x) H0(low) + H0(high) (x) I on the index s = hi * 2^low + lo
         self.h0_low = _transverse_field_cached(_LOW_QUBITS)
         self.h0_high = _transverse_field_cached(self.n - _LOW_QUBITS)
+        self.a_low = np.empty_like(self.h0_low)
+        self.a_high = np.empty_like(self.h0_high)
         self.high_part = np.empty_like(self.term)
 
     def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
@@ -183,15 +210,16 @@ class _BatchPropagator:
         psi_v = psi.view(np.float64)
         dense = self.n <= _DENSE_MAX_QUBITS
         if dense:
-            a_h0 = a * self.h0
+            a_h0 = np.multiply(self.h0, a, out=self.a_h0)
         else:
-            a_low, a_high = a * self.h0_low, a * self.h0_high
+            a_low = np.multiply(self.h0_low, a, out=self.a_low)
+            a_high = np.multiply(self.h0_high, a, out=self.a_high)
             high_v = self.high_part.view(np.float64)
             # views of the contiguous buffers: (hi, lo, 2M) and (hi, lo * 2M)
             blocks = (a_high.shape[0], a_low.shape[0], -1)
             term_low, work_low = term_v.reshape(blocks), work_v.reshape(blocks)
             term_high, high_part = term_v.reshape(blocks[0], -1), high_v.reshape(blocks[0], -1)
-        b_d2 = b * self.d2
+        b_d2 = np.multiply(self.d2, b, out=self.b_d2)
         for _ in range(int(splits)):
             np.copyto(term, psi)
             for k in range(1, n_terms + 1):

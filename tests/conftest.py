@@ -1,4 +1,11 @@
-"""Shared test plumbing: acceptance-criterion result collection."""
+"""Shared test plumbing: acceptance-criterion result collection and the
+worker-pool fixtures of the sweep tests."""
+
+import concurrent.futures
+
+import pytest
+
+import hopfield_annealing.ensembles as ensembles
 
 # (criterion id, title, passed, detail) tuples registered by test_acceptance
 ACCEPTANCE_RESULTS = []
@@ -20,3 +27,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" ({detail})"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Sweeps plan for two worker processes, whatever CPUs the test may use."""
+    monkeypatch.setattr(ensembles, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def no_pool(monkeypatch, two_cpus):
+    """Fail the test if a sweep starts a worker pool, though two CPUs are usable."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a sweep started a worker pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each pool a sweep starts, in order."""
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            started.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started

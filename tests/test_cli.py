@@ -128,6 +128,7 @@ def test_config_echo_holds_only_read_options_and_round_trips(tmp_path, capsys, c
 
 # options a command does not read, and abbreviations of options it does: argparse
 # would otherwise take `anneal-sweep --T` as --T-list and `bias-sweep --p` as --p-list
+@pytest.mark.usefixtures("no_pool")  # fails fast, with no worker pool
 @pytest.mark.parametrize("command, flag", [
     ("spectrum", "--dt"), ("spectrum", "--N"), ("spectrum", "--x"), ("spectrum", "--protocol"),
     ("recall", "--N"),
@@ -225,6 +226,7 @@ def test_runaway_anneal_is_fast_usage_error(tmp_path, capsys, argv):
 # first cell or rule that runs: each is refused before any work. The huge
 # registers ask for allocations the system refuses at once, so a missing
 # check shows as a MemoryError rather than as a long run.
+@pytest.mark.usefixtures("no_pool")  # fails fast, with no worker pool
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--samples", "1000000000000"],
     ["spectrum", "--samples", "40001"],
@@ -298,6 +300,7 @@ def test_non_finite_classical_energy_is_fast_numerical_failure(tmp_path, capsys)
 # memory set as --memories does; and list options that leave the run nothing to
 # do: an empty list, a repeated value, or f10's one annealing time where it
 # compares several
+@pytest.mark.usefixtures("no_pool")  # fails fast, with no worker pool
 @pytest.mark.parametrize("argv, flag", [
     (["recall", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
     (["classical", "--n", "4", "--p", "1", "--input", "1,1,1,1"], "--input"),
@@ -363,6 +366,7 @@ def test_ignored_option_is_fast_usage_error(tmp_path, capsys, argv, flag):
 
 
 # an output directory that cannot be made: refused before the sweep runs
+@pytest.mark.usefixtures("no_pool")  # fails fast, with no worker pool
 @pytest.mark.parametrize("out", ["", "afile", "afile/x", "a\0b"],
                          ids=["empty", "file", "under-file", "nul-byte"])
 def test_unusable_out_is_fast_usage_error(tmp_path, capsys, monkeypatch, out):
@@ -544,6 +548,7 @@ def test_check_dt_flags_unconverged_step(tmp_path, capsys):
     assert "halving" in err or "overlap" in err
 
 
+@pytest.mark.usefixtures("no_pool")  # fails fast, with no worker pool
 @pytest.mark.parametrize("argv, flag", [
     (["recall", "--n", "5", "--p", "3", "--T", "inf"], "--T"),
     (["recall", "--n", "5", "--p", "3", "--dt", "inf"], "--dt"),

@@ -5,7 +5,7 @@ Whatever the input, `main` must return 0, 2 or 3 without letting an exception
 escape; a usage error (2) must come back in under a second; a runaway size
 (10^12 instances, samples or annealing time) must be such a usage error; and a
 successful run's `config.json` must parse back to the configuration that
-produced it.
+produced it. No run is large enough to start the sweep worker pool.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ import time
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hopfield_annealing.cli import COMMANDS, _COMMAND_PARAMS, _FIGURE_PARAMS, main, parse_config
@@ -111,6 +112,7 @@ def _write_config(path: Path, command, entries: dict, junk) -> None:
     path.write_text(json.dumps(body))
 
 
+@pytest.mark.usefixtures("no_pool")  # fuzz-sized sweeps run in-process
 @settings(max_examples=600, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])

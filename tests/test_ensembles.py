@@ -1,8 +1,17 @@
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hopfield_annealing.ensembles as ensembles
+from hopfield_annealing import evolution
 from hopfield_annealing.ensembles import (
     DEFAULT_THRESHOLD,
     RESULTS_HEADER,
@@ -287,8 +296,7 @@ def test_packed_sweep_matches_every_instance_annealed_alone(monkeypatch):
 def test_class_blocks_are_no_narrower_than_a_cell(monkeypatch):
     # at n = 8 the amplitude budget holds 25 columns; a cell of 30 instances
     # in 30 classes (p = 8 memories rarely merge) still anneals as one block
-    import hopfield_annealing.ensembles as ensembles
-
+    # in-process; split over two workers it runs as two blocks of 15
     columns = []
     real_anneal = ensembles._anneal
 
@@ -297,9 +305,185 @@ def test_class_blocks_are_no_narrower_than_a_cell(monkeypatch):
         return real_anneal(diagonals, targets, anneal_time, dt)
 
     monkeypatch.setattr(ensembles, "_anneal", anneal)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)  # the plan, not its bound
     count = (ensembles._PACK_AMPLITUDES >> 8) + 5
-    _sweep_cells("exact", 8, [8], {"hebb": [0.3]}, [1.0], count, 0.5, 0.1, 2)
-    assert columns == [count]
+    for workers, blocks in [(1, [count]), (2, [count // 2] * 2)]:
+        columns.clear()
+        monkeypatch.setattr(ensembles, "_usable_cpus", lambda: workers)
+        _sweep_cells("exact", 8, [8], {"hebb": [0.3]}, [1.0], count, 0.5, 0.1, 2)
+        assert columns == blocks
+
+
+class _InlinePool:
+    """A stand-in for the process pool that runs each block as it is submitted,
+    so a test sees the pooled block plan in its own process."""
+
+    def __init__(self, workers, mp_context=None):
+        self.workers = workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, n, count", [(2, 5, 30), (3, 5, 30), (2, 6, 28)])
+def test_pooled_blocks_are_near_equal_and_longest_first(monkeypatch, workers, n, count):
+    # 3 rules x p in {4, 5} x N instances give nearly 6 N classes: with the
+    # work bound lifted they split into near-equal blocks, a multiple of the
+    # worker count and none wider than OpenBLAS runs on one thread (63
+    # columns at n = 6, where two halves would be wider), submitted widest
+    # first and scattered back in class order (the in-process run scores
+    # each class the same to 1e-10)
+    columns, results = [], []
+    real_anneal, real_classes = ensembles._anneal, ensembles._anneal_classes
+
+    def anneal(diagonals, targets, anneal_time, dt):
+        columns.append(len(diagonals))
+        return real_anneal(diagonals, targets, anneal_time, dt)
+
+    def anneal_classes(*args):
+        results.append(real_classes(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ensembles, "_anneal", anneal)
+    monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)
+    rule_gammas = dict.fromkeys(LEARNING_RULES, [0.3])
+    plans = []
+    for cpus in (1, workers):
+        monkeypatch.setattr(ensembles, "_usable_cpus", lambda: cpus)
+        columns.clear()
+        _sweep_cells("noisy", n, [4, 5], rule_gammas, [2.0], count, 0.5, 0.1, 4)
+        plans.append(list(columns))
+    (in_process, pooled), (serial_plan, columns) = results, plans
+    classes = len(in_process)
+    width = max(ensembles._PACK_AMPLITUDES >> n, count)
+    assert serial_plan == [min(width, classes - first) for first in range(0, classes, width)]
+    assert len(columns) % workers == 0 and sum(columns) == classes
+    assert columns == sorted(columns, reverse=True) and columns[0] - columns[-1] <= 1
+    assert columns[0] <= evolution._one_thread_columns(n)
+    assert np.max(np.abs(pooled - in_process)) <= 1e-10
+
+
+def test_pooled_and_in_process_sweeps_agree(monkeypatch, tmp_path, pools):
+    # a two-rule, two-T call at one and two workers: byte-identical results
+    # CSVs, every class's P_ans (and so every instance's) within 1e-10, the
+    # same bits from two runs at one worker count, and no worker left behind
+    results = []
+    real_classes = ensembles._anneal_classes
+
+    def anneal_classes(*args):
+        results.append(real_classes(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
+    monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)  # short anneals keep it quick
+    runs = {}
+    for workers in (1, 2, 1, 2):
+        monkeypatch.setattr(ensembles, "_usable_cpus", lambda: workers)
+        stats = _sweep_cells("exact", 5, [4, 5], {"hebb": [0.3], "storkey": [0.2]},
+                             [5.0, 12.0], 40, DEFAULT_THRESHOLD, 0.1, 3)
+        assert multiprocessing.active_children() == []
+        path = tmp_path / f"run{len(results)}.csv"
+        write_results_csv(stats, path)
+        runs.setdefault(workers, []).append((path.read_bytes(), results[-1]))
+    assert pools == [2, 2]
+    (csv_a, serial_a), (csv_b, serial_b) = runs[1]
+    (csv_c, pooled_c), (csv_d, pooled_d) = runs[2]
+    assert csv_a == csv_b == csv_c == csv_d
+    assert np.array_equal(serial_a, serial_b) and np.array_equal(pooled_c, pooled_d)
+    assert np.max(np.abs(serial_a - pooled_c)) <= 1e-10
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_worker_failure_keeps_its_type_and_exit_code(monkeypatch, tmp_path, capsys, pools):
+    # a FloatingPointError raised in a worker reaches the caller with its type
+    # and message, so the CLI still exits 3; no worker outlives the failure
+    from hopfield_annealing.cli import main
+
+    parent, real_diagonal = os.getpid(), ensembles._class_diagonal
+
+    def diagonal(key):
+        if os.getpid() != parent:
+            raise FloatingPointError("problem Hamiltonian is not finite in a worker")
+        return real_diagonal(key)
+
+    monkeypatch.setattr(ensembles, "_class_diagonal", diagonal)
+    monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)
+    with pytest.raises(FloatingPointError, match="not finite in a worker"):
+        _sweep_cells("exact", 5, [4, 5], {"hebb": [0.3]}, [5.0], 40, 0.5, 0.1, 3)
+    assert multiprocessing.active_children() == []
+    code = main(["bias-sweep", "--n", "5", "--p-list", "4,5", "--gamma-grid", "0.3",
+                 "--N", "40", "--T", "5", "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "not finite in a worker" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert pools == [2, 2]
+
+
+@pytest.mark.usefixtures("no_pool")
+def test_small_sweeps_run_in_process(monkeypatch):
+    # fuzz-sized sweeps, and one of about 170 classes whose short anneals
+    # (50 steps) would leave each of two blocks under _POOL_MIN_WORK, never
+    # start a pool; nor does one at n = 12, whatever its work, where even one
+    # column is too wide for OpenBLAS to run its products on one thread
+    bias_sweep("exact", 4, [1, 2], "hebb", [0.0, 1.0], 5.0, count=2)
+    anneal_time_sweep("noisy", 3, [1], "storkey", 0.5, [1.0, 2.0], count=2)
+    stats = bias_sweep("exact", 5, [4, 5], "hebb", [0.3], 5.0, count=100, master_seed=3)
+    assert [s.count for s in stats] == [100, 100]
+    monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)
+    bias_sweep("noisy", 12, [3], "hebb", [0.3], 0.2, count=3)
+
+
+def test_script_without_main_guard_runs_the_pool(tmp_path, monkeypatch):
+    # a script that sweeps at module top level, as the demos do: fork starts
+    # the workers without re-running it (spawn and forkserver would), so it
+    # exits 0 with the in-process results CSV
+    script = tmp_path / "sweep.py"
+    script.write_text(textwrap.dedent("""
+        import concurrent.futures
+        import sys
+
+        import hopfield_annealing.ensembles as ensembles
+
+        started = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                started.append(workers)
+                super().__init__(workers, **kwargs)
+
+        concurrent.futures.ProcessPoolExecutor = Counted
+        ensembles._usable_cpus = lambda: 2
+        stats = ensembles.bias_sweep("exact", 5, [4, 5], "hebb", [0.3], 200.0, count=40,
+                                     master_seed=3)
+        ensembles.write_results_csv(stats, sys.argv[1])
+        assert started == [2], started
+    """))
+    src = Path(ensembles.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    pooled = tmp_path / "pooled.csv"
+    done = subprocess.run([sys.executable, str(script), str(pooled)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    monkeypatch.setattr(ensembles, "_usable_cpus", lambda: 1)
+    write_results_csv(bias_sweep("exact", 5, [4, 5], "hebb", [0.3], 200.0, count=40,
+                                 master_seed=3), tmp_path / "in_process.csv")
+    assert pooled.read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+
 
 def test_results_csv_format_and_determinism(tmp_path):
     stats = bias_sweep("exact", 4, [2, 1], "hebb", [0.6, 0.2], 60.0, count=3,

@@ -154,6 +154,62 @@ def test_step_outside_window_rejected():
                     schedule, 0.95, 0.2)
 
 
+def _taylor_terms_by_array(rhos):
+    """Term counts of the array search the propagator used to run per step,
+    `(k + 1) * log(rho) - log((k + 1)!) <= log(tol)` over k = 1.._KMAX,
+    with the same float operations vectorised over rho as well."""
+    kmax = evolution._KMAX
+    ks = np.arange(1, kmax + 1)
+    rhos = np.asarray(rhos, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_rem = (ks + 1) * np.log(rhos)[:, None] - evolution._LOGFACT[1:kmax + 1]
+    hits = log_rem <= np.log(evolution._STEP_TOL)
+    terms = np.where(hits.any(axis=1), ks[hits.argmax(axis=1)], kmax)
+    return np.where(rhos <= 0.0, 1, terms)
+
+
+def test_taylor_terms_match_the_array_search():
+    # 10^6 norm bounds over [0, 2 * _THETA] (a step's bound is at most
+    # _THETA), then both float neighbours of every point where the count
+    # steps up, found by bisecting the float bits of positive rho
+    rng = np.random.default_rng(12)
+    rhos = np.concatenate([[0.0, 2 * evolution._THETA],
+                           rng.uniform(0.0, 2 * evolution._THETA, 10**6)])
+    expected = np.concatenate([_taylor_terms_by_array(chunk)
+                               for chunk in np.array_split(rhos, 20)])
+    assert [evolution._taylor_terms(float(r)) for r in rhos] == expected.tolist()
+    order = np.argsort(rhos)
+    ranked, terms = rhos[order], expected[order]
+    for i in np.flatnonzero(np.diff(terms)):
+        lo, hi = ranked[i:i + 2].view(np.int64).tolist()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            below = _taylor_terms_by_array([np.int64(mid).view(float)])[0] == terms[i]
+            lo, hi = (mid, hi) if below else (lo, mid)
+        for bits in (lo, hi):
+            rho = float(np.int64(bits).view(float))
+            assert evolution._taylor_terms(rho) == _taylor_terms_by_array([rho])[0]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_thread_columns_bound_every_driver_product(n):
+    # multiply-adds of each matrix product a step runs, read off the
+    # propagator's own operands: under OpenBLAS's one-thread bound at the
+    # returned width, and not at one column more
+    def largest_product(columns):
+        prop = evolution._BatchPropagator(np.zeros((1 << n, columns)), 0.1, 0.1)
+        term_v = prop.term.view(np.float64)  # (2^n, 2M)
+        if n <= evolution._DENSE_MAX_QUBITS:
+            return prop.h0.size * term_v.shape[1]
+        low, high = prop.h0_low.shape[0], prop.h0_high.shape[0]
+        return max(low * low * term_v.shape[1], high * term_v.size)
+
+    width = evolution._one_thread_columns(n)
+    if width:
+        assert largest_product(width) < evolution._BLAS_ONE_THREAD_MNK
+    assert largest_product(width + 1) >= evolution._BLAS_ONE_THREAD_MNK
+
+
 # -- evolve_batch -------------------------------------------------------------------
 
 def test_single_memory_recall_probability():
