@@ -29,7 +29,7 @@ from .ensembles import (
 )
 from .evolution import AnnealSchedule, ConvergenceError, DEFAULT_DT, check_halving
 from .hamiltonians import MAX_QUBITS, ising_hamiltonian, transverse_field_hamiltonian
-from .instances import PROTOCOLS, ProblemInstance, generate_instance
+from .instances import PROTOCOLS, ProblemInstance, generate_instance, _integer
 from .learning import LEARNING_RULES, SingularCovarianceError, weights_for_rule
 from .memio import (
     FIGURE_IDS,
@@ -62,13 +62,6 @@ def _list_of(convert):
             value = str(value).replace(",", " ").split()
         return [convert(v) for v in value]
     return parse
-
-
-def _integer(value) -> int:
-    """int() that rejects booleans and non-integral numbers instead of truncating."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 # a check is (predicate, message); the message is formatted with the value as {v}

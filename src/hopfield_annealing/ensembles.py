@@ -23,16 +23,18 @@ Each class is keyed by its canonical form (`_class_key`), annealed once per
 annealing time with the other classes of the sweep in packed blocks (see
 `evolution.evolve_batch`), and its P_ans is scored for every member.
 
-The blocks of a sweep are independent, so they run on `fork`-started worker
-processes, one per CPU this process may use (`_anneal_classes`). A pooled
-block is narrower than an in-process one, and a block's largest |diagonal|
-sets its Taylor term and split counts, so a pooled P_ans may differ from the
-in-process one by about 1e-11; a thresholded result moves only for an
-instance that close to x.
+A sweep has one block plan (`_anneal_classes`): its classes split, in class
+order and with no longest-first order, into near-equal blocks that run
+in-process or on `fork`-started workers, one per usable CPU.
+A pooled block is narrower than an in-process one, and a block's largest
+|diagonal| sets its Taylor term and split counts, so a pooled P_ans may
+differ from the in-process one by about 1e-11; a thresholded result moves
+only for an instance that close to x.
 """
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -42,7 +44,7 @@ from .evolution import (
     AnnealSchedule, evolve_batch, DEFAULT_DT, _check_anneal, _one_thread_columns,
 )
 from .hamiltonians import ising_hamiltonian, ground_state_mass
-from .instances import ProblemInstance, derive_seed, generate_instance, _validate_request
+from .instances import ProblemInstance, derive_seed, generate_instance, _integer, _validate_request
 from .learning import LEARNING_RULES, weights_for_rule
 from .network import BiasSpec
 from .patterns import pattern_to_index
@@ -176,47 +178,43 @@ def _anneal_block(keys, n: int, time_list, dt: float) -> np.ndarray:
     return np.stack([_anneal(diagonals, targets, T, dt)[1] for T in time_list], axis=1)
 
 
-def _anneal_classes(keys, n: int, time_list, dt: float, width: int,
+def _anneal_classes(keys, n: int, time_list, dt: float, count: int,
                     steps: int) -> np.ndarray:
     """P_ans of every class at every annealing time, in `keys` order; `steps`
     is the step count of all the annealing times together.
 
-    In-process, the classes run in blocks of `width` columns. Pooled, they
-    split into near-equal blocks, a multiple of the worker count and none
-    wider than `width` or than OpenBLAS runs on one thread, submitted
-    longest first (Graham's LPT rule; every block runs every T, so columns
-    measure its work) and scattered back in order. A failure in a worker is
-    raised here with its type and message, and no worker outlives the call.
-    The call runs in-process with one usable CPU, where no block is narrow
-    enough (n = 12), or where a block would keep under `_POOL_MIN_WORK`.
+    One plan for both paths: the classes split, in class order, into the
+    fewest near-equal blocks, a multiple of the worker count, none wider
+    than `_PACK_AMPLITUDES` amplitudes or one cell's `count` columns,
+    whichever is more, and pooled none wider than OpenBLAS runs on one
+    thread. They run in-process with one usable CPU, where no block is
+    narrow enough (n = 12), or where a pooled block would keep under
+    `_POOL_MIN_WORK`. A worker's failure is raised here with its type and
+    message, blocks not yet handed to a worker never start, and no worker
+    outlives the call.
     """
-    workers = _usable_cpus()
+    # a block may hold one cell's N columns, which the pre-flight admits
+    width = max(_PACK_AMPLITUDES >> n, count)
     # two processes that each thread their products over two CPUs ran 3-50
     # times slower than one (n = 5 at 600 columns, n = 10-12 at 5-56)
-    narrow = min(width, _one_thread_columns(n))
-    blocks = -(-len(keys) // max(narrow, 1))
-    blocks = -(-blocks // workers) * workers
-    if workers == 1 or not narrow or ((len(keys) // blocks) << n) * steps < _POOL_MIN_WORK:
-        return np.concatenate([_anneal_block(keys[first:first + width], n, time_list, dt)
-                               for first in range(0, len(keys), width)])
+    workers, cap = _usable_cpus(), min(width, _one_thread_columns(n))
+    blocks = workers * -(-len(keys) // (workers * max(cap, 1)))
+    if workers == 1 or not cap or ((len(keys) // blocks) << n) * steps < _POOL_MIN_WORK:
+        workers, blocks = 1, -(-len(keys) // width)
+    edges = [len(keys) * b // blocks for b in range(blocks + 1)]
+    anneal = partial(_anneal_block, n=n, time_list=time_list, dt=dt)
+    spans = [keys[a:b] for a, b in zip(edges, edges[1:])]
+    if workers == 1:
+        return np.concatenate(list(map(anneal, spans)))
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    edges = [len(keys) * b // blocks for b in range(blocks + 1)]
-    spans = sorted(zip(edges, edges[1:]), key=lambda span: span[0] - span[1])
-    p_ans = np.empty((len(keys), len(time_list)))
     # fork, not spawn: spawn re-imports __main__, which breaks scripts that
     # sweep at top level. The executor forks its workers before it starts
     # its own threads, and OpenBLAS rebuilds its thread pool after a fork.
+    # When a block raises, map cancels every block it has not yet yielded.
     with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-        futures = [pool.submit(_anneal_block, keys[a:b], n, time_list, dt) for a, b in spans]
-        try:
-            for (a, b), future in zip(spans, futures):
-                p_ans[a:b] = future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # queued blocks never start
-            raise
-    return p_ans
+        return np.concatenate(list(pool.map(anneal, spans)))
 
 
 def _anneal(diagonals, targets, anneal_time: float, dt: float):
@@ -271,20 +269,20 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     index) draw the same instances, and projection cells differ only where
     that rule rejects a memory set and redraws. Each (rule, p, gamma)
     instance set is drawn once and keyed by symmetry class. The classes of
-    every cell, in order of first appearance, are packed into blocks of at
-    most `_PACK_AMPLITUDES` amplitudes or one cell's N columns, whichever is
-    more, and the blocks run in-process or on one forked worker per usable
-    CPU (`_anneal_classes`); each block's diagonals are built just before it
-    is annealed at every T, and each class's P_ans is scored for all its
+    every cell, in order of first appearance, split into near-equal blocks
+    that run in-process or on one forked worker per usable CPU
+    (`_anneal_classes`); each block's diagonals are built just before it is
+    annealed at every T, and each class's P_ans is scored for all its
     members. Every cell of every rule is checked, request and budgets, before
-    the first instance is drawn; a repeated p, a repeated gamma in one rule's
-    grid and a T list that is not positive and strictly ascending are refused.
+    the first instance is drawn; a p or N that is not an integer, a repeated
+    p, a repeated gamma in one rule's grid and a T list that is not positive
+    and strictly ascending are refused. A sweep with no cell returns [].
     """
+    count, p_list = _integer(count), [_integer(p) for p in p_list]
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"threshold x must lie in [0, 1], got {x}")
-    p_list = [int(p) for p in p_list]
     if len(set(p_list)) < len(p_list):
         raise ValueError(f"p_list repeats a value: {p_list}")
     for rule, gamma_grid in rule_gammas.items():
@@ -293,17 +291,18 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     if not all(a < b for a, b in zip([0.0, *time_list], time_list)):
         raise ValueError(f"time_list must be positive and strictly ascending, "
                          f"got {list(time_list)}")
-    if not time_list:  # no cell to anneal, so no instance to draw
-        return []
     sets = [(rule, p, gi, gamma)
             for rule, gamma_grid in rule_gammas.items()
             for p in p_list
             for gi, gamma in enumerate(gamma_grid)]
     for rule, p, _, gamma in sets:
-        for anneal_time in time_list:
-            _validate_request(n, p, rule, gamma, anneal_time)
+        # T = 1 stands in for every T: the request's only check on T is
+        # T > 0, which the ascending check above has made
+        _validate_request(n, p, rule, gamma, 1.0)
     # the pre-flight reads no rule, p or gamma; its steps size the pool's blocks
     steps = sum(_check_anneal(n, count, anneal_time, dt) for anneal_time in time_list)
+    if not sets or not time_list:  # no cell to anneal, so no instance to draw
+        return []
     classes = {}  # class key -> class id, in order of first appearance
     members = []  # per instance set, the class id of each instance
     for rule, p, gi, gamma in sets:
@@ -313,10 +312,7 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
                      for i in range(count))
         members.append([classes.setdefault(_class_key(inst), len(classes))
                         for inst in instances])
-    # no in-process block is narrower than one cell's N columns, which the
-    # pre-flight admits
-    width = max(_PACK_AMPLITUDES >> n, count)
-    p_ans = _anneal_classes(list(classes), n, time_list, dt, width, steps)
+    p_ans = _anneal_classes(list(classes), n, time_list, dt, count, steps)
     stats = []
     for (rule, p, _, gamma), ids in zip(sets, members):
         for ti, anneal_time in enumerate(time_list):

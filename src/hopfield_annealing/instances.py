@@ -133,6 +133,13 @@ class ProblemInstance:
         return self.answer
 
 
+def _integer(value) -> int:
+    """int() that rejects booleans and non-integral numbers instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _validate_request(n: int, p: int, rule: str, gamma: float, anneal_time: float) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

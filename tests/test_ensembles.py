@@ -1,9 +1,11 @@
 import concurrent.futures
+import itertools
 import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -113,6 +115,8 @@ def no_draws(monkeypatch):
     ({"count": 0}, "count"),
     ({"x": 2.0}, "threshold"),
     ({"x": float("nan")}, "threshold"),
+    ({"count": 2.5}, "integer"),
+    ({"count": True}, "integer"),
 ])
 def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, no_draws):
     args = dict(count=2, x=0.5)
@@ -144,12 +148,27 @@ def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, no_draws):
     (lambda: anneal_time_sweep("exact", 4, [], "hebb", 0.3, [-1.0]), "positive"),
     (lambda: bias_sweep("exact", 4, [], "hebb", [0.3], 0.0), "positive"),
     (lambda: anneal_time_sweep("exact", 4, [1], "hebb", 0.3, [float("nan")]), "positive"),
+    (lambda: run_ensemble("exact", 4, 1.5, "hebb", 0.3, 20.0), "integer, got 1.5"),
+    (lambda: bias_sweep("exact", 4, [1, True], "hebb", [0.3], 20.0), "integer, got True"),
 ], ids=["p-list", "projection-p-list", "T-list", "sweep-N", "ensemble-N", "three-rules",
         "repeated-gamma", "repeated-p", "repeated-T", "descending-T", "repeated-rule-gamma",
-        "negative-T-no-p", "zero-T-no-p", "nan-T"])
+        "negative-T-no-p", "zero-T-no-p", "nan-T", "fractional-p", "bool-p"])
 def test_sweeps_check_every_cell_before_drawing(sweep, match, no_draws):
     with pytest.raises(ValueError, match=match):
         sweep()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweeps_without_cells_return_no_rows(monkeypatch, no_draws, no_pool, cpus):
+    # an empty p list, bias grid, T list or rule map is a sweep of no cells:
+    # it is checked like any other, then returns no rows, drawing nothing
+    monkeypatch.setattr(ensembles, "_usable_cpus", lambda: cpus)
+    assert bias_sweep("exact", 5, [], "hebb", [0.1], 10.0) == []
+    assert bias_sweep("exact", 5, [1], "hebb", [], 10.0) == []
+    assert anneal_time_sweep("exact", 5, [1], "hebb", 0.1, []) == []
+    assert _sweep_cells("exact", 5, [1], {}, [10.0], 10, 0.5, 0.1, 0) == []
+    with pytest.raises(ValueError, match="sub-steps"):
+        bias_sweep("exact", 5, [], "hebb", [0.1], 1e9)
 
 
 def test_bias_sweep_layout_and_reseeding():
@@ -305,7 +324,7 @@ def test_class_blocks_are_no_narrower_than_a_cell(monkeypatch):
         return real_anneal(diagonals, targets, anneal_time, dt)
 
     monkeypatch.setattr(ensembles, "_anneal", anneal)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool)
     monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)  # the plan, not its bound
     count = (ensembles._PACK_AMPLITUDES >> 8) + 5
     for workers, blocks in [(1, [count]), (2, [count // 2] * 2)]:
@@ -315,65 +334,55 @@ def test_class_blocks_are_no_narrower_than_a_cell(monkeypatch):
         assert columns == blocks
 
 
-class _InlinePool:
+class _InlinePool(concurrent.futures.Executor):
     """A stand-in for the process pool that runs each block as it is submitted,
     so a test sees the pooled block plan in its own process."""
 
-    def __init__(self, workers, mp_context=None):
-        self.workers = workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-    def submit(self, fn, *args):
+    def submit(self, fn, /, *args, **kwargs):
         future = concurrent.futures.Future()
-        future.set_result(fn(*args))
+        future.set_result(fn(*args, **kwargs))
         return future
+
+
+def _inline_pool(workers, mp_context):
+    return _InlinePool()
 
 
 @pytest.mark.parametrize("workers, n, count", [(2, 5, 30), (3, 5, 30), (2, 6, 28)])
 def test_pooled_blocks_are_near_equal_and_longest_first(monkeypatch, workers, n, count):
-    # 3 rules x p in {4, 5} x N instances give nearly 6 N classes: with the
-    # work bound lifted they split into near-equal blocks, a multiple of the
-    # worker count and none wider than OpenBLAS runs on one thread (63
-    # columns at n = 6, where two halves would be wider), submitted widest
-    # first and scattered back in class order (the in-process run scores
-    # each class the same to 1e-10)
-    columns, results = [], []
-    real_anneal, real_classes = ensembles._anneal, ensembles._anneal_classes
+    # 3 rules x p in {4, 5} x N instances give nearly 6 N classes. In-process
+    # and at `workers` workers (the work bound lifted) they split, in class
+    # order, into the fewest near-equal blocks that are a multiple of the
+    # worker count and no wider than the cap; pooled, the cap is also the
+    # one-thread width (63 columns at n = 6, where two halves would be
+    # wider). No block order is imposed beyond class order, and the two
+    # runs score each class the same to 1e-10
+    blocks, results = [], []
+    real_block, real_classes = ensembles._anneal_block, ensembles._anneal_classes
 
-    def anneal(diagonals, targets, anneal_time, dt):
-        columns.append(len(diagonals))
-        return real_anneal(diagonals, targets, anneal_time, dt)
+    def anneal_block(keys, **kwargs):
+        blocks.append(list(keys))
+        return real_block(keys, **kwargs)
 
-    def anneal_classes(*args):
-        results.append(real_classes(*args))
-        return results[-1]
+    def anneal_classes(keys, *args):
+        results.append((list(keys), real_classes(keys, *args)))
+        return results[-1][1]
 
-    monkeypatch.setattr(ensembles, "_anneal", anneal)
+    monkeypatch.setattr(ensembles, "_anneal_block", anneal_block)
     monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool)
     monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)
-    rule_gammas = dict.fromkeys(LEARNING_RULES, [0.3])
-    plans = []
-    for cpus in (1, workers):
-        monkeypatch.setattr(ensembles, "_usable_cpus", lambda: cpus)
-        columns.clear()
-        _sweep_cells("noisy", n, [4, 5], rule_gammas, [2.0], count, 0.5, 0.1, 4)
-        plans.append(list(columns))
-    (in_process, pooled), (serial_plan, columns) = results, plans
-    classes = len(in_process)
     width = max(ensembles._PACK_AMPLITUDES >> n, count)
-    assert serial_plan == [min(width, classes - first) for first in range(0, classes, width)]
-    assert len(columns) % workers == 0 and sum(columns) == classes
-    assert columns == sorted(columns, reverse=True) and columns[0] - columns[-1] <= 1
-    assert columns[0] <= evolution._one_thread_columns(n)
+    for cpus, cap in [(1, width), (workers, min(width, evolution._one_thread_columns(n)))]:
+        monkeypatch.setattr(ensembles, "_usable_cpus", lambda: cpus)
+        blocks.clear()
+        _sweep_cells("noisy", n, [4, 5], dict.fromkeys(LEARNING_RULES, [0.3]), [2.0],
+                     count, 0.5, 0.1, 4)
+        keys, sizes = results[-1][0], [len(block) for block in blocks]
+        assert [key for block in blocks for key in block] == keys
+        assert len(sizes) % cpus == 0 and max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
+        assert len(sizes) == cpus or len(keys) > cap * (len(sizes) - cpus)  # the fewest
+    (_, in_process), (_, pooled) = results
     assert np.max(np.abs(pooled - in_process)) <= 1e-10
 
 
@@ -431,6 +440,42 @@ def test_worker_failure_keeps_its_type_and_exit_code(monkeypatch, tmp_path, caps
     assert "not finite in a worker" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
     assert pools == [2, 2]
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_failing_block_stops_the_queued_blocks(monkeypatch, tmp_path):
+    # blocks of 3 columns at n = 5 plan well over 8 pooled blocks; the first
+    # block a worker runs raises, and map cancels the blocks still queued:
+    # fewer blocks start than were planned (each start leaves a file), the
+    # error reaches the caller and no worker is left
+    monkeypatch.setattr(ensembles, "_PACK_AMPLITUDES", 0)  # blocks of N columns
+    monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)
+    args = ("exact", 5, [3, 4, 5], dict.fromkeys(LEARNING_RULES, [0.2, 0.4]), [5.0],
+            3, 0.5, 0.1, 3)
+    planned, real_anneal = [], ensembles._anneal
+    with monkeypatch.context() as inline:
+        inline.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool)
+        inline.setattr(ensembles, "_anneal", lambda *a: planned.append(1) or real_anneal(*a))
+        _sweep_cells(*args)
+    assert len(planned) >= 8
+
+    starts, calls = tmp_path / "starts", itertools.count()
+    starts.mkdir()
+
+    def anneal(*a):  # one call per block: the sweep has one T
+        (starts / f"{os.getpid()}.{next(calls)}").touch()
+        try:
+            os.close(os.open(tmp_path / "failed", os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            time.sleep(0.05)  # outlasts the failure's trip back to the caller
+            return real_anneal(*a)
+        raise FloatingPointError("the first block failed")
+
+    monkeypatch.setattr(ensembles, "_anneal", anneal)
+    with pytest.raises(FloatingPointError, match="the first block failed"):
+        _sweep_cells(*args)
+    assert multiprocessing.active_children() == []
+    assert 1 <= len(list(starts.iterdir())) < len(planned)
 
 
 @pytest.mark.usefixtures("no_pool")
