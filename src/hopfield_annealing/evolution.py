@@ -27,12 +27,18 @@ GEMM over the rest, which costs O(2^n (32 + 2^(n-5))) per column instead of
 O(4^n). With 20 columns on two OpenBLAS threads of a 2-CPU Intel Xeon, one
 driver action took 8 us dense against 11 us split at n = 6, 30 against 17 us
 at n = 7, 99 against 33 us at n = 8 and 30 ms against 1.1 ms at n = 12.
+A dense block of one column, a single recall, folds the problem diagonal
+into the zero diagonal of the scaled driver, so each Taylor term is one GEMV,
+one complex scale and one sum: on the same machine a step of an n = 5 column
+(about 13 terms) took 27 us, where five calls per term took 41 us.
 
 One pure pre-flight, `_check_anneal`, returns an anneal's step count and
 refuses a runaway one before any buffer exists; it reads only (n, M, T, dt)
 and the problem scale, so a sweep runs it once per annealing time.
 """
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,10 +63,6 @@ _STEP_TOL = 1e-14
 _KMAX = 45
 _THETA = 3.5
 _LOGFACT = np.cumsum(np.log(np.arange(1, _KMAX + 2)))
-# log((K+1)!) for K = 1.._KMAX and log(_STEP_TOL) as Python floats, so the
-# term search runs as scalar arithmetic with no array built per step
-_LOGFACT_TERMS = _LOGFACT[1 : _KMAX + 1].tolist()
-_LOG_STEP_TOL = float(np.log(_STEP_TOL))
 
 # largest change of the final overlap accepted when dt is halved
 _HALVING_TOL = 1e-6
@@ -109,14 +111,38 @@ class ConvergenceError(RuntimeError):
     """Halving the time step moved the result more than the tolerance."""
 
 
+def _term_bounds() -> list:
+    """Largest rho that K Taylor terms cover, for K = 1.._KMAX - 1.
+
+    K terms cover rho when some k <= K has the remainder bound
+    rho^(k+1) / (k+1)! <= _STEP_TOL, evaluated as (k + 1) * log(rho) -
+    log((k+1)!) <= log(_STEP_TOL) with numpy's log (math.log differs in the
+    last bit). Each k's largest such float is found by stepping one float at
+    a time from the closed-form bound, which is a few floats off.
+    """
+    log_tol = float(np.log(_STEP_TOL))
+    bounds = [0.0]
+    for k, log_fact in enumerate(_LOGFACT[1:_KMAX].tolist(), start=1):
+        def covered(rho):
+            return (k + 1) * float(np.log(rho)) - log_fact <= log_tol
+
+        rho = float(np.exp((log_tol + log_fact) / (k + 1)))
+        while covered(rho):
+            rho = math.nextafter(rho, math.inf)
+        while not covered(rho):
+            rho = math.nextafter(rho, 0.0)
+        bounds.append(max(bounds[-1], rho))
+    return bounds[1:]
+
+
+_TERM_BOUNDS = _term_bounds()
+
+
 def _taylor_terms(rho: float) -> int:
-    """Smallest K with rho^(K+1) / (K+1)! <= _STEP_TOL (remainder bound)."""
-    if rho <= 0.0:
-        return 1
-    log_rho = float(np.log(rho))  # numpy's log: math.log differs in the last bit
-    for k, log_fact in enumerate(_LOGFACT_TERMS, start=1):
-        if (k + 1) * log_rho - log_fact <= _LOG_STEP_TOL:
-            return k
+    """Smallest K with rho^(K+1) / (K+1)! <= _STEP_TOL (remainder bound);
+    _KMAX when none is, or when rho is nan."""
+    if rho <= _TERM_BOUNDS[-1]:
+        return bisect_left(_TERM_BOUNDS, rho) + 1
     return _KMAX
 
 
@@ -173,6 +199,8 @@ class _BatchPropagator:
     _DENSE_MAX_QUBITS and as the Kronecker split above. `steps` is the
     pre-flight's count for [0, total_time]; the buffers, allocated after it,
     are reused per step, the scaled driver a*H0 and problem b*diag included.
+    A dense block of one column folds b*diag into the diagonal of a*H0,
+    which is zero, so each Taylor term is one product with the generator.
     """
 
     def __init__(self, diagonals: np.ndarray, total_time: float, dt: float):
@@ -183,20 +211,35 @@ class _BatchPropagator:
             raise ValueError(f"diagonal length {self.dim} is not a power of two")
         self.d_scale = float(np.abs(d).max())
         self.steps = _check_anneal(self.n, count, total_time, dt, self.d_scale)
-        self.d2 = np.repeat(d, 2, axis=1)  # matches the re/im interleaved view
         self.term = np.empty((self.dim, count), dtype=complex)
         self.work = np.empty_like(self.term)
-        self.b_d2 = np.empty_like(self.d2)
+        # the re/im interleaved views the real products act on: (dim, 2M)
+        self.term_v = self.term.view(np.float64)
+        self.work_v = self.work.view(np.float64)
+        self.scales = {}  # sub-step h -> [-1j * h / k for k = 1.._KMAX]
+        self.fold = count == 1 and self.n <= _DENSE_MAX_QUBITS
         if self.n <= _DENSE_MAX_QUBITS:
             self.h0 = _transverse_field_cached(self.n)
             self.a_h0 = np.empty_like(self.h0)
+        if self.fold:
+            self.d = d[:, 0]
+            self.a_h0_diagonal = self.a_h0.reshape(-1)[:: self.dim + 1]
+            return
+        self.d2 = np.repeat(d, 2, axis=1)  # matches the re/im interleaved view
+        self.b_d2 = np.empty_like(self.d2)
+        if self.n <= _DENSE_MAX_QUBITS:
             return
         # H0(n) = I (x) H0(low) + H0(high) (x) I on the index s = hi * 2^low + lo
         self.h0_low = _transverse_field_cached(_LOW_QUBITS)
         self.h0_high = _transverse_field_cached(self.n - _LOW_QUBITS)
         self.a_low = np.empty_like(self.h0_low)
         self.a_high = np.empty_like(self.h0_high)
-        self.high_part = np.empty_like(self.term)
+        self.high_v = np.empty_like(self.term_v)
+        # views of the contiguous buffers: (hi, lo, 2M) and (hi, lo * 2M)
+        blocks = (self.h0_high.shape[0], self.h0_low.shape[0], -1)
+        self.term_low, self.work_low = self.term_v.reshape(blocks), self.work_v.reshape(blocks)
+        self.term_high = self.term_v.reshape(blocks[0], -1)
+        self.high_rows = self.high_v.reshape(blocks[0], -1)
 
     def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
         """Advance the block by one propagator application, in place."""
@@ -204,34 +247,43 @@ class _BatchPropagator:
         splits = _splits(rho)
         h = dt / splits
         n_terms = _taylor_terms(rho / splits)
-        term, work = self.term, self.work
-        term_v = term.view(np.float64)
-        work_v = work.view(np.float64)
+        if (scales := self.scales.get(h)) is None:
+            scales = self.scales[h] = [-1j * h / k for k in range(1, _KMAX + 1)]
+        scales = scales[:n_terms]
+        term, work, term_v, work_v = self.term, self.work, self.term_v, self.work_v
         psi_v = psi.view(np.float64)
+        if self.fold:
+            g = np.multiply(self.h0, a, out=self.a_h0)
+            np.multiply(self.d, b, out=self.a_h0_diagonal)  # g = a*H0 + b*diag
+            for _ in range(int(splits)):
+                source = psi_v
+                for scale in scales:
+                    np.dot(g, source, out=work_v)   # g @ term (real GEMV)
+                    np.multiply(work, scale, out=term)
+                    np.add(psi_v, term_v, out=psi_v)
+                    source = term_v
+            return psi
         dense = self.n <= _DENSE_MAX_QUBITS
         if dense:
             a_h0 = np.multiply(self.h0, a, out=self.a_h0)
         else:
             a_low = np.multiply(self.h0_low, a, out=self.a_low)
             a_high = np.multiply(self.h0_high, a, out=self.a_high)
-            high_v = self.high_part.view(np.float64)
-            # views of the contiguous buffers: (hi, lo, 2M) and (hi, lo * 2M)
-            blocks = (a_high.shape[0], a_low.shape[0], -1)
-            term_low, work_low = term_v.reshape(blocks), work_v.reshape(blocks)
-            term_high, high_part = term_v.reshape(blocks[0], -1), high_v.reshape(blocks[0], -1)
+            term_low, work_low, term_high = self.term_low, self.work_low, self.term_high
+            high_v, high_rows = self.high_v, self.high_rows
         b_d2 = np.multiply(self.d2, b, out=self.b_d2)
         for _ in range(int(splits)):
             np.copyto(term, psi)
-            for k in range(1, n_terms + 1):
+            for scale in scales:
                 if dense:
                     np.dot(a_h0, term_v, out=work_v)    # a*H0 @ term (real GEMM)
                 else:
                     np.matmul(a_low, term_low, out=work_low)    # I (x) a*H0(low)
-                    np.dot(a_high, term_high, out=high_part)    # a*H0(high) (x) I
+                    np.dot(a_high, term_high, out=high_rows)    # a*H0(high) (x) I
                     np.add(work_v, high_v, out=work_v)
                 np.multiply(b_d2, term_v, out=term_v)   # b*diag * term
                 np.add(term_v, work_v, out=term_v)
-                np.multiply(term, -1j * h / k, out=term)
+                np.multiply(term, scale, out=term)
                 np.add(psi_v, term_v, out=psi_v)
         return psi
 

@@ -22,6 +22,7 @@ ensemble master seed with a SplitMix64 hash over the labelled run coordinates
 the generator are part of the package's reproducibility contract.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -134,8 +135,12 @@ class ProblemInstance:
 
 
 def _integer(value) -> int:
-    """int() that rejects booleans and non-integral numbers instead of truncating."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int() that rejects booleans and non-integral numbers instead of truncating,
+    numpy's included."""
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
+        and not float(value).is_integer()
+    ):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

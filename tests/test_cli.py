@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hopfield_annealing
-from hopfield_annealing.cli import RunConfig, main, parse_config
+from hopfield_annealing.cli import RunConfig, _normalize, main, parse_config
 
 
 def run(capsys, *argv):
@@ -195,6 +195,19 @@ def test_non_integral_config_integer_is_usage_error(tmp_path, capsys, config_val
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert f"{flag}: expected an integer" in err
+
+
+@pytest.mark.parametrize("name, value, flag", [
+    ("n", np.float32(4.5), "--n"),
+    ("seed", np.bool_(True), "--seed"),
+    ("p_list", [1, np.float32(2.5)], "--p-list"),
+    ("input", [1, -1, np.bool_(True), 1], "--input"),
+], ids=["n-float32", "seed-bool_", "p-list-float32", "input-bool_"])
+def test_config_integers_refuse_numpy_non_integers(name, value, flag):
+    # the integer options use the sweeps' rule, which holds numpy scalars to it too
+    with pytest.raises(ValueError, match=f"{flag}: expected an integer"):
+        _normalize(name, value)
+    assert _normalize("n", np.float32(4.0)) == _normalize("n", np.int64(4)) == 4
 
 
 def test_config_integers_accept_json_integers_and_numeric_strings(tmp_path):

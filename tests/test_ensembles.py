@@ -117,6 +117,8 @@ def no_draws(monkeypatch):
     ({"x": float("nan")}, "threshold"),
     ({"count": 2.5}, "integer"),
     ({"count": True}, "integer"),
+    ({"count": np.float32(2.5)}, "integer"),
+    ({"count": np.bool_(True)}, "integer"),
 ])
 def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, no_draws):
     args = dict(count=2, x=0.5)
@@ -150,9 +152,12 @@ def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, no_draws):
     (lambda: anneal_time_sweep("exact", 4, [1], "hebb", 0.3, [float("nan")]), "positive"),
     (lambda: run_ensemble("exact", 4, 1.5, "hebb", 0.3, 20.0), "integer, got 1.5"),
     (lambda: bias_sweep("exact", 4, [1, True], "hebb", [0.3], 20.0), "integer, got True"),
+    (lambda: run_ensemble("exact", 4, np.float32(1.5), "hebb", 0.3, 5.0, count=2), "integer"),
+    (lambda: bias_sweep("exact", 4, [1, np.bool_(True)], "hebb", [0.3], 20.0), "integer"),
 ], ids=["p-list", "projection-p-list", "T-list", "sweep-N", "ensemble-N", "three-rules",
         "repeated-gamma", "repeated-p", "repeated-T", "descending-T", "repeated-rule-gamma",
-        "negative-T-no-p", "zero-T-no-p", "nan-T", "fractional-p", "bool-p"])
+        "negative-T-no-p", "zero-T-no-p", "nan-T", "fractional-p", "bool-p",
+        "numpy-fractional-p", "numpy-bool-p"])
 def test_sweeps_check_every_cell_before_drawing(sweep, match, no_draws):
     with pytest.raises(ValueError, match=match):
         sweep()

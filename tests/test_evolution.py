@@ -240,6 +240,20 @@ def test_evolve_batch_agrees_with_single_runs():
         assert np.abs(batch[m] - single).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_one_column_fold_agrees_with_a_two_column_block(n):
+    # up to n = 6 a block of one column folds b*diag into the diagonal of
+    # a*H0; two copies of the same diagonal take the unfolded path with the
+    # same term and split counts. From n = 7 both take the Kronecker split
+    d = np.random.default_rng(n).normal(scale=2.0, size=1 << n)
+    schedule = AnnealSchedule.linear(20.0)
+    folds = evolution._BatchPropagator(d[:, None], 20.0, 0.1).fold
+    assert folds == (n <= evolution._DENSE_MAX_QUBITS)
+    one = evolve_batch([d], schedule, 0.1)[0]
+    for column in evolve_batch([d, d], schedule, 0.1):
+        assert np.abs(column - one).max() < 1e-13
+
+
 def test_final_short_step_lands_on_total_time():
     # dt larger than T collapses the run to one step truncated to exactly T,
     # which must equal the dense midpoint exponential
