@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,6 +172,7 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+@lru_cache(maxsize=1)  # built once per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfield-annealing",

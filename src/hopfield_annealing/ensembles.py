@@ -17,7 +17,10 @@ bias) instance set once and scores it at every annealing time.
 A sweep anneals symmetry classes, not instances. H0 = -sum_i X_i and the
 uniform start state are unchanged by permuting the qubits and by flipping any
 of them, and every learning rule and the bias are equivariant under these
-signed permutations, so P_ans is the same for every instance of a class (the
+signed permutations. Every rule is also even in each memory (Hebb stores
+xi xi^T, projection's Xi^T C^-1 Xi and Storkey's update are unchanged when a
+memory changes sign), so a memory's sign matters only where that memory is
+the target. P_ans is the same for every instance of a class (the
 symmetry-sector idea of exact diagonalization, applied between instances).
 Each class is keyed by its canonical form (`_class_key`), annealed once per
 annealing time with the other classes of the sweep in packed blocks (see
@@ -34,7 +37,7 @@ only for an instance that close to x.
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations
 
 import numpy as np
@@ -78,8 +81,8 @@ _PACK_AMPLITUDES = 6400
 # 4e5-6e5 (n = 5: 24 columns at T = 50, 2 at T = 1000; n = 8: 2 columns at
 # T = 100); the bound keeps a factor of about 2 for timing noise
 _POOL_MIN_WORK = 1 << 20
-# Hebb and projection class keys try every order of the non-answer memories
-# up to this p, at most 24 orders
+# class keys search memory orders and the signs of balanced memory rows up to
+# this p: at most 120 orders (failure protocols) times 32 signs (even n)
 _ORDERED_MAX_P = 5
 
 RESULTS_HEADER = [
@@ -132,29 +135,55 @@ def _diagonal(rule: str, memories, input_key, gamma: float) -> np.ndarray:
     return ising_hamiltonian(weights, BiasSpec(input_key=input_key, gamma=gamma)).diagonal()
 
 
+@lru_cache(maxsize=None)  # one entry per (p, head), p <= _ORDERED_MAX_P
+def _code_weights(p: int, head: tuple) -> np.ndarray:
+    """(orders, p + 1) weights that turn a (p memories; key) bit matrix into
+    the column codes of each row order: `head`'s memories first, then every
+    order of the rest, the key last; the form's row r is bit p - r of a code."""
+    rest = [i for i in range(p) if i not in head]
+    orders = [(*head, *order, p) for order in permutations(rest)]
+    weights = np.zeros((len(orders), p + 1), dtype=np.int64)
+    weights[np.arange(len(orders))[:, None], orders] = 1 << np.arange(p, -1, -1)
+    weights.flags.writeable = False
+    return weights
+
+
 def _class_key(instance: ProblemInstance) -> tuple:
     """(rule, gamma, shape, bytes) of the instance's canonical int8 form.
 
     The form is the stacked (memories; input key) matrix with spins flipped so
-    the target pattern is all +1 and its spin columns sorted. Hebb and
-    projection weights do not depend on memory order, so for them the answer
-    comes first and the smallest form over the orders of the other memories
-    is taken (up to p = _ORDERED_MAX_P; above it they keep the drawn order).
-    Storkey learns in order, so it keeps its drawn order and the answer's
-    slot. Instances with one key have one P_ans at target index 2^n - 1.
+    the target pattern is all +1, every memory row signed to hold more +1
+    than -1 (every rule is even in each memory), and its spin columns sorted.
+    Up to p = _ORDERED_MAX_P the smallest form over the row orders a rule
+    allows and both signs of each balanced memory row is taken: Storkey
+    learns in order and keeps its drawn order; Hebb and projection weights
+    do not depend on memory order, so the failure protocols, whose target is
+    the key, try every order, and exact and noisy keep the answer first. The
+    search runs on each column's rows read as one integer, so sorting the
+    columns is sorting the integers. Above _ORDERED_MAX_P the drawn order and
+    the drawn sign of balanced rows are kept. Instances with one key have one
+    P_ans at target index 2^n - 1.
     """
-    p, answer = instance.p, instance.answer_index
+    p = instance.p
     rows = np.vstack([instance.memories, instance.input_key]) * instance.target_pattern()
+    sums = rows[:p].sum(axis=1)
+    rows[:p][sums < 0] *= -1  # signs go on the rows before any reordering
+    if p > _ORDERED_MAX_P:
+        form = rows[:, np.lexsort(rows[::-1])].astype(np.int8)  # row 0 sorts first
+        return instance.rule, instance.gamma, form.shape, form.tobytes()
+    balanced = np.flatnonzero(sums == 0)
+    flips = np.zeros((1 << len(balanced), p + 1, 1), dtype=np.int64)
+    flips[:, balanced, 0] = (np.arange(len(flips))[:, None] >> np.arange(len(balanced))) & 1
+    bits = (rows > 0) ^ flips  # (signs, p + 1, n)
     if instance.rule == "storkey":
-        orders = [range(p + 1)]
+        head = tuple(range(p))
+    elif instance.protocol in ("failure1", "failure2"):
+        head = ()
     else:
-        others = [i for i in range(p) if i != answer]
-        ordered = permutations(others) if p <= _ORDERED_MAX_P else [others]
-        orders = [(answer, *order, p) for order in ordered]
-    stacks = rows[np.array(orders)].astype(np.int8)  # (orders, p + 1, n)
-    columns = np.lexsort(np.moveaxis(stacks, 1, 0)[::-1], axis=-1)  # row 0 sorts first
-    form = min(np.take_along_axis(stacks, columns[:, None, :], axis=2),
-               key=np.ndarray.tobytes)
+        head = (instance.answer_index,)
+    codes = np.sort(_code_weights(p, head) @ bits, axis=-1).reshape(-1, instance.n)
+    best = codes[np.lexsort(codes.T[::-1])[0]]
+    form = ((best >> np.arange(p, -1, -1)[:, None] & 1) * 2 - 1).astype(np.int8)
     return instance.rule, instance.gamma, form.shape, form.tobytes()
 
 

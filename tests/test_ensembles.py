@@ -229,12 +229,21 @@ def test_multi_rule_sweep_matches_single_cells():
 
 
 def _signed_relabelling(inst, rng, reorder):
-    """`inst` with its qubits permuted and some flipped, and with its memories
-    in a random order when `reorder` is set."""
+    """`inst` with its qubits permuted and some flipped, some memories negated,
+    and its memories in a random order when `reorder` is set. Where the target
+    is the answer its sign is the target's and stays; above _ORDERED_MAX_P
+    only memories that overlap the target are negated, the ones the key signs
+    without a search."""
     perm, signs = rng.permutation(inst.n), rng.choice([-1, 1], size=inst.n)
+    negate = rng.choice([-1, 1], size=(inst.p, 1))
+    if inst.protocol in ("exact", "noisy"):
+        negate[inst.answer_index] = 1
+    if inst.p > _ORDERED_MAX_P:
+        negate[inst.memories @ inst.target_pattern() == 0] = 1
     order = rng.permutation(inst.p) if reorder else np.arange(inst.p)
     return ProblemInstance(
-        protocol=inst.protocol, n=inst.n, memories=inst.memories[order][:, perm] * signs,
+        protocol=inst.protocol, n=inst.n,
+        memories=(inst.memories * negate)[order][:, perm] * signs,
         answer_index=int(np.flatnonzero(order == inst.answer_index)[0]),
         input_key=inst.input_key[perm] * signs, rule=inst.rule, gamma=inst.gamma,
         anneal_time=inst.anneal_time, seed=inst.seed,
@@ -244,13 +253,15 @@ def _signed_relabelling(inst, rng, reorder):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("rule", LEARNING_RULES)
 def test_class_key_is_invariant_under_signed_relabelling(protocol, rule):
-    # a signed qubit permutation leaves H0 and |+>^n unchanged and every rule
-    # is equivariant under it, so an instance and its relabelling must share a
-    # class key and a P_ans; Hebb and projection ignore memory order as well,
-    # which the key tries only up to _ORDERED_MAX_P memories (the n = 6 case
-    # is above it and keeps the drawn order)
+    # a signed qubit permutation leaves H0 and |+>^n unchanged, every rule is
+    # equivariant under it and even in each memory, so an instance and its
+    # relabelling with some memories negated must share a class key and a
+    # P_ans; Hebb and projection ignore memory order as well, which the key
+    # tries only up to _ORDERED_MAX_P memories (the n = 6 case is above it
+    # and keeps the drawn order). At n = 4 a memory may be balanced, and the
+    # key tries both of its signs; (5, 5) reaches the key's largest search
     rng = np.random.default_rng(PROTOCOLS.index(protocol) * 3 + LEARNING_RULES.index(rule))
-    for n, p in [(4, 1), (4, 2), (4, 3), (4, 4), (6, _ORDERED_MAX_P + 1)]:
+    for n, p in [(4, 1), (4, 2), (4, 3), (4, 4), (5, 5), (6, _ORDERED_MAX_P + 1)]:
         inst = generate_instance(protocol, n, p, rule, 0.4, 30.0, seed=int(rng.integers(2**63)))
         reorder = rule != "storkey" and p <= _ORDERED_MAX_P
         other = _signed_relabelling(inst, rng, reorder=reorder)
@@ -259,11 +270,52 @@ def test_class_key_is_invariant_under_signed_relabelling(protocol, rule):
                                                           abs=1e-12, rel=0)
 
 
+def _brute_force_key(inst):
+    """The smallest int8 form over every order the key allows, both signs of
+    every memory and every column order, found one form at a time."""
+    p = inst.p
+    rows = np.vstack([inst.memories, inst.input_key]) * inst.target_pattern()
+    if inst.rule == "storkey":
+        orders = [range(p)]
+    elif inst.protocol in ("failure1", "failure2"):
+        orders = itertools.permutations(range(p))
+    else:
+        others = [i for i in range(p) if i != inst.answer_index]
+        orders = [(inst.answer_index, *o) for o in itertools.permutations(others)]
+    forms = []
+    for order in orders:
+        for negate in itertools.product([1, -1], repeat=p):
+            stack = np.vstack([rows[:p] * np.array(negate)[:, None], rows[p:]])[[*order, p]]
+            columns = sorted(stack.T.tolist())
+            forms.append(tuple(map(tuple, columns)))
+    return min(forms)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_class_key_merges_exactly_what_a_brute_force_search_merges(protocol):
+    # the key's integer search splits drawn instances into the same classes as
+    # trying every order, memory sign and column order one form at a time
+    for n, p_list in [(4, [2, 3, 4]), (5, [3, 4])]:
+        for rule in LEARNING_RULES:
+            for p in p_list:
+                if protocol == "failure2" and n == 4 and p == 4:
+                    continue  # some sets leave no pattern at distance 2
+                instances = [generate_instance(protocol, n, p, rule, 0.4, 30.0,
+                                               seed=derive_seed(5, protocol, p, 0, 0, i))
+                             for i in range(40)]
+                keys, brute = {}, {}
+                assert ([keys.setdefault(_class_key(i), len(keys)) for i in instances]
+                        == [brute.setdefault(_brute_force_key(i), len(brute))
+                            for i in instances])
+
+
 def test_class_key_keeps_storkey_memory_order():
     # Storkey learns in order: swapping the answer with another memory is
     # another problem, and so another class (the swap puts a row that is not
-    # all +1 in the answer's slot of the target-flipped form); the same swap
-    # leaves a Hebb instance in its class
+    # all +1 in the answer's slot of the target-flipped form), unless the two
+    # memories are equal up to sign, which leaves the problem as it was (at
+    # seed 7 the answer is the negative of memory 0); the same swap leaves a
+    # Hebb instance in its class
     for seed in range(10):
         for rule in ("storkey", "hebb"):
             inst = generate_exact_instance(5, 3, rule, 0.3, 30.0, seed=seed)
@@ -271,7 +323,29 @@ def test_class_key_keeps_storkey_memory_order():
             order = np.arange(3)
             order[[inst.answer_index, slot]] = [slot, inst.answer_index]
             swapped = replace(inst, memories=inst.memories[order], answer_index=slot)
-            assert (_class_key(swapped) == _class_key(inst)) == (rule == "hebb")
+            up_to_sign = abs(inst.answer @ inst.memories[slot]) == inst.n
+            same = _class_key(swapped) == _class_key(inst)
+            assert same == (rule == "hebb" or up_to_sign)
+            if up_to_sign:
+                assert run_instance(swapped).p_ans == pytest.approx(
+                    run_instance(inst).p_ans, abs=1e-12, rel=0)
+
+
+def test_c3_draws_anneal_as_few_classes(monkeypatch):
+    # the acceptance C3 grid, one sweep per p as the benchmark runs it: every
+    # rule is even in each memory, so with memory signs in the key its
+    # 1,500 instances fall into 101 classes (426 without); nothing anneals
+    classes = []
+
+    def anneal_classes(keys, n, time_list, dt, count, steps):
+        classes.append(len(keys))
+        return np.zeros((len(keys), len(time_list)))
+
+    monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
+    for p in range(1, 6):
+        bias_sweep("exact", 5, [p], "projection", [0.05, 0.15, 0.5], 1000.0,
+                   count=100, master_seed=20587)
+    assert classes == [3, 6, 15, 33, 44]
 
 
 def test_packed_sweep_matches_every_instance_annealed_alone(monkeypatch):
