@@ -29,7 +29,7 @@ annealing time with the other classes of the sweep in packed blocks (see
 A sweep has one block plan (`_anneal_classes`): its classes split, in class
 order and with no longest-first order, into near-equal blocks that run
 in-process or on `fork`-started workers, one per usable CPU.
-A pooled block is narrower than an in-process one, and a block's largest
+A pooled block can be narrower than an in-process one, and a block's largest
 |diagonal| sets its Taylor term and split counts, so a pooled P_ans may
 differ from the in-process one by about 1e-11; a thresholded result moves
 only for an instance that close to x.
@@ -70,10 +70,6 @@ __all__ = [
 DEFAULT_THRESHOLD = 2.0 / 3.0
 DEFAULT_ENSEMBLE_SIZE = 100
 
-# most amplitudes one packed block of classes holds unless a cell's N columns
-# hold more: 200 columns at n = 5, 25 at n = 8; peak memory stays about one
-# block's diagonals and states
-_PACK_AMPLITUDES = 6400
 # a sweep splits its classes over worker processes only if every block keeps
 # at least this much work, its amplitudes (columns << n) times the steps of
 # all its anneals: below it the pool's start-up (fork, pickling, join; about
@@ -212,24 +208,22 @@ def _anneal_classes(keys, n: int, time_list, dt: float, count: int,
     """P_ans of every class at every annealing time, in `keys` order; `steps`
     is the step count of all the annealing times together.
 
-    One plan for both paths: the classes split, in class order, into the
-    fewest near-equal blocks, a multiple of the worker count, none wider
-    than `_PACK_AMPLITUDES` amplitudes or one cell's `count` columns,
-    whichever is more, and pooled none wider than OpenBLAS runs on one
-    thread. They run in-process with one usable CPU, where no block is
+    One width rule for both paths: the classes split, in class order, into
+    the fewest near-equal blocks, a multiple of the worker count, none wider
+    than OpenBLAS runs on one thread (`_one_thread_columns`); in-process, a
+    block may also hold one cell's `count` columns, which the pre-flight
+    admits. They run in-process with one usable CPU, where no block is
     narrow enough (n = 12), or where a pooled block would keep under
     `_POOL_MIN_WORK`. A worker's failure is raised here with its type and
     message, blocks not yet handed to a worker never start, and no worker
     outlives the call.
     """
-    # a block may hold one cell's N columns, which the pre-flight admits
-    width = max(_PACK_AMPLITUDES >> n, count)
     # two processes that each thread their products over two CPUs ran 3-50
     # times slower than one (n = 5 at 600 columns, n = 10-12 at 5-56)
-    workers, cap = _usable_cpus(), min(width, _one_thread_columns(n))
+    workers, cap = _usable_cpus(), _one_thread_columns(n)
     blocks = workers * -(-len(keys) // (workers * max(cap, 1)))
     if workers == 1 or not cap or ((len(keys) // blocks) << n) * steps < _POOL_MIN_WORK:
-        workers, blocks = 1, -(-len(keys) // width)
+        workers, blocks = 1, -(-len(keys) // max(cap, count))
     edges = [len(keys) * b // blocks for b in range(blocks + 1)]
     anneal = partial(_anneal_block, n=n, time_list=time_list, dt=dt)
     spans = [keys[a:b] for a, b in zip(edges, edges[1:])]

@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .learning import LEARNING_RULES, SingularCovarianceError, projection_weights
-from .patterns import as_memory_set, as_pattern, random_pattern
+from .patterns import all_patterns, as_memory_set, as_pattern, random_pattern
 
 __all__ = [
     "PROTOCOLS",
@@ -204,15 +204,26 @@ def _draw_noisy(rng, n: int, p: int, rule: str):
 
 def _draw_failure(rng, n: int, p: int, rule: str, distance: int):
     """Failure protocol: key at Hamming distance exactly `distance` from the
-    nearest memory, so it is never stored itself."""
+    nearest memory, so it is never stored itself. Random keys are tried
+    first; if they all miss, the key is drawn from every pattern at that
+    distance, and a set that leaves none is redrawn."""
     memories = _draw_memory_set(rng, n, p, rule)
     for _ in range(REJECTION_CAP):
         key = random_pattern(n, rng)
         dists = np.count_nonzero(memories != key, axis=1)
         if dists.min() == distance:
             return memories, int(np.argmin(dists)), key
+    patterns = all_patterns(n)
+    for _ in range(REJECTION_CAP):
+        dists = np.count_nonzero(patterns[:, None, :] != memories, axis=2)
+        fits = np.flatnonzero(dists.min(axis=1) == distance)
+        if fits.size:
+            key = fits[rng.integers(fits.size)]
+            return memories, int(np.argmin(dists[key])), patterns[key].copy()
+        memories = _draw_memory_set(rng, n, p, rule)
     raise ValueError(
-        f"could not place an input key at distance {distance} in {REJECTION_CAP} attempts"
+        f"could not place an input key at distance {distance} from {REJECTION_CAP} "
+        f"memory sets of p={p} at n={n}"
     )
 
 

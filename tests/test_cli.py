@@ -160,6 +160,23 @@ def test_unread_config_key_is_usage_error(tmp_path, capsys, command, key):
     assert f"unknown config key {key!r}" in err
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["bias-sweep", "--p-list", "1"], None, "--n: required for bias-sweep"),
+    (["anneal-sweep", "--p-list", "1"], None, "--n: required for anneal-sweep"),
+    (["recall", "--n", "4", "--p", "1"], {"command": "spectrum"},
+     "config file is for command 'spectrum', not 'recall'"),
+], ids=["bias-sweep-no-n", "anneal-sweep-no-n", "config-for-another-command"])
+def test_incomplete_or_mismatched_request_is_usage_error(tmp_path, capsys, argv, config,
+                                                         message):
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "run.json")]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_null_only_for_options_without_default(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"gamma": None}))

@@ -392,9 +392,9 @@ def test_packed_sweep_matches_every_instance_annealed_alone(monkeypatch):
 
 
 def test_class_blocks_are_no_narrower_than_a_cell(monkeypatch):
-    # at n = 8 the amplitude budget holds 25 columns; a cell of 30 instances
-    # in 30 classes (p = 8 memories rarely merge) still anneals as one block
-    # in-process; split over two workers it runs as two blocks of 15
+    # at n = 10 one BLAS thread holds 7 columns; a cell of 12 instances in 12
+    # classes (p = 8 memories rarely merge) still anneals as one block
+    # in-process; split over two workers it runs as two blocks of 6
     columns = []
     real_anneal = ensembles._anneal
 
@@ -405,11 +405,11 @@ def test_class_blocks_are_no_narrower_than_a_cell(monkeypatch):
     monkeypatch.setattr(ensembles, "_anneal", anneal)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool)
     monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)  # the plan, not its bound
-    count = (ensembles._PACK_AMPLITUDES >> 8) + 5
+    count = evolution._one_thread_columns(10) + 5
     for workers, blocks in [(1, [count]), (2, [count // 2] * 2)]:
         columns.clear()
         monkeypatch.setattr(ensembles, "_usable_cpus", lambda: workers)
-        _sweep_cells("exact", 8, [8], {"hebb": [0.3]}, [1.0], count, 0.5, 0.1, 2)
+        _sweep_cells("exact", 10, [8], {"hebb": [0.3]}, [1.0], count, 0.5, 0.1, 2)
         assert columns == blocks
 
 
@@ -428,14 +428,14 @@ def _inline_pool(workers, mp_context):
 
 
 @pytest.mark.parametrize("workers, n, count", [(2, 5, 30), (3, 5, 30), (2, 6, 28)])
-def test_pooled_blocks_are_near_equal_and_longest_first(monkeypatch, workers, n, count):
+def test_pooled_blocks_are_near_equal_in_class_order(monkeypatch, workers, n, count):
     # 3 rules x p in {4, 5} x N instances give nearly 6 N classes. In-process
     # and at `workers` workers (the work bound lifted) they split, in class
     # order, into the fewest near-equal blocks that are a multiple of the
-    # worker count and no wider than the cap; pooled, the cap is also the
-    # one-thread width (63 columns at n = 6, where two halves would be
-    # wider). No block order is imposed beyond class order, and the two
-    # runs score each class the same to 1e-10
+    # worker count and no wider than the cap: the one-thread width (255
+    # columns at n = 5, 63 at n = 6), in-process at least one cell's N. No
+    # block order is imposed beyond class order, and the two runs score each
+    # class the same to 1e-10
     blocks, results = [], []
     real_block, real_classes = ensembles._anneal_block, ensembles._anneal_classes
 
@@ -451,8 +451,8 @@ def test_pooled_blocks_are_near_equal_and_longest_first(monkeypatch, workers, n,
     monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool)
     monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)
-    width = max(ensembles._PACK_AMPLITUDES >> n, count)
-    for cpus, cap in [(1, width), (workers, min(width, evolution._one_thread_columns(n)))]:
+    width = evolution._one_thread_columns(n)
+    for cpus, cap in [(1, max(width, count)), (workers, width)]:
         monkeypatch.setattr(ensembles, "_usable_cpus", lambda: cpus)
         blocks.clear()
         _sweep_cells("noisy", n, [4, 5], dict.fromkeys(LEARNING_RULES, [0.3]), [2.0],
@@ -527,7 +527,7 @@ def test_failing_block_stops_the_queued_blocks(monkeypatch, tmp_path):
     # block a worker runs raises, and map cancels the blocks still queued:
     # fewer blocks start than were planned (each start leaves a file), the
     # error reaches the caller and no worker is left
-    monkeypatch.setattr(ensembles, "_PACK_AMPLITUDES", 0)  # blocks of N columns
+    monkeypatch.setattr(ensembles, "_one_thread_columns", lambda n: 3)
     monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)
     args = ("exact", 5, [3, 4, 5], dict.fromkeys(LEARNING_RULES, [0.2, 0.4]), [5.0],
             3, 0.5, 0.1, 3)

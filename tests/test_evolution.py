@@ -146,6 +146,13 @@ def test_magnus_step_rejects_a_driver_other_than_minus_sum_x():
             magnus_step(psi, bad, diag, schedule, 0.0, 0.1)
 
 
+def test_magnus_step_rejects_a_state_of_another_dimension():
+    schedule = AnnealSchedule.linear(5.0)
+    with pytest.raises(ValueError, match="state dimension"):
+        magnus_step(uniform_superposition(2), transverse_field_hamiltonian(3), np.zeros(8),
+                    schedule, 0.0, 0.1)
+
+
 def test_step_outside_window_rejected():
     schedule = AnnealSchedule.linear(1.0)
     h0 = transverse_field_hamiltonian(1)

@@ -3,15 +3,17 @@ import time
 import numpy as np
 import pytest
 
+from hopfield_annealing.ensembles import bias_sweep
 from hopfield_annealing.instances import (
     PROTOCOLS,
+    _draw_memory_set,
     derive_seed,
     generate_exact_instance,
     generate_instance,
     instance_rng,
 )
 from hopfield_annealing.learning import covariance_matrix
-from hopfield_annealing.patterns import hamming_distance
+from hopfield_annealing.patterns import all_patterns, hamming_distance
 
 
 def test_derive_seed_is_stable():
@@ -116,6 +118,31 @@ def test_failure_instance_constraints():
             # the key is never a stored memory
             assert all(d >= 1 for d in dists)
             assert np.array_equal(inst.target_pattern(), inst.input_key)
+
+
+def test_failure_draw_redraws_a_set_no_key_fits():
+    # the first set drawn from this seed, [-1,-1,1,-1], [1,1,-1,1], [1,1,1,1]
+    # and [-1,-1,-1,-1], leaves every pattern within distance 1 of a memory:
+    # the draw moves on to a set with a pattern at distance 2, and the n = 4
+    # sweep that holds it runs
+    seed = derive_seed(20587, "failure2", 4, 0, 0, 44)
+    first = _draw_memory_set(instance_rng(seed), 4, 4, "hebb")
+    nearest = np.count_nonzero(all_patterns(4)[:, None, :] != first, axis=2).min(axis=1)
+    assert 2 not in nearest
+    inst = generate_instance("failure2", 4, 4, "hebb", 0.4, 50.0, seed=seed)
+    dists = [hamming_distance(inst.input_key, m) for m in inst.memories]
+    assert min(dists) == dists[inst.answer_index] == 2
+    stats = bias_sweep("failure2", 4, [4], "hebb", [0.4], 50.0, count=100, master_seed=20587)
+    assert stats[0].mean_success == 0.1
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (1, 1)])
+def test_failure_draw_no_set_can_satisfy_fails_in_bounded_time(n, p):
+    # no set of p memories at n = 1 or 2 leaves a pattern at distance 2
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="distance 2"):
+        generate_instance("failure2", n, p, "hebb", 0.2, 50.0, seed=0)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_failure_distance_validation():

@@ -140,6 +140,17 @@ def test_min_gap_degenerate_manifold():
     assert trace.energies[0, 4] - trace.energies[0, 0] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_min_gap_of_a_manifold_spanning_the_spectrum():
+    # the complete Hadamard basis at n = 4 stores the identity, whose zeroed
+    # diagonal leaves no coupling: all 16 final levels are degenerate, so the
+    # gap is 0 at t = T by convention
+    h0 = transverse_field_hamiltonian(4)
+    h1 = ising_hamiltonian(hebb_weights(hadamard_memories(4)), None)
+    trace = spectrum_trace(h0, h1, AnnealSchedule.linear(6.0), num_samples=7)
+    assert np.ptp(trace.energies[-1]) <= 1e-9
+    assert min_gap(trace) == (0.0, 6.0)
+
+
 def test_min_gap_empty_trace():
     with pytest.raises(ValueError):
         min_gap(SpectrumTrace(times=np.array([]), energies=np.zeros((0, 4))))
