@@ -392,18 +392,15 @@ def bias_response(memories, answer, gammas, anneal_time: float,
 
     Returns ``{"gamma": [...], "hebb": [...], "storkey": [...],
     "projection": [...]}``, the bias-response input of figures f3-f5. Every
-    rule's weights are built before the first anneal, so a memory set one
-    rule cannot store fails before any rule has annealed.
+    rule's diagonals are built before they anneal as one block, so a memory
+    set one rule cannot store fails before anything has annealed.
     """
-    targets = [pattern_to_index(answer)] * len(gammas)
     curves = {"gamma": [float(g) for g in gammas]}
-    rule_weights = {rule: weights_for_rule(rule, memories) for rule in LEARNING_RULES}
-    for rule, weights in rule_weights.items():
-        diagonals = np.stack([
-            ising_hamiltonian(weights, BiasSpec(answer, float(g))).diagonal()
-            for g in gammas
-        ])
-        curves[rule] = _anneal(diagonals, targets, anneal_time, dt)[1].tolist()
+    diagonals = np.stack([_diagonal(rule, memories, answer, g)
+                          for rule in LEARNING_RULES for g in curves["gamma"]])
+    targets = [pattern_to_index(answer)] * len(diagonals)
+    p_ans = _anneal(diagonals, targets, anneal_time, dt)[1]
+    curves.update(zip(LEARNING_RULES, p_ans.reshape(len(LEARNING_RULES), -1).tolist()))
     return curves
 
 

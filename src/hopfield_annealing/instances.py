@@ -22,6 +22,7 @@ ensemble master seed with a SplitMix64 hash over the labelled run coordinates
 the generator are part of the package's reproducibility contract.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import partial
@@ -206,7 +207,12 @@ def _draw_failure(rng, n: int, p: int, rule: str, distance: int):
     """Failure protocol: key at Hamming distance exactly `distance` from the
     nearest memory, so it is never stored itself. Random keys are tried
     first; if they all miss, the key is drawn from every pattern at that
-    distance, and a set that leaves none is redrawn."""
+    distance, and a set that leaves none is redrawn. Some set fits exactly
+    when the p memories fit among the patterns at distance >= `distance`
+    from one key; a request no set fits is refused before any draw."""
+    if p > sum(math.comb(n, k) for k in range(distance, n + 1)):
+        raise ValueError(f"no set of p={p} memories at n={n} leaves a pattern at "
+                         f"distance {distance} from its nearest memory")
     memories = _draw_memory_set(rng, n, p, rule)
     for _ in range(REJECTION_CAP):
         key = random_pattern(n, rng)

@@ -138,6 +138,8 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
         _require(isinstance(results, dict), figure_id, "expected a bias-response dict")
         missing = {"gamma", *LEARNING_RULES} - set(results)
         _require(not missing, figure_id, f"missing series {sorted(missing)}")
+        ragged = [r for r in LEARNING_RULES if len(results[r]) != len(results["gamma"])]
+        _require(not ragged, figure_id, f"series {ragged} do not match gamma in length")
         written += [os.path.join(out_dir, f"{figure_id}_recall_vs_bias.csv"),
                     os.path.join(out_dir, f"{figure_id}_recall_error.csv")]
         _write_bias_csv(written[0], results, "q", float)

@@ -27,6 +27,7 @@ from hopfield_annealing.ensembles import (
     _class_key,
     _sweep_cells,
 )
+from hopfield_annealing.evolution import AnnealSchedule, evolve_batch
 from hopfield_annealing.instances import (
     PROTOCOLS,
     ProblemInstance,
@@ -35,7 +36,7 @@ from hopfield_annealing.instances import (
     generate_instance,
 )
 from hopfield_annealing.learning import LEARNING_RULES
-from hopfield_annealing.patterns import overlapping_memories
+from hopfield_annealing.patterns import overlapping_memories, pattern_to_index
 
 
 def quick_instance(rule="hebb", gamma=0.3, T=60.0):
@@ -607,6 +608,29 @@ def test_script_without_main_guard_runs_the_pool(tmp_path, monkeypatch):
     write_results_csv(bias_sweep("exact", 5, [4, 5], "hebb", [0.3], 200.0, count=40,
                                  master_seed=3), tmp_path / "in_process.csv")
     assert pooled.read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+
+
+def test_bias_response_anneals_every_rule_in_one_block(monkeypatch):
+    # three overlapping memories: the rules' curves differ, so a transposed
+    # reshape or a misordered rule would not match the per-rule anneals
+    memories, gammas, T = overlapping_memories()[:3], [0.0, 0.2, 0.5, 1.0], 20.0
+    blocks = []
+
+    def anneal(diagonals, targets, anneal_time, dt):
+        blocks.append(diagonals.shape)
+        return real_anneal(diagonals, targets, anneal_time, dt)
+
+    real_anneal = ensembles._anneal
+    monkeypatch.setattr(ensembles, "_anneal", anneal)
+    curves = ensembles.bias_response(memories, memories[0], gammas, T)
+    assert blocks == [(len(LEARNING_RULES) * len(gammas), 16)]
+    assert list(curves) == ["gamma", *LEARNING_RULES] and curves["gamma"] == gammas
+    target = pattern_to_index(memories[0])
+    for rule in LEARNING_RULES:
+        diagonals = [ensembles._diagonal(rule, memories, memories[0], g) for g in gammas]
+        alone = np.abs(evolve_batch(diagonals, AnnealSchedule.linear(T))[:, target]) ** 2
+        assert np.abs(np.array(curves[rule]) - alone).max() < 1e-11
+    assert np.abs(np.subtract(curves["hebb"], curves["projection"])).max() > 1e-3
 
 
 def test_results_csv_format_and_determinism(tmp_path):

@@ -137,6 +137,25 @@ def test_split_driver_step_matches_dense_exponential(n):
     _check_step_action(n)
 
 
+@pytest.mark.parametrize("n", [3, 7])
+def test_sub_stepped_block_of_columns_matches_dense_exponential(n):
+    # magnus_step covers one column; a block of columns with their own
+    # diagonals, each step split into sub-steps, dense (n = 3) and split (n = 7)
+    rng = np.random.default_rng(n)
+    dim = 1 << n
+    h0 = transverse_field_hamiltonian(n)
+    for columns, (a, b, dt) in [(2, (0.4, 0.6, 1.5)), (3, (0.3, 0.7, 4.0))]:
+        diags = rng.normal(scale=4.0, size=(dim, columns))
+        prop = evolution._BatchPropagator(diags, 10.0, dt)
+        assert evolution._splits(dt * (a * n + b * prop.d_scale)) >= 2
+        psi0 = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+        psi0 /= np.linalg.norm(psi0, axis=0)
+        got = prop.step(psi0.copy(), a, b, dt)
+        for m in range(columns):
+            exact = expm(-1j * dt * (a * h0 + b * np.diag(diags[:, m]))) @ psi0[:, m]
+            assert np.abs(got[:, m] - exact).max() < 1e-12
+
+
 def test_magnus_step_rejects_a_driver_other_than_minus_sum_x():
     schedule = AnnealSchedule.linear(5.0)
     psi, diag = uniform_superposition(3), np.zeros(8)

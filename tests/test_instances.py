@@ -145,6 +145,18 @@ def test_failure_draw_no_set_can_satisfy_fails_in_bounded_time(n, p):
     assert time.perf_counter() - start < 10.0
 
 
+def test_failure_request_no_set_can_satisfy_is_refused_before_any_draw():
+    # a key at distance 2 needs p memories among the patterns at distance >= 2
+    for n, p in [(1, 1), (2, 2)]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="distance 2"):
+            generate_instance("failure2", n, p, "hebb", 0.2, 50.0, seed=0)
+        assert time.perf_counter() - start < 0.05
+    for n, p in [(2, 1), (3, 4)]:
+        inst = generate_instance("failure2", n, p, "hebb", 0.2, 50.0, seed=0)
+        assert min(hamming_distance(inst.input_key, m) for m in inst.memories) == 2
+
+
 def test_failure_distance_validation():
     with pytest.raises(ValueError):
         generate_instance("failure3", 5, 3, "hebb", 0.2, 50.0, seed=0)

@@ -83,6 +83,14 @@ def test_emit_bias_response_figure(tmp_path):
     assert manifest["inset"]["floor"] == ERROR_FLOOR
 
 
+def test_emit_bias_response_refuses_a_ragged_series(tmp_path):
+    results = {"gamma": [0.1, 0.2], "hebb": [1.0], "storkey": [1.0, 1.0],
+               "projection": [1.0, 1.0]}
+    with pytest.raises(ValueError, match=r"figure f3: series \['hebb'\]"):
+        emit_figure_data(results, "f3", tmp_path / "out")
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_emit_spectrum_figure(tmp_path):
     h1 = ising_hamiltonian(hebb_weights(hadamard_memories(4)), None)
     trace = spectrum_trace(transverse_field_hamiltonian(4), h1,
