@@ -50,7 +50,7 @@ from .hamiltonians import ising_hamiltonian, ground_state_mass
 from .instances import ProblemInstance, derive_seed, generate_instance, _integer, _validate_request
 from .learning import LEARNING_RULES, weights_for_rule
 from .network import BiasSpec
-from .patterns import pattern_to_index
+from .patterns import as_pattern, pattern_to_index
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -297,11 +297,13 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     (`_anneal_classes`); each block's diagonals are built just before it is
     annealed at every T, and each class's P_ans is scored for all its
     members. Every cell of every rule is checked, request and budgets, before
-    the first instance is drawn; a p or N that is not an integer, a repeated
-    p, a repeated gamma in one rule's grid and a T list that is not positive
-    and strictly ascending are refused. A sweep with no cell returns [].
+    the first instance is drawn; an n, p, N or master seed that is not an
+    integer, a repeated p, a repeated gamma in one rule's grid and a T list
+    that is not positive and strictly ascending are refused. A sweep with no
+    cell returns [].
     """
-    count, p_list = _integer(count), [_integer(p) for p in p_list]
+    n, count, master_seed = _integer(n), _integer(count), _integer(master_seed)
+    p_list = [_integer(p) for p in p_list]
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0.0 <= x <= 1.0:
@@ -391,11 +393,14 @@ def bias_response(memories, answer, gammas, anneal_time: float,
     """Recall probability of `answer` versus bias, once per learning rule.
 
     Returns ``{"gamma": [...], "hebb": [...], "storkey": [...],
-    "projection": [...]}``, the bias-response input of figures f3-f5. Every
-    rule's diagonals are built before they anneal as one block, so a memory
-    set one rule cannot store fails before anything has annealed.
+    "projection": [...]}``, the bias-response input of figures f3-f5. The
+    anneal's pre-flight runs first, and every rule's diagonals are built
+    before they anneal as one block, so an empty bias grid, or a memory set
+    one rule cannot store, fails before anything has annealed.
     """
     curves = {"gamma": [float(g) for g in gammas]}
+    _check_anneal(as_pattern(answer).size, len(LEARNING_RULES) * len(curves["gamma"]),
+                  anneal_time, dt)
     diagonals = np.stack([_diagonal(rule, memories, answer, g)
                           for rule in LEARNING_RULES for g in curves["gamma"]])
     targets = [pattern_to_index(answer)] * len(diagonals)

@@ -170,11 +170,14 @@ def _check_anneal(n: int, count: int, total_time: float, dt: float,
                   d_scale: float = 0.0) -> int:
     """Steps `evolve_batch` takes over [0, total_time] for `count` n-qubit
     states with |diagonal| <= d_scale; refuses a bad dt, a register over the
-    cap, a block over `_BLOCK_LIMIT` and a run over `_WORK_LIMIT` sub-steps,
-    each step counted at full schedule weight (a bound for weights in [0, 1])."""
+    cap, an empty block, one over `_BLOCK_LIMIT` and a run over `_WORK_LIMIT`
+    sub-steps, each step counted at full schedule weight (a bound for weights
+    in [0, 1])."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     _check_qubit_count(n)
+    if count < 1:
+        raise ValueError(f"need at least one problem diagonal to anneal, got {count}")
     if count << n > _BLOCK_LIMIT:
         raise ValueError(
             f"{count} states of {n} qubits hold {count << n:.3g} amplitudes "
@@ -209,7 +212,7 @@ class _BatchPropagator:
         self.n = self.dim.bit_length() - 1
         if self.dim < 1 or self.dim != 1 << self.n:
             raise ValueError(f"diagonal length {self.dim} is not a power of two")
-        self.d_scale = float(np.abs(d).max())
+        self.d_scale = float(np.abs(d).max(initial=0.0))  # no column: refused below
         self.steps = _check_anneal(self.n, count, total_time, dt, self.d_scale)
         self.term = np.empty((self.dim, count), dtype=complex)
         self.work = np.empty_like(self.term)
@@ -318,11 +321,9 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
     ends exactly on T, shorter when dt does not divide T; a remainder under
     1e-9 T joins the last step instead of making a step of its own.
     """
-    diagonals = np.atleast_2d(np.asarray(diagonals, dtype=np.float64))
-    count, dim = diagonals.shape
     total = schedule.total_time
-    prop = _BatchPropagator(diagonals.T, total, dt)
-    psi = np.full((dim, count), 1.0 / np.sqrt(dim), dtype=complex)
+    prop = _BatchPropagator(np.atleast_2d(diagonals).T, total, dt)
+    psi = np.full(prop.term.shape, 1.0 / np.sqrt(prop.dim), dtype=complex)
     for k in range(prop.steps):
         t = k * dt
         h = dt if k < prop.steps - 1 else total - t

@@ -99,7 +99,7 @@ def _finite_diagonal(h1, ndim: int = 1) -> np.ndarray:
     if not np.isfinite(d).all():
         raise FloatingPointError("problem Hamiltonian is not finite")
     if d.ndim != ndim:
-        raise ValueError(f"problem Hamiltonian must be {ndim}-D diagonals, got shape {d.shape}")
+        raise ValueError(f"problem Hamiltonian must be {ndim}-D diagonals, got a {d.ndim}-D array")
     return d
 
 

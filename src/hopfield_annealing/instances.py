@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .learning import LEARNING_RULES, SingularCovarianceError, projection_weights
+from .learning import LEARNING_RULES, SingularCovarianceError, _storable_covariance
 from .patterns import all_patterns, as_memory_set, as_pattern, random_pattern
 
 __all__ = [
@@ -179,7 +179,7 @@ def _draw_memory_set(rng, n: int, p: int, rule: str, spacing: int = 1) -> np.nda
         memories = np.stack(memories)
         try:
             if rule == "projection":  # the only rule that can refuse a set
-                projection_weights(memories)
+                _storable_covariance(memories.astype(np.float64))
         except SingularCovarianceError:
             continue
         return memories

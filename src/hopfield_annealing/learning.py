@@ -96,6 +96,16 @@ def _covariance(xi: np.ndarray) -> np.ndarray:
     return (xi @ xi.T) / xi.shape[1]
 
 
+def _storable_covariance(xi: np.ndarray) -> np.ndarray:
+    """Covariance of a validated float memory set; `SingularCovarianceError`
+    if its condition number is beyond _COND_LIMIT (the projection rule's test)."""
+    c = _covariance(xi)
+    cond = np.linalg.cond(c)
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularCovarianceError(float(cond))
+    return c
+
+
 def projection_weights(memories, zero_diagonal: bool = True) -> np.ndarray:
     """Projection-rule weight matrix (1/n) Xi^T C^-1 Xi.
 
@@ -104,12 +114,8 @@ def projection_weights(memories, zero_diagonal: bool = True) -> np.ndarray:
     `SingularCovarianceError`.
     """
     xi = as_memory_set(memories).astype(np.float64)
-    n = xi.shape[1]
-    c = _covariance(xi)
-    cond = np.linalg.cond(c)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularCovarianceError(float(cond))
-    w = _mirror_upper(xi.T @ np.linalg.inv(c) @ xi / n)
+    c = _storable_covariance(xi)
+    w = _mirror_upper(xi.T @ np.linalg.inv(c) @ xi / xi.shape[1])
     if zero_diagonal:
         np.fill_diagonal(w, 0.0)
     return w

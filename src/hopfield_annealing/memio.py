@@ -119,17 +119,18 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
     f1/f2 take a `SpectrumTrace`; f3-f5 take a bias-response dict with keys
     ``gamma``, ``hebb``, ``storkey``, ``projection``; f6-f9 take the matching
     protocol's `EnsembleStats` list; f10 takes an annealing-time sweep list.
-    Returns the written file paths.
+    Returns the written file paths. `results` is checked before `out_dir`
+    is created, so a refused call leaves nothing behind.
     """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
     kind, setting = FIGURES[figure_id]
-    os.makedirs(out_dir, exist_ok=True)
     written = []
     manifest = {"figure": figure_id, "basis": "little-endian (spin i -> bit 2^i)"}
 
     if kind == "spectrum":
         _require(isinstance(results, SpectrumTrace), figure_id, "expected a SpectrumTrace")
+        os.makedirs(out_dir, exist_ok=True)
         written.append(os.path.join(out_dir, f"{figure_id}_spectrum.csv"))
         write_spectrum_csv(results, written[0])
         manifest.update(x_label="t", y_label="energy",
@@ -140,6 +141,7 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
         _require(not missing, figure_id, f"missing series {sorted(missing)}")
         ragged = [r for r in LEARNING_RULES if len(results[r]) != len(results["gamma"])]
         _require(not ragged, figure_id, f"series {ragged} do not match gamma in length")
+        os.makedirs(out_dir, exist_ok=True)
         written += [os.path.join(out_dir, f"{figure_id}_recall_vs_bias.csv"),
                     os.path.join(out_dir, f"{figure_id}_recall_error.csv")]
         _write_bias_csv(written[0], results, "q", float)
@@ -168,6 +170,7 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
             )
             x_label = "gamma"
             series = {f"{s.rule},p={s.p}" for s in stats}
+        os.makedirs(out_dir, exist_ok=True)
         written.append(os.path.join(out_dir, f"{figure_id}_mean_success.csv"))
         write_results_csv(stats, written[0])
         manifest.update(x_label=x_label, y_label="mean success", series=sorted(series))

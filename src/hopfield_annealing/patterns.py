@@ -4,6 +4,10 @@ Conventions used throughout the package:
 
 - A *pattern* is a 1-D integer array with entries in {+1, -1}.
 - A *memory set* is a 2-D integer array of shape (p, n): one pattern per row.
+- `as_pattern` and `as_memory_set` accept any array-like of real numbers
+  that are exactly +1 or -1, and return a fresh int64 copy. Anything else is
+  a ValueError, never truncated or cast first: 1.5 is not +1, '1' is not a
+  number, and a ragged or empty input is not a pattern or memory set.
 - Computational-basis indexing is little endian: pattern ``z`` maps to the
   basis index ``s = sum_i s_i * 2**i`` with bit values ``s_i = (z_i + 1) / 2``,
   i.e. spin i occupies bit ``2**i`` of the state label.
@@ -24,29 +28,33 @@ __all__ = [
 ]
 
 
+def _bipolar(values, ndim: int) -> np.ndarray:
+    """`values` as a fresh int64 array of `ndim` dimensions, checked in one
+    pass: rectangular, non-empty, real and exactly +1 or -1 before any cast."""
+    what = "pattern" if ndim == 1 else "memory set"
+    try:
+        z = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nesting
+        raise ValueError(f"{what} is not rectangular: its rows differ in length") from None
+    if z.ndim != ndim or z.size < 1:
+        raise ValueError(f"{what} must be a non-empty {ndim}-D array, got shape {z.shape}")
+    if z.dtype.kind not in "iuf":
+        raise ValueError(f"{what} entries must be real numbers, got dtype {z.dtype}")
+    if (off := np.abs(z) != 1).any():
+        row, col = divmod(int(np.flatnonzero(off)[0]), z.shape[-1])
+        where = f"pattern element {col}" if ndim == 1 else f"memory {row} element {col}"
+        raise ValueError(f"{where} is not +1 or -1")
+    return z.astype(np.int64)
+
+
 def as_pattern(values) -> np.ndarray:
-    """Validate and return a bipolar pattern as an integer array."""
-    z = np.asarray(values)
-    if z.ndim != 1 or z.size < 1:
-        raise ValueError("pattern must be a non-empty 1-D sequence")
-    z = z.astype(np.int64, copy=True)
-    if not np.all(np.abs(z) == 1):
-        bad = np.flatnonzero(np.abs(z) != 1)[0]
-        raise ValueError(f"pattern element {bad} is not +1 or -1")
-    return z
+    """Validate and return a bipolar pattern as a fresh int64 array."""
+    return _bipolar(values, 1)
 
 
 def as_memory_set(patterns) -> np.ndarray:
-    """Validate a collection of equal-length patterns; returns a (p, n) array."""
-    rows = list(patterns)
-    if len(rows) < 1:
-        raise ValueError("memory set must contain at least one pattern")
-    mats = [as_pattern(r) for r in rows]
-    n = mats[0].size
-    for k, m in enumerate(mats):
-        if m.size != n:
-            raise ValueError(f"memory {k} has length {m.size}, expected {n}")
-    return np.stack(mats)
+    """Validate equal-length patterns as a fresh (p, n) int64 array."""
+    return _bipolar(patterns, 2)
 
 
 def hamming_distance(a, b) -> int:
@@ -81,7 +89,7 @@ def all_patterns(n: int) -> np.ndarray:
 
 def random_pattern(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random bipolar pattern of length n."""
-    return (2 * rng.integers(0, 2, size=n) - 1).astype(np.int64)
+    return 2 * rng.integers(0, 2, size=n) - 1  # integers draws int64
 
 
 def hadamard_memories(n: int, p: int | None = None) -> np.ndarray:

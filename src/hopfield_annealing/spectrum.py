@@ -47,8 +47,11 @@ def instantaneous_spectrum(h0, h1, schedule: AnnealSchedule, t: float) -> np.nda
         raise ValueError(f"t={t} outside [0, {schedule.total_time}]")
     a = float(schedule.driver_weight(t))
     b = float(schedule.problem_weight(t))
+    d = _finite_diagonal(h1)
     h = a * np.asarray(h0, dtype=np.float64)
-    h[np.diag_indices_from(h)] += b * _finite_diagonal(h1)
+    if h.shape != (d.size, d.size):
+        raise ValueError(f"h0 must be {d.size} x {d.size} to match H1, got shape {h.shape}")
+    h[np.diag_indices_from(h)] += b * d
     return np.linalg.eigvalsh(h)
 
 

@@ -155,10 +155,13 @@ def test_sweeps_check_cell_arguments_before_annealing(kwargs, match, no_draws):
     (lambda: bias_sweep("exact", 4, [1, True], "hebb", [0.3], 20.0), "integer, got True"),
     (lambda: run_ensemble("exact", 4, np.float32(1.5), "hebb", 0.3, 5.0, count=2), "integer"),
     (lambda: bias_sweep("exact", 4, [1, np.bool_(True)], "hebb", [0.3], 20.0), "integer"),
+    (lambda: bias_sweep("exact", 3.5, [1], "hebb", [0.3], 20.0), "integer, got 3.5"),
+    (lambda: bias_sweep("exact", 4, [1], "hebb", [0.3], 20.0, master_seed=1.5),
+     "integer, got 1.5"),
 ], ids=["p-list", "projection-p-list", "T-list", "sweep-N", "ensemble-N", "three-rules",
         "repeated-gamma", "repeated-p", "repeated-T", "descending-T", "repeated-rule-gamma",
         "negative-T-no-p", "zero-T-no-p", "nan-T", "fractional-p", "bool-p",
-        "numpy-fractional-p", "numpy-bool-p"])
+        "numpy-fractional-p", "numpy-bool-p", "fractional-n", "fractional-master-seed"])
 def test_sweeps_check_every_cell_before_drawing(sweep, match, no_draws):
     with pytest.raises(ValueError, match=match):
         sweep()

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from hopfield_annealing import evolution
+from hopfield_annealing.ensembles import bias_response
 from hopfield_annealing.evolution import (
     AnnealSchedule,
     ConvergenceError,
@@ -23,6 +24,7 @@ from hopfield_annealing.patterns import (
     overlapping_memories,
     pattern_to_index,
 )
+from hopfield_annealing.spectrum import instantaneous_spectrum, spectrum_trace
 
 
 # evolve_batch and magnus_step take the problem Hamiltonian as its diagonal;
@@ -435,3 +437,27 @@ def test_oversized_block_is_refused_before_any_buffer(monkeypatch):
     with pytest.raises(ValueError, match="amplitudes"):
         magnus_step(uniform_superposition(3), transverse_field_hamiltonian(3), np.zeros(8),
                     AnnealSchedule.linear(1.0), 0.0, 0.1)
+
+
+# the anneal's pre-flight and the diagonal and h0 checks refuse these in terms
+# of the argument, where numpy's own messages would read "need at least one
+# array to stack", "zero-size array to reduction operation", "too many values
+# to unpack" and "operands could not be broadcast"
+@pytest.mark.parametrize("call, match", [
+    (lambda: bias_response(overlapping_memories(), overlapping_memories()[0], [], 10.0),
+     "at least one problem diagonal to anneal, got 0"),
+    (lambda: evolve_batch(np.zeros((0, 8)), AnnealSchedule.linear(1.0), 0.1),
+     "at least one problem diagonal to anneal, got 0"),
+    (lambda: evolve_batch(np.zeros((2, 3, 8)), AnnealSchedule.linear(1.0), 0.1),
+     "must be 2-D diagonals, got a 3-D array"),
+    (lambda: spectrum_trace(transverse_field_hamiltonian(2), np.zeros(8),
+                            AnnealSchedule.linear(1.0), num_samples=3),
+     r"h0 must be 8 x 8 to match H1, got shape \(4, 4\)"),
+    (lambda: instantaneous_spectrum(np.zeros((4, 2)), np.zeros(4),
+                                    AnnealSchedule.linear(1.0), 0.5),
+     r"h0 must be 4 x 4 to match H1, got shape \(4, 2\)"),
+], ids=["empty-bias-grid", "zero-rows", "3-D-diagonals", "trace-h0-size",
+        "spectrum-h0-not-square"])
+def test_refusals_name_their_argument(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -88,7 +88,13 @@ def test_emit_bias_response_refuses_a_ragged_series(tmp_path):
                "projection": [1.0, 1.0]}
     with pytest.raises(ValueError, match=r"figure f3: series \['hebb'\]"):
         emit_figure_data(results, "f3", tmp_path / "out")
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+def test_emit_refused_ensemble_results_create_no_directory(tmp_path):
+    with pytest.raises(ValueError, match="expected a list"):
+        emit_figure_data({"gamma": []}, "f6", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_emit_spectrum_figure(tmp_path):

@@ -113,6 +113,12 @@ def test_energy_dimension_mismatch():
         network_energy([1, -1, 1], np.zeros((3, 3)), BiasSpec([1, -1], 0.1))
 
 
+def test_energy_refuses_a_fractional_spin():
+    # truncated to 1, the spin would give an energy of 0.0
+    with pytest.raises(ValueError, match="pattern element 0"):
+        network_energy([1.5, -1], np.zeros((2, 2)))
+
+
 # -- delta_energy ----------------------------------------------------------------
 
 def test_delta_energy_zero_at_satisfied_spin():

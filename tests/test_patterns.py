@@ -23,17 +23,39 @@ def test_as_pattern_accepts_bipolar():
     assert list(z) == [1, -1, 1]
 
 
-@pytest.mark.parametrize("bad", [[], [0, 1], [1, 2, -1], [0.5, -0.5], [[1, -1]]])
+# spins are refused, never truncated or cast first: 1.5 and -1.9 are not
+# +1 and -1, and the string '1' is not a number
+@pytest.mark.parametrize("bad", [[], [0, 1], [1, 2, -1], [0.5, -0.5], [[1, -1]],
+                                 [1.5, -1, 1], [-1.9, 1], ["1", "-1"], [1, None]])
 def test_as_pattern_rejects_non_bipolar(bad):
     with pytest.raises(ValueError):
         as_pattern(bad)
 
 
 def test_as_memory_set_requires_common_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="differ in length"):
         as_memory_set([[1, -1], [1, -1, 1]])
     with pytest.raises(ValueError):
         as_memory_set([])
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([[1, -1], [1.5, -1]], "memory 1 element 0"),
+    ([[1, -1], [-1, 1.0000001]], "memory 1 element 1"),
+    ([["1", "-1"]], "real numbers"),
+    ([[True, True]], "real numbers"),
+])
+def test_as_memory_set_refuses_what_a_cast_would_hide(bad, match):
+    with pytest.raises(ValueError, match=match):
+        as_memory_set(bad)
+
+
+def test_validated_arrays_are_fresh_int64_copies():
+    for check, source in [(as_pattern, np.array([1, -1])),
+                          (as_memory_set, np.array([[1, -1]], dtype=np.int8))]:
+        got = check(source)
+        assert got.dtype == np.int64
+        assert not np.shares_memory(got, source)
 
 
 def test_hamming_examples():
