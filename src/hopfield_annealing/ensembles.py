@@ -26,16 +26,18 @@ Each class is keyed by its canonical form (`_class_key`), annealed once per
 annealing time with the other classes of the sweep in packed blocks (see
 `evolution.evolve_batch`), and its P_ans is scored for every member.
 
-A sweep has one block plan (`_anneal_classes`): its classes split, in class
-order and with no longest-first order, into near-equal blocks that run
-in-process or on `fork`-started workers, one per usable CPU.
-A pooled block can be narrower than an in-process one, and a block's largest
-|diagonal| sets its Taylor term and split counts, so a pooled P_ans may
-differ from the in-process one by about 1e-11; a thresholded result moves
-only for an instance that close to x.
+A sweep forks at most once (`_Workers`): one worker per usable CPU draws and
+keys slices of its instances (`_draw_classes`), then anneals its classes in
+near-equal blocks in class order (`_anneal_classes`); each phase stays
+in-process on one CPU, at n = 12 and below its break-even. A pooled block can
+be narrower than an in-process one, and a block's largest |diagonal| sets its
+Taylor term and split counts, so a pooled P_ans may differ from the
+in-process one by about 1e-11; a thresholded result moves only for an
+instance that close to x.
 """
 
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import permutations
@@ -77,6 +79,10 @@ DEFAULT_ENSEMBLE_SIZE = 100
 # 4e5-6e5 (n = 5: 24 columns at T = 50, 2 at T = 1000; n = 8: 2 columns at
 # T = 100); the bound keeps a factor of about 2 for timing noise
 _POOL_MIN_WORK = 1 << 20
+# a sweep draws and keys on the workers from this many instances: two workers
+# (fork, map and join 13-20 ms) broke even at about 200 draws of 180-220 us
+# (n = 5) and 100 of 430 us; the bound keeps a factor of 2 for timing noise
+_POOL_MIN_DRAWS = 400
 # class keys search memory orders and the signs of balanced memory rows up to
 # this p: at most 120 orders (failure protocols) times 32 signs (even n)
 _ORDERED_MAX_P = 5
@@ -196,6 +202,62 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+class _Workers:
+    """A sweep's pool of one `fork` worker per usable CPU, started by the first
+    pooled `map` of either phase and joined when the `with` block ends."""
+
+    def __enter__(self):
+        self.count, self._pool, self._token = _usable_cpus(), None, _SWEEP_WORKERS.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _SWEEP_WORKERS.reset(self._token)
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def map(self, fn, items, pooled: bool) -> list:
+        if pooled and self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            # fork, not spawn: spawn re-imports __main__, which breaks scripts
+            # that sweep at top level. The executor forks before it starts its
+            # threads, and OpenBLAS rebuilds its thread pool after a fork
+            self._pool = ProcessPoolExecutor(self.count, mp_context=get_context("fork"))
+        # when a call raises, map cancels every call it has not yet yielded
+        return list((self._pool.map if pooled else map)(fn, items))
+
+
+_SWEEP_WORKERS = ContextVar("_SWEEP_WORKERS")  # `_anneal_classes` maps on it
+
+
+def _draw_slice(protocol, n, sets, count, anneal_time, master_seed, span):
+    """Draw and key the instances `span` of a sweep's `sets` x `count` list: the
+    distinct class keys in order of first appearance, and each one's index."""
+    keys, ids = {}, []
+    for k in span:
+        rule, p, gi, gamma = sets[k // count]
+        instance = generate_instance(protocol, n, p, rule, gamma, anneal_time,
+                                     seed=derive_seed(master_seed, protocol, p, gi, 0, k % count))
+        ids.append(keys.setdefault(_class_key(instance), len(keys)))
+    return list(keys), ids
+
+
+def _draw_classes(workers, protocol, n, sets, count, anneal_time, master_seed):
+    """A sweep's class keys in order of first appearance and each instance's
+    class id, shape (sets, count), from slices drawn in-process or on `workers`."""
+    total = len(sets) * count
+    pooled = workers.count > 1 and _one_thread_columns(n) > 0 and total >= _POOL_MIN_DRAWS
+    m = 4 * workers.count if pooled else 1  # later, larger-p slices cost more; 4 beat 1
+    spans = [range(total * s // m, total * (s + 1) // m) for s in range(m)]
+    draw = partial(_draw_slice, protocol, n, sets, count, anneal_time, master_seed)
+    classes, ids = {}, []
+    for keys, local in workers.map(draw, spans, pooled):
+        merged = [classes.setdefault(key, len(classes)) for key in keys]
+        ids += [merged[i] for i in local]
+    return list(classes), np.reshape(ids, (len(sets), count))
+
+
 def _anneal_block(keys, n: int, time_list, dt: float) -> np.ndarray:
     """P_ans of each class of `keys` (rows) at each annealing time (columns)."""
     diagonals = np.stack([_class_diagonal(key) for key in keys])
@@ -208,42 +270,38 @@ def _anneal_classes(keys, n: int, time_list, dt: float, count: int,
     """P_ans of every class at every annealing time, in `keys` order; `steps`
     is the step count of all the annealing times together.
 
-    One width rule for both paths: the classes split, in class order, into
-    the fewest near-equal blocks, a multiple of the worker count, none wider
-    than OpenBLAS runs on one thread (`_one_thread_columns`); in-process, a
-    block may also hold one cell's `count` columns, which the pre-flight
-    admits. They run in-process with one usable CPU, where no block is
-    narrow enough (n = 12), or where a pooled block would keep under
-    `_POOL_MIN_WORK`. A worker's failure is raised here with its type and
-    message, blocks not yet handed to a worker never start, and no worker
-    outlives the call.
+    The classes split, in class order, into the fewest near-equal blocks, a
+    multiple of the worker count, none wider than OpenBLAS runs on one
+    thread (`_one_thread_columns`); in-process, a block may also hold one
+    cell's `count` columns. They run in-process with one usable CPU, at
+    n = 12, or where a pooled block would keep under `_POOL_MIN_WORK`, else
+    on the sweep's pool (`_Workers`). A worker's failure is raised here with
+    its type and message, and blocks not yet handed to a worker never start.
     """
     # two processes that each thread their products over two CPUs ran 3-50
     # times slower than one (n = 5 at 600 columns, n = 10-12 at 5-56)
-    workers, cap = _usable_cpus(), _one_thread_columns(n)
+    workers, cap = _SWEEP_WORKERS.get().count, _one_thread_columns(n)
     blocks = workers * -(-len(keys) // (workers * max(cap, 1)))
     if workers == 1 or not cap or ((len(keys) // blocks) << n) * steps < _POOL_MIN_WORK:
         workers, blocks = 1, -(-len(keys) // max(cap, count))
     edges = [len(keys) * b // blocks for b in range(blocks + 1)]
     anneal = partial(_anneal_block, n=n, time_list=time_list, dt=dt)
     spans = [keys[a:b] for a, b in zip(edges, edges[1:])]
-    if workers == 1:
-        return np.concatenate(list(map(anneal, spans)))
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    # fork, not spawn: spawn re-imports __main__, which breaks scripts that
-    # sweep at top level. The executor forks its workers before it starts
-    # its own threads, and OpenBLAS rebuilds its thread pool after a fork.
-    # When a block raises, map cancels every block it has not yet yielded.
-    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-        return np.concatenate(list(pool.map(anneal, spans)))
+    return np.concatenate(_SWEEP_WORKERS.get().map(anneal, spans, workers > 1))
 
 
 def _anneal(diagonals, targets, anneal_time: float, dt: float):
     """Final states of a linear anneal per row of `diagonals`, and each row's P_ans."""
     states = evolve_batch(diagonals, AnnealSchedule.linear(anneal_time), dt)
     return states, np.abs(states[np.arange(len(states)), targets]) ** 2
+
+
+def _numbers(values, convert, name: str) -> list:
+    """[convert(v) for v in values], or a ValueError that names `name`."""
+    try:
+        return [convert(v) for v in values]
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"{name}: {error}") from None
 
 
 def run_instance(
@@ -285,25 +343,19 @@ def run_ensemble(
 def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
                  master_seed) -> list[EnsembleStats]:
     """One ensemble per (rule, p, gamma, T) cell, in that nesting order;
-    `rule_gammas` maps each learning rule to its own bias grid.
-
-    Instance seeds take gamma's position in its rule's grid and leave out the
-    rule and T (time index 0): Hebb and Storkey cells at the same (p, gamma
-    index) draw the same instances, and projection cells differ only where
-    that rule rejects a memory set and redraws. Each (rule, p, gamma)
-    instance set is drawn once and keyed by symmetry class. The classes of
-    every cell, in order of first appearance, split into near-equal blocks
-    that run in-process or on one forked worker per usable CPU
-    (`_anneal_classes`); each block's diagonals are built just before it is
-    annealed at every T, and each class's P_ans is scored for all its
-    members. Every cell of every rule is checked, request and budgets, before
-    the first instance is drawn; an n, p, N or master seed that is not an
-    integer, a repeated p, a repeated gamma in one rule's grid and a T list
-    that is not positive and strictly ascending are refused. A sweep with no
-    cell returns [].
+    `rule_gammas` maps each rule to its own bias grid, whose positions are the
+    gammas' seed indices. Every cell is checked, request and budgets, before
+    the first draw: an n, p, N or master seed that is not an integer, a gamma
+    or T that is not a finite number, a repeated p or gamma and a T list that
+    is not positive and strictly ascending are refused with a ValueError that
+    names the argument. Each (rule, p, gamma) instance set is drawn once and
+    keyed by symmetry class (`_draw_classes`), and the classes are annealed
+    at every T (`_anneal_classes`). A sweep with no cell returns [].
     """
-    n, count, master_seed = _integer(n), _integer(count), _integer(master_seed)
-    p_list = [_integer(p) for p in p_list]
+    n, count = _integer(n, "n"), _integer(count, "count")
+    master_seed, p_list = _integer(master_seed, "master_seed"), _numbers(p_list, _integer, "p_list")
+    time_list = _numbers(time_list, float, "time_list")
+    rule_gammas = {rule: _numbers(grid, float, "gamma") for rule, grid in rule_gammas.items()}
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0.0 <= x <= 1.0:
@@ -312,43 +364,30 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
         raise ValueError(f"p_list repeats a value: {p_list}")
     for rule, gamma_grid in rule_gammas.items():
         if len(set(gamma_grid)) < len(gamma_grid):
-            raise ValueError(f"the {rule} bias grid repeats a value: {list(gamma_grid)}")
+            raise ValueError(f"the {rule} bias grid repeats a value: {gamma_grid}")
     if not all(a < b for a, b in zip([0.0, *time_list], time_list)):
-        raise ValueError(f"time_list must be positive and strictly ascending, "
-                         f"got {list(time_list)}")
-    sets = [(rule, p, gi, gamma)
-            for rule, gamma_grid in rule_gammas.items()
-            for p in p_list
-            for gi, gamma in enumerate(gamma_grid)]
+        raise ValueError(f"time_list must be positive and strictly ascending, got {time_list}")
+    sets = [(rule, p, gi, gamma) for rule, gamma_grid in rule_gammas.items()
+            for p in p_list for gi, gamma in enumerate(gamma_grid)]
     for rule, p, _, gamma in sets:
-        # T = 1 stands in for every T: the request's only check on T is
-        # T > 0, which the ascending check above has made
+        # T = 1 stands in for every T: the request checks T > 0 and finite,
+        # which the ascending check above and the pre-flight below make
         _validate_request(n, p, rule, gamma, 1.0)
     # the pre-flight reads no rule, p or gamma; its steps size the pool's blocks
     steps = sum(_check_anneal(n, count, anneal_time, dt) for anneal_time in time_list)
     if not sets or not time_list:  # no cell to anneal, so no instance to draw
         return []
-    classes = {}  # class key -> class id, in order of first appearance
-    members = []  # per instance set, the class id of each instance
-    for rule, p, gi, gamma in sets:
+    with _Workers() as workers:
         # draws do not read T, so the first T of the list serves them all
-        instances = (generate_instance(protocol, n, p, rule, gamma, time_list[0],
-                                       seed=derive_seed(master_seed, protocol, p, gi, 0, i))
-                     for i in range(count))
-        members.append([classes.setdefault(_class_key(inst), len(classes))
-                        for inst in instances])
-    p_ans = _anneal_classes(list(classes), n, time_list, dt, count, steps)
-    stats = []
-    for (rule, p, _, gamma), ids in zip(sets, members):
-        for ti, anneal_time in enumerate(time_list):
-            mean = float(np.mean(p_ans[ids, ti] >= x))
-            stats.append(EnsembleStats(
-                protocol=protocol, rule=rule, n=n, p=p, gamma=gamma,
-                anneal_time=anneal_time, count=count, threshold=x,
-                mean_success=mean, variance=mean * (1.0 - mean),
-                master_seed=master_seed,
-            ))
-    return stats
+        keys, members = _draw_classes(workers, protocol, n, sets, count, time_list[0], master_seed)
+        p_ans = _anneal_classes(keys, n, time_list, dt, count, steps)
+    means = (p_ans[members] >= x).mean(axis=1).tolist()  # (sets, T)
+    return [EnsembleStats(protocol=protocol, rule=rule, n=n, p=p, gamma=gamma,
+                          anneal_time=anneal_time, count=count, threshold=x,
+                          mean_success=mean, variance=mean * (1.0 - mean),
+                          master_seed=master_seed)
+            for (rule, p, _, gamma), row in zip(sets, means)
+            for anneal_time, mean in zip(time_list, row)]
 
 
 def bias_sweep(
@@ -364,7 +403,7 @@ def bias_sweep(
     master_seed: int = 0,
 ) -> list[EnsembleStats]:
     """One ensemble per (p, gamma) cell; instances re-sampled per cell."""
-    gamma_grid = [float(g) for g in gamma_grid]
+    gamma_grid = _numbers(gamma_grid, float, "gamma_grid")
     if any(not 0.0 <= g <= 1.0 for g in gamma_grid):
         raise ValueError("gamma grid values must lie in [0, 1]")
     return _sweep_cells(protocol, n, p_list, {rule: gamma_grid}, [anneal_time],
@@ -384,7 +423,7 @@ def anneal_time_sweep(
     master_seed: int = 0,
 ) -> list[EnsembleStats]:
     """One ensemble per (p, T) cell; the same instances at every T."""
-    return _sweep_cells(protocol, n, p_list, {rule: [gamma]}, [float(t) for t in time_list],
+    return _sweep_cells(protocol, n, p_list, {rule: [gamma]}, time_list,
                         count, x, dt, master_seed)
 
 

@@ -22,6 +22,7 @@ ensemble master seed with a SplitMix64 hash over the labelled run coordinates
 the generator are part of the package's reproducibility contract.
 """
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -135,15 +136,15 @@ class ProblemInstance:
         return self.answer
 
 
-def _integer(value) -> int:
-    """int() that rejects booleans and non-integral numbers instead of truncating,
-    numpy's included."""
-    if isinstance(value, (bool, np.bool_)) or (
-        isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
-        and not float(value).is_integer()
-    ):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _integer(value, name: str = "") -> int:
+    """int() that refuses booleans, non-integral numbers (numpy's included) and
+    what int() cannot read, with a ValueError whose message starts with `name`."""
+    with contextlib.suppress(TypeError, ValueError):
+        if not isinstance(value, (bool, np.bool_)) and (
+                not isinstance(value, numbers.Real) or isinstance(value, numbers.Integral)
+                or float(value).is_integer()):
+            return int(value)
+    raise ValueError(f"{name}{': ' if name else ''}expected an integer, got {value!r}")
 
 
 def _validate_request(n: int, p: int, rule: str, gamma: float, anneal_time: float) -> None:
@@ -155,10 +156,10 @@ def _validate_request(n: int, p: int, rule: str, gamma: float, anneal_time: floa
         raise ValueError(f"unknown learning rule {rule!r}; choose from {LEARNING_RULES}")
     if rule == "projection" and p > n:  # p patterns of length n span at most n dimensions
         raise ValueError(f"p={p} infeasible for the projection rule at n={n} (need p <= n)")
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    if anneal_time <= 0:
-        raise ValueError(f"anneal_time must be positive, got {anneal_time}")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+    if not 0 < anneal_time < math.inf:
+        raise ValueError(f"anneal_time must be positive and finite, got {anneal_time}")
 
 
 def _draw_memory_set(rng, n: int, p: int, rule: str, spacing: int = 1) -> np.ndarray:

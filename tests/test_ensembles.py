@@ -575,6 +575,111 @@ def test_small_sweeps_run_in_process(monkeypatch):
     bias_sweep("noisy", 12, [3], "hebb", [0.3], 0.2, count=3)
 
 
+@pytest.mark.usefixtures("no_draws", "no_pool")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_bias_or_time_is_refused_before_any_draw(bad):
+    # the request check refuses them, so no instance is drawn and no sweep
+    # reaches its pool: a noisy anneal-time sweep over p = 1-5 would draw 500
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        generate_instance("exact", 4, 1, "hebb", bad, 10.0, seed=1)
+    with pytest.raises(ValueError, match="anneal_time must be positive and finite"):
+        generate_instance("exact", 4, 1, "hebb", 0.3, bad, seed=1)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        anneal_time_sweep("noisy", 5, [1, 2, 3, 4, 5], "hebb", bad, [10.0, 20.0])
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        run_ensemble("noisy", 5, 3, "storkey", bad, 10.0)
+    with pytest.raises(ValueError, match="gamma grid"):
+        bias_sweep("noisy", 5, [1, 2, 3, 4, 5], "hebb", [0.1, bad], 10.0)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_draws_match_in_process_draws(monkeypatch, tmp_path, pools, workers):
+    # the draw rule lifted, a sweep of 6 instance sets x 7 instances is cut
+    # into 4 slices per worker, so slices end inside instance sets, and a
+    # sweep of 2 instances (one class, annealed in-process) leaves most
+    # slices empty. Drawn on one worker and on `workers`, both give the same
+    # class keys in the same order, the same class id for every instance and
+    # the same results CSV bytes; each sweep forks once, whether one phase
+    # pools or both, and every instance is drawn on a worker
+    drawn, anneals = [], []
+    real_draw, real_classes = ensembles._draw_classes, ensembles._anneal_classes
+    real_anneal = ensembles._anneal
+
+    def draw_classes(*args):
+        drawn.append(real_draw(*args))
+        return drawn[-1]
+
+    def anneal_classes(keys, *args):
+        anneals.append(list(keys))
+        return real_classes(keys, *args)
+
+    def draw(*args, **kw):  # one byte per draw, in a file named by its process
+        with open(tmp_path / f"draws.{os.getpid()}", "a") as fh:
+            fh.write(".")
+        return generate_instance(*args, **kw)
+
+    def anneal(*args):  # a file per process that anneals
+        (tmp_path / f"anneal.{os.getpid()}").touch()
+        return real_anneal(*args)
+
+    monkeypatch.setattr(ensembles, "_draw_classes", draw_classes)
+    monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
+    monkeypatch.setattr(ensembles, "generate_instance", draw)
+    monkeypatch.setattr(ensembles, "_anneal", anneal)
+    monkeypatch.setattr(ensembles, "_POOL_MIN_DRAWS", 0)
+    sweeps = [(0, ("noisy", 5, [2, 4], {"hebb": [0.3], "storkey": [0.2, 0.5]}, [5.0, 12.0], 7)),
+              (ensembles._POOL_MIN_WORK, ("failure1", 5, [3], {"projection": [0.4]}, [5.0], 2))]
+    for min_work, args in sweeps:
+        monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", min_work)
+        csvs = []
+        for cpus in (1, workers):
+            monkeypatch.setattr(ensembles, "_usable_cpus", lambda: cpus)
+            pools.clear()
+            for old in [*tmp_path.glob("draws.*"), *tmp_path.glob("anneal.*")]:
+                old.unlink()
+            stats = _sweep_cells(*args, DEFAULT_THRESHOLD, 0.1, 5)
+            assert multiprocessing.active_children() == []
+            write_results_csv(stats, tmp_path / "results.csv")
+            csvs.append((tmp_path / "results.csv").read_bytes())
+            counts = {path.suffix: path.stat().st_size for path in tmp_path.glob("draws.*")}
+            assert sum(counts.values()) == len(drawn[-1][1].flat)
+            assert (f".{os.getpid()}" in counts) == (cpus == 1)
+            annealed_here = (tmp_path / f"anneal.{os.getpid()}").exists()
+            assert annealed_here == (cpus == 1 or min_work > 0)
+            assert pools == ([] if cpus == 1 else [workers])
+        (keys_a, ids_a), (keys_b, ids_b) = drawn[-2:]
+        assert keys_a == keys_b == anneals[-2] == anneals[-1]
+        assert np.array_equal(ids_a, ids_b) and ids_a.shape == (len(stats) // len(args[4]), args[5])
+        assert csvs[0] == csvs[1]
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_draw_failure_in_a_worker_keeps_its_type_and_exit_code(monkeypatch, tmp_path, capsys,
+                                                               pools):
+    # a ValueError raised by a draw in a worker reaches the caller with its
+    # type and message, so the CLI exits 2; no worker outlives the failure
+    from hopfield_annealing.cli import main
+
+    parent = os.getpid()
+
+    def draw(*args, **kw):
+        if os.getpid() != parent:
+            raise ValueError("could not draw in a worker")
+        return generate_instance(*args, **kw)
+
+    monkeypatch.setattr(ensembles, "generate_instance", draw)
+    monkeypatch.setattr(ensembles, "_POOL_MIN_DRAWS", 0)
+    with pytest.raises(ValueError, match="could not draw in a worker"):
+        _sweep_cells("exact", 5, [4, 5], {"hebb": [0.3]}, [5.0], 40, 0.5, 0.1, 3)
+    assert multiprocessing.active_children() == []
+    code = main(["bias-sweep", "--n", "5", "--p-list", "4,5", "--gamma-grid", "0.3",
+                 "--N", "40", "--T", "5", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "could not draw in a worker" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert pools == [2, 2]
+
+
 def test_script_without_main_guard_runs_the_pool(tmp_path, monkeypatch):
     # a script that sweeps at module top level, as the demos do: fork starts
     # the workers without re-running it (spawn and forkserver would), so it
