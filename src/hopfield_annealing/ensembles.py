@@ -37,7 +37,7 @@ instance that close to x.
 """
 
 import os
-from contextvars import ContextVar
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import permutations
@@ -202,16 +202,17 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-class _Workers:
+class _Workers(AbstractContextManager):
     """A sweep's pool of one `fork` worker per usable CPU, started by the first
-    pooled `map` of either phase and joined when the `with` block ends."""
+    pooled `map` of either phase and joined when the `with` block ends; one
+    worker at n = 12, where one column is already too wide for OpenBLAS to
+    run its products on one thread (`_one_thread_columns`)."""
 
-    def __enter__(self):
-        self.count, self._pool, self._token = _usable_cpus(), None, _SWEEP_WORKERS.set(self)
-        return self
+    def __init__(self, n: int):
+        self.count = _usable_cpus() if _one_thread_columns(n) else 1
+        self._pool = None
 
     def __exit__(self, *exc):
-        _SWEEP_WORKERS.reset(self._token)
         if self._pool is not None:
             self._pool.shutdown()
 
@@ -226,9 +227,6 @@ class _Workers:
             self._pool = ProcessPoolExecutor(self.count, mp_context=get_context("fork"))
         # when a call raises, map cancels every call it has not yet yielded
         return list((self._pool.map if pooled else map)(fn, items))
-
-
-_SWEEP_WORKERS = ContextVar("_SWEEP_WORKERS")  # `_anneal_classes` maps on it
 
 
 def _draw_slice(protocol, n, sets, count, anneal_time, master_seed, span):
@@ -247,7 +245,7 @@ def _draw_classes(workers, protocol, n, sets, count, anneal_time, master_seed):
     """A sweep's class keys in order of first appearance and each instance's
     class id, shape (sets, count), from slices drawn in-process or on `workers`."""
     total = len(sets) * count
-    pooled = workers.count > 1 and _one_thread_columns(n) > 0 and total >= _POOL_MIN_DRAWS
+    pooled = workers.count > 1 and total >= _POOL_MIN_DRAWS
     m = 4 * workers.count if pooled else 1  # later, larger-p slices cost more; 4 beat 1
     spans = [range(total * s // m, total * (s + 1) // m) for s in range(m)]
     draw = partial(_draw_slice, protocol, n, sets, count, anneal_time, master_seed)
@@ -266,28 +264,29 @@ def _anneal_block(keys, n: int, time_list, dt: float) -> np.ndarray:
 
 
 def _anneal_classes(keys, n: int, time_list, dt: float, count: int,
-                    steps: int) -> np.ndarray:
+                    steps: int, workers: _Workers) -> np.ndarray:
     """P_ans of every class at every annealing time, in `keys` order; `steps`
     is the step count of all the annealing times together.
 
     The classes split, in class order, into the fewest near-equal blocks, a
     multiple of the worker count, none wider than OpenBLAS runs on one
     thread (`_one_thread_columns`); in-process, a block may also hold one
-    cell's `count` columns. They run in-process with one usable CPU, at
-    n = 12, or where a pooled block would keep under `_POOL_MIN_WORK`, else
-    on the sweep's pool (`_Workers`). A worker's failure is raised here with
-    its type and message, and blocks not yet handed to a worker never start.
+    cell's `count` columns. They run on `workers` unless it has one worker
+    or a pooled block would keep under `_POOL_MIN_WORK`, which run them
+    in-process. A worker's failure is raised here with its type and
+    message, and blocks not yet handed to a worker never start.
     """
     # two processes that each thread their products over two CPUs ran 3-50
     # times slower than one (n = 5 at 600 columns, n = 10-12 at 5-56)
-    workers, cap = _SWEEP_WORKERS.get().count, _one_thread_columns(n)
-    blocks = workers * -(-len(keys) // (workers * max(cap, 1)))
-    if workers == 1 or not cap or ((len(keys) // blocks) << n) * steps < _POOL_MIN_WORK:
-        workers, blocks = 1, -(-len(keys) // max(cap, count))
+    cap = _one_thread_columns(n)
+    blocks = workers.count * -(-len(keys) // (workers.count * max(cap, 1)))
+    pooled = workers.count > 1 and ((len(keys) // blocks) << n) * steps >= _POOL_MIN_WORK
+    if not pooled:
+        blocks = -(-len(keys) // max(cap, count))
     edges = [len(keys) * b // blocks for b in range(blocks + 1)]
     anneal = partial(_anneal_block, n=n, time_list=time_list, dt=dt)
     spans = [keys[a:b] for a, b in zip(edges, edges[1:])]
-    return np.concatenate(_SWEEP_WORKERS.get().map(anneal, spans, workers > 1))
+    return np.concatenate(workers.map(anneal, spans, pooled))
 
 
 def _anneal(diagonals, targets, anneal_time: float, dt: float):
@@ -336,7 +335,7 @@ def run_ensemble(
     master_seed: int = 0,
 ) -> EnsembleStats:
     """Average recall success over `count` seeded instances."""
-    return _sweep_cells(protocol, n, [p], {rule: [gamma]}, [anneal_time],
+    return _sweep_cells(protocol, n, [p], [(rule, [gamma])], [anneal_time],
                         count, x, dt, master_seed)[0]
 
 
@@ -344,43 +343,49 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
                  master_seed) -> list[EnsembleStats]:
     """One ensemble per (rule, p, gamma, T) cell, in that nesting order;
     `rule_gammas` maps each rule to its own bias grid, whose positions are the
-    gammas' seed indices. Every cell is checked, request and budgets, before
-    the first draw: an n, p, N or master seed that is not an integer, a gamma
-    or T that is not a finite number, a repeated p or gamma and a T list that
-    is not positive and strictly ascending are refused with a ValueError that
-    names the argument. Each (rule, p, gamma) instance set is drawn once and
-    keyed by symmetry class (`_draw_classes`), and the classes are annealed
-    at every T (`_anneal_classes`). A sweep with no cell returns [].
+    gammas' seed indices, as a dict or (rule, grid) pairs. Every cell is
+    checked, request and budgets, before the first draw: an n, p, N or master
+    seed that is not an integer, a gamma, T, x or dt that is not a finite
+    number, an unknown protocol or rule, a repeated p or gamma and a T list
+    that is not positive and strictly ascending are refused with a
+    ValueError that names the argument. Each (rule, p, gamma) instance set
+    is drawn once and keyed by symmetry class (`_draw_classes`), and the
+    classes are annealed at every T (`_anneal_classes`). A sweep with no
+    cell returns [].
     """
     n, count = _integer(n, "n"), _integer(count, "count")
     master_seed, p_list = _integer(master_seed, "master_seed"), _numbers(p_list, _integer, "p_list")
     time_list = _numbers(time_list, float, "time_list")
-    rule_gammas = {rule: _numbers(grid, float, "gamma") for rule, grid in rule_gammas.items()}
+    [x], [dt] = _numbers([x], float, "x"), _numbers([dt], float, "dt")
+    rule_gammas = [(rule, _numbers(grid, float, "gamma")) for rule, grid in
+                   (rule_gammas.items() if isinstance(rule_gammas, dict) else rule_gammas)]
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"threshold x must lie in [0, 1], got {x}")
     if len(set(p_list)) < len(p_list):
         raise ValueError(f"p_list repeats a value: {p_list}")
-    for rule, gamma_grid in rule_gammas.items():
+    for rule, gamma_grid in rule_gammas:
         if len(set(gamma_grid)) < len(gamma_grid):
             raise ValueError(f"the {rule} bias grid repeats a value: {gamma_grid}")
     if not all(a < b for a, b in zip([0.0, *time_list], time_list)):
         raise ValueError(f"time_list must be positive and strictly ascending, got {time_list}")
-    sets = [(rule, p, gi, gamma) for rule, gamma_grid in rule_gammas.items()
+    sets = [(rule, p, gi, gamma) for rule, gamma_grid in rule_gammas
             for p in p_list for gi, gamma in enumerate(gamma_grid)]
     for rule, p, _, gamma in sets:
         # T = 1 stands in for every T: the request checks T > 0 and finite,
         # which the ascending check above and the pre-flight below make
-        _validate_request(n, p, rule, gamma, 1.0)
-    # the pre-flight reads no rule, p or gamma; its steps size the pool's blocks
-    steps = sum(_check_anneal(n, count, anneal_time, dt) for anneal_time in time_list)
+        _validate_request(protocol, n, p, rule, gamma, 1.0)
+    # H1(z0) and H1(-z0) differ by 2 gamma n, so each class's |H1| reaches
+    # gamma n; the steps, which read no bias, size the pool's blocks
+    d_scale = n * max((g for _, grid in rule_gammas for g in grid), default=0.0)
+    steps = sum(_check_anneal(n, count, anneal_time, dt, d_scale) for anneal_time in time_list)
     if not sets or not time_list:  # no cell to anneal, so no instance to draw
         return []
-    with _Workers() as workers:
+    with _Workers(n) as workers:
         # draws do not read T, so the first T of the list serves them all
         keys, members = _draw_classes(workers, protocol, n, sets, count, time_list[0], master_seed)
-        p_ans = _anneal_classes(keys, n, time_list, dt, count, steps)
+        p_ans = _anneal_classes(keys, n, time_list, dt, count, steps, workers)
     means = (p_ans[members] >= x).mean(axis=1).tolist()  # (sets, T)
     return [EnsembleStats(protocol=protocol, rule=rule, n=n, p=p, gamma=gamma,
                           anneal_time=anneal_time, count=count, threshold=x,
@@ -406,7 +411,7 @@ def bias_sweep(
     gamma_grid = _numbers(gamma_grid, float, "gamma_grid")
     if any(not 0.0 <= g <= 1.0 for g in gamma_grid):
         raise ValueError("gamma grid values must lie in [0, 1]")
-    return _sweep_cells(protocol, n, p_list, {rule: gamma_grid}, [anneal_time],
+    return _sweep_cells(protocol, n, p_list, [(rule, gamma_grid)], [anneal_time],
                         count, x, dt, master_seed)
 
 
@@ -423,7 +428,7 @@ def anneal_time_sweep(
     master_seed: int = 0,
 ) -> list[EnsembleStats]:
     """One ensemble per (p, T) cell; the same instances at every T."""
-    return _sweep_cells(protocol, n, p_list, {rule: [gamma]}, time_list,
+    return _sweep_cells(protocol, n, p_list, [(rule, [gamma])], time_list,
                         count, x, dt, master_seed)
 
 

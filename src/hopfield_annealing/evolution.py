@@ -27,10 +27,11 @@ GEMM over the rest, which costs O(2^n (32 + 2^(n-5))) per column instead of
 O(4^n). With 20 columns on two OpenBLAS threads of a 2-CPU Intel Xeon, one
 driver action took 8 us dense against 11 us split at n = 6, 30 against 17 us
 at n = 7, 99 against 33 us at n = 8 and 30 ms against 1.1 ms at n = 12.
-A dense block of one column, a single recall, folds the problem diagonal
-into the zero diagonal of the scaled driver, so each Taylor term is one GEMV,
-one complex scale and one sum: on the same machine a step of an n = 5 column
-(about 13 terms) took 27 us, where five calls per term took 41 us.
+One Taylor recurrence serves every block; its first term reads the state
+itself, so no sub-step copies it. A single recall, a dense block of one
+column, folds the problem diagonal into the zero diagonal of the scaled
+driver, which only skips the diagonal product: an n = 5 step (about 13
+terms) took 27 us on the same machine, where five calls per term took 41 us.
 
 One pure pre-flight, `_check_anneal`, returns an anneal's step count and
 refuses a runaway one before any buffer exists; it reads only (n, M, T, dt)
@@ -202,8 +203,8 @@ class _BatchPropagator:
     _DENSE_MAX_QUBITS and as the Kronecker split above. `steps` is the
     pre-flight's count for [0, total_time]; the buffers, allocated after it,
     are reused per step, the scaled driver a*H0 and problem b*diag included.
-    A dense block of one column folds b*diag into the diagonal of a*H0,
-    which is zero, so each Taylor term is one product with the generator.
+    One Taylor loop serves every block; one dense column folds b*diag into
+    the zero diagonal of a*H0, which only skips the diagonal product.
     """
 
     def __init__(self, diagonals: np.ndarray, total_time: float, dt: float):
@@ -220,26 +221,25 @@ class _BatchPropagator:
         self.term_v = self.term.view(np.float64)
         self.work_v = self.work.view(np.float64)
         self.scales = {}  # sub-step h -> [-1j * h / k for k = 1.._KMAX]
-        self.fold = count == 1 and self.n <= _DENSE_MAX_QUBITS
-        if self.n <= _DENSE_MAX_QUBITS:
+        self.dense = self.n <= _DENSE_MAX_QUBITS
+        self.fold = count == 1 and self.dense
+        if self.dense:
             self.h0 = _transverse_field_cached(self.n)
             self.a_h0 = np.empty_like(self.h0)
-        if self.fold:
-            self.d = d[:, 0]
-            self.a_h0_diagonal = self.a_h0.reshape(-1)[:: self.dim + 1]
-            return
-        self.d2 = np.repeat(d, 2, axis=1)  # matches the re/im interleaved view
-        self.b_d2 = np.empty_like(self.d2)
-        if self.n <= _DENSE_MAX_QUBITS:
+        if self.fold:  # b*d goes on the zero diagonal of a*H0
+            self.d, self.b_d = d[:, 0], self.a_h0.reshape(-1)[:: self.dim + 1]
+        else:  # repeated to match the re/im interleaved view
+            self.d = np.repeat(d, 2, axis=1)
+            self.b_d = np.empty_like(self.d)
+        if self.dense:
             return
         # H0(n) = I (x) H0(low) + H0(high) (x) I on the index s = hi * 2^low + lo
         self.h0_low = _transverse_field_cached(_LOW_QUBITS)
         self.h0_high = _transverse_field_cached(self.n - _LOW_QUBITS)
-        self.a_low = np.empty_like(self.h0_low)
-        self.a_high = np.empty_like(self.h0_high)
+        self.a_low, self.a_high = np.empty_like(self.h0_low), np.empty_like(self.h0_high)
         self.high_v = np.empty_like(self.term_v)
         # views of the contiguous buffers: (hi, lo, 2M) and (hi, lo * 2M)
-        blocks = (self.h0_high.shape[0], self.h0_low.shape[0], -1)
+        self.blocks = blocks = (self.h0_high.shape[0], self.h0_low.shape[0], -1)
         self.term_low, self.work_low = self.term_v.reshape(blocks), self.work_v.reshape(blocks)
         self.term_high = self.term_v.reshape(blocks[0], -1)
         self.high_rows = self.high_v.reshape(blocks[0], -1)
@@ -249,45 +249,36 @@ class _BatchPropagator:
         rho = abs(dt) * (abs(a) * self.n + abs(b) * self.d_scale)  # |H0| row sums: n
         splits = _splits(rho)
         h = dt / splits
-        n_terms = _taylor_terms(rho / splits)
         if (scales := self.scales.get(h)) is None:
             scales = self.scales[h] = [-1j * h / k for k in range(1, _KMAX + 1)]
-        scales = scales[:n_terms]
+        scales = scales[:_taylor_terms(rho / splits)]
+        dense, fold = self.dense, self.fold
         term, work, term_v, work_v = self.term, self.work, self.term_v, self.work_v
         psi_v = psi.view(np.float64)
-        if self.fold:
-            g = np.multiply(self.h0, a, out=self.a_h0)
-            np.multiply(self.d, b, out=self.a_h0_diagonal)  # g = a*H0 + b*diag
-            for _ in range(int(splits)):
-                source = psi_v
-                for scale in scales:
-                    np.dot(g, source, out=work_v)   # g @ term (real GEMV)
-                    np.multiply(work, scale, out=term)
-                    np.add(psi_v, term_v, out=psi_v)
-                    source = term_v
-            return psi
-        dense = self.n <= _DENSE_MAX_QUBITS
         if dense:
             a_h0 = np.multiply(self.h0, a, out=self.a_h0)
         else:
             a_low = np.multiply(self.h0_low, a, out=self.a_low)
             a_high = np.multiply(self.h0_high, a, out=self.a_high)
-            term_low, work_low, term_high = self.term_low, self.work_low, self.term_high
-            high_v, high_rows = self.high_v, self.high_rows
-        b_d2 = np.multiply(self.d2, b, out=self.b_d2)
+            psi_split = psi_v.reshape(self.blocks), psi_v.reshape(self.blocks[0], -1)
+            term_split = self.term_low, self.term_high
+        b_d = np.multiply(self.d, b, out=self.b_d)  # folded: a_h0 = a*H0 + b*diag
         for _ in range(int(splits)):
-            np.copyto(term, psi)
+            source = psi_v  # the first term reads psi itself
             for scale in scales:
                 if dense:
-                    np.dot(a_h0, term_v, out=work_v)    # a*H0 @ term (real GEMM)
+                    np.dot(a_h0, source, out=work_v)    # a*H0 @ source (real GEMM)
                 else:
-                    np.matmul(a_low, term_low, out=work_low)    # I (x) a*H0(low)
-                    np.dot(a_high, term_high, out=high_rows)    # a*H0(high) (x) I
-                    np.add(work_v, high_v, out=work_v)
-                np.multiply(b_d2, term_v, out=term_v)   # b*diag * term
-                np.add(term_v, work_v, out=term_v)
-                np.multiply(term, scale, out=term)
+                    low, high = psi_split if source is psi_v else term_split
+                    np.matmul(a_low, low, out=self.work_low)    # I (x) a*H0(low)
+                    np.dot(a_high, high, out=self.high_rows)    # a*H0(high) (x) I
+                    np.add(work_v, self.high_v, out=work_v)
+                if not fold:
+                    np.multiply(b_d, source, out=term_v)    # b*diag * source
+                    np.add(work_v, term_v, out=work_v)
+                np.multiply(work, scale, out=term)
                 np.add(psi_v, term_v, out=psi_v)
+                source = term_v
         return psi
 
 

@@ -147,7 +147,10 @@ def _integer(value, name: str = "") -> int:
     raise ValueError(f"{name}{': ' if name else ''}expected an integer, got {value!r}")
 
 
-def _validate_request(n: int, p: int, rule: str, gamma: float, anneal_time: float) -> None:
+def _validate_request(protocol: str, n: int, p: int, rule: str, gamma: float,
+                      anneal_time: float) -> None:
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not (p >= 1 and (p - 1).bit_length() <= n - 1):  # p <= 2^(n-1), never building 2^(n-1)
@@ -249,9 +252,7 @@ def generate_instance(
     protocol: str, n: int, p: int, rule: str, gamma: float, anneal_time: float, seed: int
 ) -> ProblemInstance:
     """Generate an instance for any named protocol from its 64-bit seed."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
-    _validate_request(n, p, rule, gamma, anneal_time)
+    _validate_request(protocol, n, p, rule, gamma, anneal_time)
     memories, answer_index, input_key = _DRAWS[protocol](instance_rng(seed), n, p, rule)
     return ProblemInstance(
         protocol=protocol,

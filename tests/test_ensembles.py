@@ -341,7 +341,7 @@ def test_c3_draws_anneal_as_few_classes(monkeypatch):
     # 1,500 instances fall into 101 classes (426 without); nothing anneals
     classes = []
 
-    def anneal_classes(keys, n, time_list, dt, count, steps):
+    def anneal_classes(keys, n, time_list, dt, count, steps, workers):
         classes.append(len(keys))
         return np.zeros((len(keys), len(time_list)))
 
@@ -590,6 +590,18 @@ def test_non_finite_bias_or_time_is_refused_before_any_draw(bad):
         run_ensemble("noisy", 5, 3, "storkey", bad, 10.0)
     with pytest.raises(ValueError, match="gamma grid"):
         bias_sweep("noisy", 5, [1, 2, 3, 4, 5], "hebb", [0.1, bad], 10.0)
+
+
+@pytest.mark.usefixtures("no_draws", "no_pool")
+def test_unknown_protocol_or_overflowing_bias_is_refused_before_any_draw():
+    # a sweep of 500 instances would pool its draws: both requests are
+    # refused by the pre-flight, before a pool starts or an instance is drawn
+    with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
+        run_ensemble("bogus", 5, 3, "hebb", 0.3, 10.0, count=500)
+    with pytest.raises(ValueError, match="lower gamma"):
+        run_ensemble("noisy", 5, 3, "hebb", 1e308, 10.0, count=500)
+    with pytest.raises(ValueError, match="lower gamma"):
+        anneal_time_sweep("noisy", 5, [1, 2], "storkey", 1e200, [10.0, 20.0])
 
 
 @pytest.mark.parametrize("workers", [2, 3])

@@ -25,8 +25,12 @@ VALUES = {
     "p": ([1, 2, 2.0], [0, 1.5, np.float32(1.5), False]),
     "count": ([1, 2], [0, -2, 1.5, True]),
     "master_seed": ([0, 7, -3, 2**70], [0.5, np.float64(1.5), True]),
-    "gamma": ([0.0, 0.3, 1, np.float32(0.5)], [-0.5]),
+    "gamma": ([0.0, 0.3, 1, np.float32(0.5)], [-0.5, 1e308]),
     "T": ([1.0, 2.5, 2], [0, -1.0]),
+    "x": ([0.5, 0, 1, np.float32(0.25), "0.5"], [-0.1, 1.5]),
+    "dt": ([0.1, 0.25, "0.5"], [0, -0.1]),
+    "rule": (list(LEARNING_RULES), ["quantum", ["hebb"]]),
+    "protocol": (["exact", "noisy"], ["fuzzy", ["exact"]]),
 }
 # the words a refusal may name each argument by: its parameter name, or the
 # name of the quantity a message states (p=, T=, the bias grid)
@@ -34,6 +38,7 @@ NAMES = {
     "n": r"\bn\b", "p": r"\bp\b|p_list", "p_list": r"\bp\b|p_list", "count": r"\bcount\b",
     "master_seed": r"master_seed", "gamma": r"gamma|bias", "gamma_grid": r"gamma|bias",
     "anneal_time": r"\bT\b|time", "time_list": r"\bT\b|time",
+    "x": r"\bx\b", "dt": r"\bdt\b", "rule": r"\brule\b", "protocol": r"\bprotocol\b",
 }
 # each entry point's arguments: name -> (kind, whether it takes a list)
 ENTRY_POINTS = {
@@ -44,17 +49,17 @@ ENTRY_POINTS = {
     "anneal_time_sweep": {"n": ("n", False), "p_list": ("p", True), "gamma": ("gamma", False),
                           "time_list": ("T", True)},
 }
-COMMON = {"count": ("count", False), "master_seed": ("master_seed", False)}
+COMMON = {"protocol": ("protocol", False), "rule": ("rule", False), "count": ("count", False),
+          "master_seed": ("master_seed", False), "x": ("x", False), "dt": ("dt", False)}
 
 
 @st.composite
 def calls(draw):
     """(entry point name, keyword arguments, the argument made bad or None)."""
     name = draw(st.sampled_from(sorted(ENTRY_POINTS)))
-    params = {**ENTRY_POINTS[name], **COMMON}
+    params = {**COMMON, **ENTRY_POINTS[name]}  # the rule is drawn before p
     bad = draw(st.sampled_from([None, None, *params]))
-    kwargs = {"protocol": draw(st.sampled_from(["exact", "noisy"])),
-              "rule": draw(st.sampled_from(LEARNING_RULES))}
+    kwargs = {}
     for arg, (kind, listed) in params.items():
         valid, invalid = VALUES[kind]
         if arg != bad:
