@@ -370,12 +370,16 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
             raise ValueError(f"the {rule} bias grid repeats a value: {gamma_grid}")
     if not all(a < b for a, b in zip([0.0, *time_list], time_list)):
         raise ValueError(f"time_list must be positive and strictly ascending, got {time_list}")
+    for rule, gamma_grid in rule_gammas:
+        # T = 1 stands in for every T: the request checks T > 0 and finite,
+        # which the ascending check above and the pre-flight below make; p = 1
+        # and gamma = 0 stand in for an empty p list or bias grid, so a sweep
+        # of no cell still checks its protocol and rules
+        for p in p_list or [1]:
+            for gamma in gamma_grid or [0.0]:
+                _validate_request(protocol, n, p, rule, gamma, 1.0)
     sets = [(rule, p, gi, gamma) for rule, gamma_grid in rule_gammas
             for p in p_list for gi, gamma in enumerate(gamma_grid)]
-    for rule, p, _, gamma in sets:
-        # T = 1 stands in for every T: the request checks T > 0 and finite,
-        # which the ascending check above and the pre-flight below make
-        _validate_request(protocol, n, p, rule, gamma, 1.0)
     # H1(z0) and H1(-z0) differ by 2 gamma n, so each class's |H1| reaches
     # gamma n; the steps, which read no bias, size the pool's blocks
     d_scale = n * max((g for _, grid in rule_gammas for g in grid), default=0.0)

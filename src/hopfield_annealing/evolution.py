@@ -27,17 +27,34 @@ GEMM over the rest, which costs O(2^n (32 + 2^(n-5))) per column instead of
 O(4^n). With 20 columns on two OpenBLAS threads of a 2-CPU Intel Xeon, one
 driver action took 8 us dense against 11 us split at n = 6, 30 against 17 us
 at n = 7, 99 against 33 us at n = 8 and 30 ms against 1.1 ms at n = 12.
-One Taylor recurrence serves every block; its first term reads the state
-itself, so no sub-step copies it. A single recall, a dense block of one
-column, folds the problem diagonal into the zero diagonal of the scaled
-driver, which only skips the diagonal product: an n = 5 step (about 13
-terms) took 27 us on the same machine, where five calls per term took 41 us.
+
+One power recurrence serves every block. The sub-step h is folded into
+the scaled driver and diagonal, u_0 = psi is read in place, and each Taylor
+term u_k = (h G) u_(k-1), G = a H0 + b diag, is one driver product into a
+stack: one call for a single dense column, which folds b*h*diag into the
+zero diagonal of a*h*H0, three for a dense block and five for a split one.
+With the -i of the odd terms factored out, exp(-i h G) psi = psi + R0 - i R1,
+where R0 sums the even terms (-1)^(k/2) u_k / k! and R1 the odd terms
+(-1)^((k-1)/2) u_k / k!, so one real GEMM of two coefficient rows by the
+stack adds a whole group of terms. A group holds the most terms (at least
+one) whose combination product 2 g (2M 2^n) stays under
+`_BLAS_ONE_THREAD_MNK`: the product then runs on one OpenBLAS thread in a
+pooled worker, and the stack holds about 2 MB or one block (g = 16 at n = 5
+with 255 columns, 25 at n = 8 with 20, 1 at n = 10 with 100). The
+combination must stay a real GEMM: a complex coefficient row makes it a
+zgemv, which OpenBLAS threads at far smaller sizes, and which ran pooled
+sweeps several times slower. On the same machine, in one process
+alternating with three calls per term, an n = 5 single-column step (12
+terms) took 21-24 us against 33-38 us, blocks of 8-22 columns gained
+15-27%, 100 columns broke even, and wider blocks lost: 150-200 columns at
+n = 5 by 9-24%, and n = 10 with 100 columns, a group of one term, by 40%.
 
 One pure pre-flight, `_check_anneal`, returns an anneal's step count and
 refuses a runaway one before any buffer exists; it reads only (n, M, T, dt)
 and the problem scale, so a sweep runs it once per annealing time.
 """
 
+import contextlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -95,14 +112,20 @@ class AnnealSchedule:
     problem_weight: Callable[[float], float]
 
     def __post_init__(self):
-        if not (np.isfinite(self.total_time) and self.total_time > 0):
-            raise ValueError(f"total_time must be positive and finite, got {self.total_time}")
+        try:
+            usable = 0 < self.total_time < math.inf
+        except TypeError:  # None, a string
+            usable = False
+        if not usable:
+            raise ValueError(f"total_time must be positive and finite, got {self.total_time!r}")
 
     @classmethod
     def linear(cls, total_time: float) -> "AnnealSchedule":
         """The default ramp A(t) = 1 - t/T, B(t) = t/T."""
+        with contextlib.suppress(TypeError, ValueError):  # else refused by name below
+            total_time = float(total_time)
         return cls(
-            total_time=float(total_time),
+            total_time=total_time,
             driver_weight=lambda t: 1.0 - t / total_time,
             problem_weight=lambda t: t / total_time,
         )
@@ -149,8 +172,9 @@ def _taylor_terms(rho: float) -> int:
 
 def _splits(rho: float) -> float:
     """Equal sub-steps that keep the norm bound `rho` of one step under
-    _THETA each, as a Python float (inf when rho overflows)."""
-    return max(1.0, float(np.ceil(rho / _THETA)))
+    _THETA each, as a Python float (inf when rho overflows, nan when it is
+    nan)."""
+    return max(float(np.ceil(rho / _THETA)), 1.0)
 
 
 def _one_thread_columns(n: int) -> int:
@@ -174,8 +198,12 @@ def _check_anneal(n: int, count: int, total_time: float, dt: float,
     cap, an empty block, one over `_BLOCK_LIMIT` and a run over `_WORK_LIMIT`
     sub-steps, each step counted at full schedule weight (a bound for weights
     in [0, 1])."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    try:
+        usable = 0 < dt < math.inf
+    except TypeError:  # None, a string
+        usable = False
+    if not usable:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     _check_qubit_count(n)
     if count < 1:
         raise ValueError(f"need at least one problem diagonal to anneal, got {count}")
@@ -202,9 +230,9 @@ class _BatchPropagator:
     the n = log2(dim) qubit register is built here, dense up to
     _DENSE_MAX_QUBITS and as the Kronecker split above. `steps` is the
     pre-flight's count for [0, total_time]; the buffers, allocated after it,
-    are reused per step, the scaled driver a*H0 and problem b*diag included.
-    One Taylor loop serves every block; one dense column folds b*diag into
-    the zero diagonal of a*H0, which only skips the diagonal product.
+    are reused per step, the scaled driver a*h*H0 and problem b*h*diag
+    included. A step runs the power recurrence of the module docstring into
+    a stack of `group` blocks.
     """
 
     def __init__(self, diagonals: np.ndarray, total_time: float, dt: float):
@@ -215,70 +243,103 @@ class _BatchPropagator:
             raise ValueError(f"diagonal length {self.dim} is not a power of two")
         self.d_scale = float(np.abs(d).max(initial=0.0))  # no column: refused below
         self.steps = _check_anneal(self.n, count, total_time, dt, self.d_scale)
-        self.term = np.empty((self.dim, count), dtype=complex)
-        self.work = np.empty_like(self.term)
-        # the re/im interleaved views the real products act on: (dim, 2M)
-        self.term_v = self.term.view(np.float64)
-        self.work_v = self.work.view(np.float64)
-        self.scales = {}  # sub-step h -> [-1j * h / k for k = 1.._KMAX]
+        # the real products act on the re/im interleaved view of a block,
+        # (dim, 2M). `pair` takes a term's driver products, then a group's
+        # (R0, R1); `term` and `odd` are their complex views
+        self.pair = np.empty((2, self.dim, 2 * count))
+        self.term, self.odd = self.pair.view(complex)
+        # (2 x g) @ (g x 2M*dim) on one OpenBLAS thread; a step takes at most
+        # _taylor_terms(_THETA) = 27 terms
+        self.group = max(1, min(_taylor_terms(_THETA),
+                                (_BLAS_ONE_THREAD_MNK - 1) // (2 * self.pair[0].size)))
+        self.stack = np.empty((self.group, self.dim, 2 * count))
+        self.plans = {}  # Taylor term count -> its plan (`_plan`)
         self.dense = self.n <= _DENSE_MAX_QUBITS
         self.fold = count == 1 and self.dense
         if self.dense:
             self.h0 = _transverse_field_cached(self.n)
             self.a_h0 = np.empty_like(self.h0)
-        if self.fold:  # b*d goes on the zero diagonal of a*H0
+        if self.fold:  # b*h*d goes on the zero diagonal of a*h*H0
             self.d, self.b_d = d[:, 0], self.a_h0.reshape(-1)[:: self.dim + 1]
         else:  # repeated to match the re/im interleaved view
             self.d = np.repeat(d, 2, axis=1)
             self.b_d = np.empty_like(self.d)
         if self.dense:
+            self.slots = [(u,) for u in self.stack]
             return
         # H0(n) = I (x) H0(low) + H0(high) (x) I on the index s = hi * 2^low + lo
         self.h0_low = _transverse_field_cached(_LOW_QUBITS)
         self.h0_high = _transverse_field_cached(self.n - _LOW_QUBITS)
         self.a_low, self.a_high = np.empty_like(self.h0_low), np.empty_like(self.h0_high)
-        self.high_v = np.empty_like(self.term_v)
-        # views of the contiguous buffers: (hi, lo, 2M) and (hi, lo * 2M)
+        # each block as (hi, lo, 2M) for the low product and (hi, lo * 2M) for the high one
         self.blocks = blocks = (self.h0_high.shape[0], self.h0_low.shape[0], -1)
-        self.term_low, self.work_low = self.term_v.reshape(blocks), self.work_v.reshape(blocks)
-        self.term_high = self.term_v.reshape(blocks[0], -1)
-        self.high_rows = self.high_v.reshape(blocks[0], -1)
+        self.term_low = self.pair[0].reshape(blocks)
+        self.high_rows = self.pair[1].reshape(blocks[0], -1)
+        self.slots = [(u, u.reshape(blocks), u.reshape(blocks[0], -1)) for u in self.stack]
+
+    def _plan(self, terms: int) -> list:
+        """Per Taylor term k = 1..terms, the stack slot of u_k and, after the
+        last term of each group, the group's stack rows and its columns of
+        the coefficients (-1)^(k//2) / k!, even k in row 0 and odd k in row 1."""
+        coef = np.zeros((2, terms))
+        for k in range(1, terms + 1):
+            coef[k % 2, k - 1] = (-1) ** (k // 2) / math.factorial(k)
+        plan = []
+        for start in range(0, terms, self.group):
+            width = min(self.group, terms - start)
+            rows = self.stack[:width].reshape(width, -1)
+            plan += [(slot, None) for slot in self.slots[:width - 1]]
+            plan.append((self.slots[width - 1],
+                         (np.ascontiguousarray(coef[:, start:start + width]), rows)))
+        return plan
 
     def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
         """Advance the block by one propagator application, in place."""
         rho = abs(dt) * (abs(a) * self.n + abs(b) * self.d_scale)  # |H0| row sums: n
         splits = _splits(rho)
+        if not splits <= _WORK_LIMIT:  # a runaway or non-finite schedule weight
+            raise FloatingPointError(
+                f"a step of {dt:g} at A={a:g}, B={b:g} needs {splits:.3g} sub-steps "
+                f"(limit {_WORK_LIMIT:.0e})"
+            )
         h = dt / splits
-        if (scales := self.scales.get(h)) is None:
-            scales = self.scales[h] = [-1j * h / k for k in range(1, _KMAX + 1)]
-        scales = scales[:_taylor_terms(rho / splits)]
+        terms = _taylor_terms(rho / splits)
+        if (plan := self.plans.get(terms)) is None:
+            plan = self.plans[terms] = self._plan(terms)
         dense, fold = self.dense, self.fold
-        term, work, term_v, work_v = self.term, self.work, self.term_v, self.work_v
+        term, odd, term_v, high_v = self.term, self.odd, self.pair[0], self.pair[1]
+        pair_rows = self.pair.reshape(2, -1)
         psi_v = psi.view(np.float64)
         if dense:
-            a_h0 = np.multiply(self.h0, a, out=self.a_h0)
+            a_h0 = np.multiply(self.h0, a * h, out=self.a_h0)
+            first = (psi_v,)
         else:
-            a_low = np.multiply(self.h0_low, a, out=self.a_low)
-            a_high = np.multiply(self.h0_high, a, out=self.a_high)
-            psi_split = psi_v.reshape(self.blocks), psi_v.reshape(self.blocks[0], -1)
-            term_split = self.term_low, self.term_high
-        b_d = np.multiply(self.d, b, out=self.b_d)  # folded: a_h0 = a*H0 + b*diag
+            a_low = np.multiply(self.h0_low, a * h, out=self.a_low)
+            a_high = np.multiply(self.h0_high, a * h, out=self.a_high)
+            first = psi_v, psi_v.reshape(self.blocks), psi_v.reshape(self.blocks[0], -1)
+        b_d = np.multiply(self.d, b * h, out=self.b_d)  # folded: a_h0 = h*(a*H0 + b*diag)
         for _ in range(int(splits)):
-            source = psi_v  # the first term reads psi itself
-            for scale in scales:
-                if dense:
-                    np.dot(a_h0, source, out=work_v)    # a*H0 @ source (real GEMM)
-                else:
-                    low, high = psi_split if source is psi_v else term_split
-                    np.matmul(a_low, low, out=self.work_low)    # I (x) a*H0(low)
-                    np.dot(a_high, high, out=self.high_rows)    # a*H0(high) (x) I
-                    np.add(work_v, self.high_v, out=work_v)
-                if not fold:
-                    np.multiply(b_d, source, out=term_v)    # b*diag * source
-                    np.add(work_v, term_v, out=work_v)
-                np.multiply(work, scale, out=term)
-                np.add(psi_v, term_v, out=psi_v)
-                source = term_v
+            source = first  # u_0 is psi itself
+            for target, combine in plan:
+                s, u = source[0], target[0]
+                if fold:  # never a group of one, so u is not s
+                    np.dot(a_h0, s, out=u)
+                else:  # the products read s before u overwrites it (a group of one)
+                    if dense:
+                        np.dot(a_h0, s, out=term_v)
+                    else:
+                        np.matmul(a_low, source[1], out=self.term_low)  # I (x) a*h*H0(low)
+                        np.dot(a_high, source[2], out=self.high_rows)   # a*h*H0(high) (x) I
+                        np.add(term_v, high_v, out=term_v)
+                    np.multiply(b_d, s, out=u)
+                    np.add(u, term_v, out=u)
+                if combine is not None:
+                    coef, rows = combine
+                    np.dot(coef, rows, out=pair_rows)  # (R0, R1): a two-row real GEMM
+                    np.multiply(odd, -1j, out=odd)
+                    np.add(psi, term, out=psi)
+                    np.add(psi, odd, out=psi)
+                source = target
         return psi
 
 
@@ -290,7 +351,7 @@ def magnus_step(state, h0, diagonal, schedule: AnnealSchedule, t: float, dt: flo
     """
     # a single step over [0, dt]; its pre-flight checks dt before the window does
     prop = _BatchPropagator(np.asarray(diagonal, dtype=np.float64)[:, None], dt, dt)
-    if t < 0 or t + dt > schedule.total_time * (1 + 1e-12):
+    if not (t >= 0 and t + dt <= schedule.total_time * (1 + 1e-12)):  # nan fails both
         raise ValueError(f"step [{t}, {t + dt}] lies outside [0, {schedule.total_time}]")
     if not np.array_equal(h0, _transverse_field_cached(prop.n)):
         raise ValueError(f"h0 is not the {prop.n}-qubit driver -sum_i X_i")
@@ -322,6 +383,10 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
         a = float(schedule.driver_weight(t_mid))
         b = float(schedule.problem_weight(t_mid))
         psi = prop.step(psi, a, b, h)
+    # the C9a bound on the norm, one reduction per column
+    drift = float(np.abs(np.linalg.norm(psi, axis=0) - 1.0).max())
+    if not drift <= 1e-9:
+        raise FloatingPointError(f"the state norm drifted by {drift:.3g} (limit 1e-9)")
     return psi.T
 
 

@@ -17,6 +17,7 @@ propagator, the spectra and `ground_state_mass` take an `IsingHamiltonian`
 or its diagonal and reject one with a non-finite entry.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +49,8 @@ class QubitBudgetError(ValueError):
 
 
 def _check_qubit_count(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer number of qubits, got {n!r}")
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
     if n > MAX_QUBITS:

@@ -20,6 +20,7 @@ import numpy as np
 from ._atomic import write_csv_atomic
 from .evolution import AnnealSchedule
 from .hamiltonians import DEGENERACY_TOL, _finite_diagonal
+from .instances import _integer
 
 __all__ = [
     "SpectrumTrace",
@@ -57,6 +58,7 @@ def instantaneous_spectrum(h0, h1, schedule: AnnealSchedule, t: float) -> np.nda
 
 def spectrum_trace(h0, h1, schedule: AnnealSchedule, num_samples: int = 101) -> SpectrumTrace:
     """Spectrum on a uniform time grid including both endpoints."""
+    num_samples = _integer(num_samples, "num_samples")
     if num_samples < 2:
         raise ValueError(f"need at least 2 samples, got {num_samples}")
     if num_samples > _SAMPLE_LIMIT:

@@ -568,6 +568,22 @@ def test_singular_covariance_is_numerical_failure(tmp_path, capsys, monkeypatch)
         assert not (tmp_path / "run").exists()
 
 
+def test_norm_drift_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    from hopfield_annealing import evolution
+
+    step = evolution._BatchPropagator.step
+
+    def drifting(self, psi, a, b, dt):
+        return step(self, psi, a, b, dt) * (1.0 + 1e-10)
+
+    monkeypatch.setattr(evolution._BatchPropagator, "step", drifting)
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "recall", "--n", "4", "--p", "1", "--T", "20", "--out", str(out))
+    assert code == 3
+    assert "norm drifted" in err
+    assert not (out / "outcome.json").exists()
+
+
 def test_check_dt_flags_unconverged_step(tmp_path, capsys):
     code, _, err = run(
         capsys, "recall", "--n", "4", "--p", "2", "--rule", "hebb",

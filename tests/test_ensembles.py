@@ -180,6 +180,22 @@ def test_sweeps_without_cells_return_no_rows(monkeypatch, no_draws, no_pool, cpu
         bias_sweep("exact", 5, [], "hebb", [0.1], 1e9)
 
 
+@pytest.mark.usefixtures("no_draws", "no_pool")
+@pytest.mark.parametrize("protocol, rule, match", [
+    ("bogus", "hebb", "unknown protocol 'bogus'"),
+    ("exact", "quantum", "unknown learning rule 'quantum'"),
+], ids=["protocol", "rule"])
+def test_sweeps_without_cells_check_protocol_and_rule(protocol, rule, match):
+    # an empty p list or bias grid leaves no (rule, p, gamma) set, yet the
+    # protocol and the rule are refused as in a sweep that has one
+    with pytest.raises(ValueError, match=match):
+        bias_sweep(protocol, 5, [], rule, [0.1], 10.0)
+    with pytest.raises(ValueError, match=match):
+        bias_sweep(protocol, 5, [1], rule, [], 10.0)
+    with pytest.raises(ValueError, match=match):
+        anneal_time_sweep(protocol, 5, [], rule, 0.1, [10.0])
+
+
 def test_bias_sweep_layout_and_reseeding():
     stats = bias_sweep("exact", 4, [1, 2], "hebb", [0.2, 0.6], 60.0, count=3,
                        master_seed=3)

@@ -180,6 +180,10 @@ def test_step_outside_window_rejected():
     with pytest.raises(ValueError):
         magnus_step(np.array([1.0, 0.0]), h0, np.zeros(2),
                     schedule, 0.95, 0.2)
+    # every comparison with nan is False, so the window check must fail on it
+    with pytest.raises(ValueError, match="outside"):
+        magnus_step(np.array([1.0, 0.0]), h0, np.zeros(2),
+                    schedule, float("nan"), 0.1)
 
 
 def _taylor_terms_by_array(rhos):
@@ -236,6 +240,50 @@ def test_one_thread_columns_bound_every_driver_product(n):
     if width:
         assert largest_product(width) < evolution._BLAS_ONE_THREAD_MNK
     assert largest_product(width + 1) >= evolution._BLAS_ONE_THREAD_MNK
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_group_rule_keeps_every_combination_on_one_thread(n):
+    # each group of Taylor terms is added to psi by a (2 x g) @ (g x 2M*2^n)
+    # product: under OpenBLAS's one-thread bound unless g = 1, with g as
+    # large as that allows up to a step's most terms, and the stack holds
+    # g blocks, so about 2 MB or one block
+    mnk, most_terms = evolution._BLAS_ONE_THREAD_MNK, evolution._taylor_terms(evolution._THETA)
+    for columns in sorted({1, 2, 20, 100, max(evolution._one_thread_columns(n), 1)}):
+        prop = evolution._BatchPropagator(np.zeros((1 << n, columns)), 0.1, 0.1)
+        g, block = prop.group, prop.pair[0]
+        assert block.shape == (1 << n, 2 * columns)
+        assert prop.stack.shape == (g, *block.shape)
+        assert g == 1 or 2 * g * block.size < mnk
+        assert g == most_terms or 2 * (g + 1) * block.size >= mnk
+        assert prop.stack.nbytes <= max(mnk * 4, block.nbytes)
+        for terms in range(1, evolution._KMAX + 1):
+            widths = [coef.shape[1] for _, (coef, _) in
+                      filter(lambda entry: entry[1] is not None, prop._plan(terms))]
+            assert sum(widths) == terms and max(widths) <= g
+
+
+@pytest.mark.parametrize("n, columns, group", [
+    (3, 1, 2), (3, 1, 3), (3, 3, 1), (3, 3, 4), (7, 2, 1), (7, 2, 5),
+], ids=["fold-2", "fold-3", "dense-1", "dense-4", "split-1", "split-5"])
+def test_small_groups_match_dense_exponential(monkeypatch, n, columns, group):
+    # a lower one-thread bound forces small groups, so each step combines
+    # several groups, and a group of one overwrites the term it reads (the
+    # folded one-column block is never given a group of one)
+    rng = np.random.default_rng(n + columns)
+    dim = 1 << n
+    monkeypatch.setattr(evolution, "_BLAS_ONE_THREAD_MNK", 2 * group * 2 * columns * dim + 1)
+    diags = rng.normal(scale=4.0, size=(dim, columns))
+    prop = evolution._BatchPropagator(diags, 10.0, 1.5)
+    assert prop.group == group and prop.fold == (columns == 1)
+    psi0 = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+    psi0 /= np.linalg.norm(psi0, axis=0)
+    a, b, dt = 0.4, 0.6, 1.5
+    got = prop.step(psi0.copy(), a, b, dt)
+    h0 = transverse_field_hamiltonian(n)
+    for m in range(columns):
+        exact = expm(-1j * dt * (a * h0 + b * np.diag(diags[:, m]))) @ psi0[:, m]
+        assert np.abs(got[:, m] - exact).max() < 1e-12
 
 
 # -- evolve_batch -------------------------------------------------------------------
@@ -393,6 +441,36 @@ def test_work_budget_refuses_runaway_anneals():
                     AnnealSchedule.linear(10.0), 0.0, 0.1)
 
 
+@pytest.mark.parametrize("driver, problem", [
+    (lambda t: float("nan"), lambda t: t / 10),
+    (lambda t: 1.0 - t / 10, lambda t: float("nan")),
+    (lambda t: float("inf"), lambda t: t / 10),
+], ids=["nan-driver", "nan-problem", "inf-driver"])
+def test_non_finite_schedule_weight_is_refused_at_its_step(driver, problem):
+    with pytest.raises(FloatingPointError, match="sub-steps"):
+        evolve_batch(np.arange(8.0), AnnealSchedule(10.0, driver, problem), 0.1)
+    with pytest.raises(FloatingPointError, match="sub-steps"):
+        magnus_step(uniform_superposition(3), transverse_field_hamiltonian(3), np.arange(8.0),
+                    AnnealSchedule(10.0, driver, problem), 0.0, 0.1)
+
+
+def test_runaway_schedule_weight_is_refused_at_its_step(monkeypatch):
+    # the pre-flight budgets weights in [0, 1]; a weight far above that asks
+    # one step for more sub-steps than the whole anneal may take, and the
+    # step refuses before it takes any. Under a limit of 10, a weight of 1000
+    # asks for 86
+    monkeypatch.setattr(evolution, "_WORK_LIMIT", 10)
+    schedule = AnnealSchedule(10.0, lambda t: 1000.0, lambda t: t / 10)
+    with pytest.raises(FloatingPointError, match="86 sub-steps"):
+        magnus_step(uniform_superposition(3), transverse_field_hamiltonian(3), np.arange(8.0),
+                    schedule, 0.0, 0.1)
+    # under the real limit, A = 1e300 asks for about 1e299 sub-steps
+    monkeypatch.undo()
+    schedule = AnnealSchedule(10.0, lambda t: 1e300, lambda t: t / 10)
+    with pytest.raises(FloatingPointError, match="sub-steps"):
+        evolve_batch(np.arange(8.0), schedule, 0.1)
+
+
 def test_work_budget_admits_the_longest_acceptance_anneal():
     # T = 5000 at dt = 0.1 with a unit-scale diagonal: 5e4 one-split steps
     # are well inside the budget, so only the pre-flight runs here
@@ -442,7 +520,9 @@ def test_oversized_block_is_refused_before_any_buffer(monkeypatch):
 # the anneal's pre-flight and the diagonal and h0 checks refuse these in terms
 # of the argument, where numpy's own messages would read "need at least one
 # array to stack", "zero-size array to reduction operation", "too many values
-# to unpack" and "operands could not be broadcast"
+# to unpack" and "operands could not be broadcast"; the dt, total_time, qubit
+# count and sample count checks refuse wrong types, which reached numpy or
+# the int operators as a TypeError
 @pytest.mark.parametrize("call, match", [
     (lambda: bias_response(overlapping_memories(), overlapping_memories()[0], [], 10.0),
      "at least one problem diagonal to anneal, got 0"),
@@ -456,8 +536,22 @@ def test_oversized_block_is_refused_before_any_buffer(monkeypatch):
     (lambda: instantaneous_spectrum(np.zeros((4, 2)), np.zeros(4),
                                     AnnealSchedule.linear(1.0), 0.5),
      r"h0 must be 4 x 4 to match H1, got shape \(4, 2\)"),
+    (lambda: evolve_batch(np.zeros(4), AnnealSchedule.linear(5.0), dt=None),
+     "dt must be positive and finite, got None"),
+    (lambda: evolve_batch(np.zeros(4), AnnealSchedule.linear(5.0), dt="x"),
+     "dt must be positive and finite, got 'x'"),
+    (lambda: AnnealSchedule.linear(None), "total_time must be positive and finite, got None"),
+    (lambda: transverse_field_hamiltonian(2.5), "n must be an integer number of qubits, got 2.5"),
+    (lambda: transverse_field_hamiltonian("3"), "n must be an integer number of qubits, got '3'"),
+    (lambda: spectrum_trace(transverse_field_hamiltonian(2), np.zeros(4),
+                            AnnealSchedule.linear(1.0), 2.5),
+     "num_samples: expected an integer, got 2.5"),
+    (lambda: spectrum_trace(transverse_field_hamiltonian(2), np.zeros(4),
+                            AnnealSchedule.linear(1.0), "x"),
+     "num_samples: expected an integer, got 'x'"),
 ], ids=["empty-bias-grid", "zero-rows", "3-D-diagonals", "trace-h0-size",
-        "spectrum-h0-not-square"])
+        "spectrum-h0-not-square", "dt-none", "dt-string", "linear-none", "driver-n-float",
+        "driver-n-string", "trace-samples-float", "trace-samples-string"])
 def test_refusals_name_their_argument(call, match):
     with pytest.raises(ValueError, match=match):
         call()
