@@ -35,26 +35,29 @@ stack: one call for a single dense column, which folds b*h*diag into the
 zero diagonal of a*h*H0, three for a dense block and five for a split one.
 With the -i of the odd terms factored out, exp(-i h G) psi = psi + R0 - i R1,
 where R0 sums the even terms (-1)^(k/2) u_k / k! and R1 the odd terms
-(-1)^((k-1)/2) u_k / k!, so one real GEMM of two coefficient rows by the
-stack adds a whole group of terms. A group holds the most terms (at least
-one) whose combination product 2 g (2M 2^n) stays under
-`_BLAS_ONE_THREAD_MNK`: the product then runs on one OpenBLAS thread in a
-pooled worker, and the stack holds about 2 MB or one block (g = 16 at n = 5
-with 255 columns, 25 at n = 8 with 20, 1 at n = 10 with 100). The
-combination must stay a real GEMM: a complex coefficient row makes it a
-zgemv, which OpenBLAS threads at far smaller sizes, and which ran pooled
+(-1)^((k-1)/2) u_k / k!. A step takes at most 27 terms. A block whose
+(2 x 27) @ (27 x 2M 2^n) combination stays under `_BLAS_ONE_THREAD_MNK`
+(up to 151 columns at n = 5, 18 at n = 8, 4 at n = 10) stacks all of a
+step's terms, under 2 MB, and adds them with that one real GEMM of two
+coefficient rows, on one OpenBLAS thread in a pooled worker. A wider block
+adds each term as it comes, (-i)^k u_k / k! in two calls: a stack of one.
+The combination must stay a real GEMM: a complex coefficient row makes it
+a zgemv, which OpenBLAS threads at far smaller sizes, and which ran pooled
 sweeps several times slower. On the same machine, in one process
-alternating with three calls per term, an n = 5 single-column step (12
-terms) took 21-24 us against 33-38 us, blocks of 8-22 columns gained
-15-27%, 100 columns broke even, and wider blocks lost: 150-200 columns at
-n = 5 by 9-24%, and n = 10 with 100 columns, a group of one term, by 40%.
+alternating with the three calls per term this replaced, an n = 5
+single-column step (12 terms) took 17-18 us against 27 us and 22 columns
+gained 11-16%, while 100-150 stacked columns ran 0-11% slower; past the
+edge the per-term path matched the old one within the runs' spread (n = 5
+at 160 and 241 columns, n = 8 at 20, n = 10 at 7 and 100). Stacking wide
+blocks in groups that fill the bound instead lost 9-24% at n = 5 with
+150-241 columns and 35% at n = 10 with 100, where a group of one pays the
+GEMM and three passes per term.
 
 One pure pre-flight, `_check_anneal`, returns an anneal's step count and
 refuses a runaway one before any buffer exists; it reads only (n, M, T, dt)
 and the problem scale, so a sweep runs it once per annealing time.
 """
 
-import contextlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -63,6 +66,7 @@ from typing import Callable
 import numpy as np
 
 from .hamiltonians import _check_qubit_count, _finite_diagonal, _transverse_field_cached
+from .instances import _positive_finite
 
 __all__ = [
     "AnnealSchedule",
@@ -94,9 +98,11 @@ _LOW_QUBITS = 5
 # threshold (GEMM_MULTITHREAD_THRESHOLD 4 x SMP_THRESHOLD_MIN 65536)
 _BLAS_ONE_THREAD_MNK = 2 * 4 * 65536
 
-# most propagator sub-steps one anneal may take: 200 times the longest run of
-# the acceptance criteria (T = 5000 at dt = 0.1, 5e4 one-split steps)
-_WORK_LIMIT = 10**7
+# most propagator sub-steps one anneal may take: each truncates under
+# _STEP_TOL, so an admitted anneal drifts its norm by about 1e-9 at most, the
+# bound evolve_batch checks; twice the longest run of the acceptance criteria
+# (T = 5000 at dt = 0.1, 5e4 one-split steps)
+_WORK_LIMIT = 10**5
 
 # most amplitudes one state block may hold: about 40 times the largest ensemble
 # cell in use (n = 10, N = 100); a complex buffer of this size takes 64 MB
@@ -112,18 +118,12 @@ class AnnealSchedule:
     problem_weight: Callable[[float], float]
 
     def __post_init__(self):
-        try:
-            usable = 0 < self.total_time < math.inf
-        except TypeError:  # None, a string
-            usable = False
-        if not usable:
-            raise ValueError(f"total_time must be positive and finite, got {self.total_time!r}")
+        object.__setattr__(self, "total_time", _positive_finite(self.total_time, "total_time"))
 
     @classmethod
     def linear(cls, total_time: float) -> "AnnealSchedule":
         """The default ramp A(t) = 1 - t/T, B(t) = t/T."""
-        with contextlib.suppress(TypeError, ValueError):  # else refused by name below
-            total_time = float(total_time)
+        total_time = _positive_finite(total_time, "total_time")
         return cls(
             total_time=total_time,
             driver_weight=lambda t: 1.0 - t / total_time,
@@ -198,12 +198,7 @@ def _check_anneal(n: int, count: int, total_time: float, dt: float,
     cap, an empty block, one over `_BLOCK_LIMIT` and a run over `_WORK_LIMIT`
     sub-steps, each step counted at full schedule weight (a bound for weights
     in [0, 1])."""
-    try:
-        usable = 0 < dt < math.inf
-    except TypeError:  # None, a string
-        usable = False
-    if not usable:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    dt = _positive_finite(dt, "dt")
     _check_qubit_count(n)
     if count < 1:
         raise ValueError(f"need at least one problem diagonal to anneal, got {count}")
@@ -232,7 +227,8 @@ class _BatchPropagator:
     pre-flight's count for [0, total_time]; the buffers, allocated after it,
     are reused per step, the scaled driver a*h*H0 and problem b*h*diag
     included. A step runs the power recurrence of the module docstring into
-    a stack of `group` blocks.
+    a stack of `group` blocks, 27 or one, and refuses to take more
+    sub-steps than the `budget` that `_WORK_LIMIT` leaves.
     """
 
     def __init__(self, diagonals: np.ndarray, total_time: float, dt: float):
@@ -243,15 +239,18 @@ class _BatchPropagator:
             raise ValueError(f"diagonal length {self.dim} is not a power of two")
         self.d_scale = float(np.abs(d).max(initial=0.0))  # no column: refused below
         self.steps = _check_anneal(self.n, count, total_time, dt, self.d_scale)
+        self.budget = _WORK_LIMIT  # sub-steps left to this propagator's steps
         # the real products act on the re/im interleaved view of a block,
-        # (dim, 2M). `pair` takes a term's driver products, then a group's
-        # (R0, R1); `term` and `odd` are their complex views
+        # (dim, 2M). `pair` takes a term's driver products, then (R0, R1) or
+        # a scaled term; `term` and `odd` are its complex views
         self.pair = np.empty((2, self.dim, 2 * count))
         self.term, self.odd = self.pair.view(complex)
-        # (2 x g) @ (g x 2M*dim) on one OpenBLAS thread; a step takes at most
-        # _taylor_terms(_THETA) = 27 terms
-        self.group = max(1, min(_taylor_terms(_THETA),
-                                (_BLAS_ONE_THREAD_MNK - 1) // (2 * self.pair[0].size)))
+        # one group takes all of a step's terms, at most _taylor_terms(_THETA)
+        # = 27, when its (2 x 27) @ (27 x 2M*dim) combination runs on one
+        # OpenBLAS thread; a wider block adds each term as it comes (a group of
+        # one), which stacked terms ran slower than (module docstring)
+        most = _taylor_terms(_THETA)
+        self.group = most if 2 * most * self.pair[0].size < _BLAS_ONE_THREAD_MNK else 1
         self.stack = np.empty((self.group, self.dim, 2 * count))
         self.plans = {}  # Taylor term count -> its plan (`_plan`)
         self.dense = self.n <= _DENSE_MAX_QUBITS
@@ -279,34 +278,35 @@ class _BatchPropagator:
 
     def _plan(self, terms: int) -> list:
         """Per Taylor term k = 1..terms, the stack slot of u_k and, after the
-        last term of each group, the group's stack rows and its columns of
-        the coefficients (-1)^(k//2) / k!, even k in row 0 and odd k in row 1."""
+        last term of its group, what adds the group to psi: for one group of
+        all the terms, the coefficients (-1)^(k//2) / k! (even k in row 0, odd
+        k in row 1) and the stack rows; for groups of one, (-i)^k / k! and the
+        complex view of u_k."""
         coef = np.zeros((2, terms))
         for k in range(1, terms + 1):
             coef[k % 2, k - 1] = (-1) ** (k // 2) / math.factorial(k)
-        plan = []
-        for start in range(0, terms, self.group):
-            width = min(self.group, terms - start)
-            rows = self.stack[:width].reshape(width, -1)
-            plan += [(slot, None) for slot in self.slots[:width - 1]]
-            plan.append((self.slots[width - 1],
-                         (np.ascontiguousarray(coef[:, start:start + width]), rows)))
-        return plan
+        if self.group == 1:
+            u = self.stack[0].view(complex)
+            return [(self.slots[0], (c_even - 1j * c_odd, u)) for c_even, c_odd in coef.T]
+        rows = self.stack[:terms].reshape(terms, -1)
+        return [(slot, None) for slot in self.slots[:terms - 1]] + [
+            (self.slots[terms - 1], (coef, rows))]
 
     def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
         """Advance the block by one propagator application, in place."""
         rho = abs(dt) * (abs(a) * self.n + abs(b) * self.d_scale)  # |H0| row sums: n
         splits = _splits(rho)
-        if not splits <= _WORK_LIMIT:  # a runaway or non-finite schedule weight
+        if not splits <= self.budget:  # a runaway or non-finite schedule weight
             raise FloatingPointError(
-                f"a step of {dt:g} at A={a:g}, B={b:g} needs {splits:.3g} sub-steps "
-                f"(limit {_WORK_LIMIT:.0e})"
+                f"a step of {dt:g} at A={a:g}, B={b:g} needs {splits:.3g} sub-steps, "
+                f"over the {self.budget:.3g} left of the anneal's {_WORK_LIMIT:.0e}"
             )
+        self.budget -= splits
         h = dt / splits
         terms = _taylor_terms(rho / splits)
         if (plan := self.plans.get(terms)) is None:
             plan = self.plans[terms] = self._plan(terms)
-        dense, fold = self.dense, self.fold
+        dense, fold, single = self.dense, self.fold, self.group == 1
         term, odd, term_v, high_v = self.term, self.odd, self.pair[0], self.pair[1]
         pair_rows = self.pair.reshape(2, -1)
         psi_v = psi.view(np.float64)
@@ -333,7 +333,10 @@ class _BatchPropagator:
                         np.add(term_v, high_v, out=term_v)
                     np.multiply(b_d, s, out=u)
                     np.add(u, term_v, out=u)
-                if combine is not None:
+                if single:  # psi += (-i)^k u_k / k!
+                    np.multiply(combine[1], combine[0], out=term)
+                    np.add(psi, term, out=psi)
+                elif combine is not None:
                     coef, rows = combine
                     np.dot(coef, rows, out=pair_rows)  # (R0, R1): a two-row real GEMM
                     np.multiply(odd, -1j, out=odd)

@@ -147,6 +147,14 @@ def _integer(value, name: str = "") -> int:
     raise ValueError(f"{name}{': ' if name else ''}expected an integer, got {value!r}")
 
 
+def _positive_finite(value, name: str) -> float:
+    """float() of a positive finite real number (numpy's included); anything
+    else, a string or None too, is a ValueError whose message starts with `name`."""
+    if isinstance(value, numbers.Real) and 0 < value < math.inf:
+        return float(value)
+    raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _validate_request(protocol: str, n: int, p: int, rule: str, gamma: float,
                       anneal_time: float) -> None:
     if protocol not in PROTOCOLS:
@@ -161,8 +169,7 @@ def _validate_request(protocol: str, n: int, p: int, rule: str, gamma: float,
         raise ValueError(f"p={p} infeasible for the projection rule at n={n} (need p <= n)")
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
-    if not 0 < anneal_time < math.inf:
-        raise ValueError(f"anneal_time must be positive and finite, got {anneal_time}")
+    _positive_finite(anneal_time, "anneal_time")
 
 
 def _draw_memory_set(rng, n: int, p: int, rule: str, spacing: int = 1) -> np.ndarray:

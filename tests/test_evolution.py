@@ -244,38 +244,46 @@ def test_one_thread_columns_bound_every_driver_product(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_group_rule_keeps_every_combination_on_one_thread(n):
-    # each group of Taylor terms is added to psi by a (2 x g) @ (g x 2M*2^n)
-    # product: under OpenBLAS's one-thread bound unless g = 1, with g as
-    # large as that allows up to a step's most terms, and the stack holds
-    # g blocks, so about 2 MB or one block
+    # one group of all of a step's terms is added to psi by a (2 x 27) @
+    # (27 x 2M*2^n) product, kept under OpenBLAS's one-thread bound; a block
+    # too wide for that adds each term by itself (g = 1), and the stack holds
+    # g blocks, so under 2 MB or one block
     mnk, most_terms = evolution._BLAS_ONE_THREAD_MNK, evolution._taylor_terms(evolution._THETA)
-    for columns in sorted({1, 2, 20, 100, max(evolution._one_thread_columns(n), 1)}):
+    for columns in sorted({1, 2, 20, 100, 255, max(evolution._one_thread_columns(n), 1)}):
         prop = evolution._BatchPropagator(np.zeros((1 << n, columns)), 0.1, 0.1)
         g, block = prop.group, prop.pair[0]
         assert block.shape == (1 << n, 2 * columns)
         assert prop.stack.shape == (g, *block.shape)
-        assert g == 1 or 2 * g * block.size < mnk
-        assert g == most_terms or 2 * (g + 1) * block.size >= mnk
+        assert (g == most_terms) == (2 * most_terms * block.size < mnk)
+        assert g == most_terms or g == 1
+        assert not prop.fold or g == most_terms  # a folded block never reads its own slot
         assert prop.stack.nbytes <= max(mnk * 4, block.nbytes)
-        for terms in range(1, evolution._KMAX + 1):
-            widths = [coef.shape[1] for _, (coef, _) in
-                      filter(lambda entry: entry[1] is not None, prop._plan(terms))]
-            assert sum(widths) == terms and max(widths) <= g
+        for terms in range(1, most_terms + 1):
+            plan = prop._plan(terms)
+            assert len(plan) == terms
+            combines = [combine for _, combine in plan if combine is not None]
+            if g == 1:  # (-i)^k / k! times u_k, which is always slot 0
+                assert len(combines) == terms
+                assert all(u.base is prop.stack for _, u in combines)
+            else:  # both coefficient rows over all the terms' stack rows
+                [(coef, rows)] = combines
+                assert coef.shape == (2, terms) and rows.shape == (terms, block.size)
 
 
-@pytest.mark.parametrize("n, columns, group", [
-    (3, 1, 2), (3, 1, 3), (3, 3, 1), (3, 3, 4), (7, 2, 1), (7, 2, 5),
-], ids=["fold-2", "fold-3", "dense-1", "dense-4", "split-1", "split-5"])
-def test_small_groups_match_dense_exponential(monkeypatch, n, columns, group):
-    # a lower one-thread bound forces small groups, so each step combines
-    # several groups, and a group of one overwrites the term it reads (the
-    # folded one-column block is never given a group of one)
+@pytest.mark.parametrize("n, columns, single", [
+    (3, 1, False), (3, 3, False), (3, 3, True), (7, 2, False), (7, 2, True),
+], ids=["fold", "dense-stack", "dense-single", "split-stack", "split-single"])
+def test_both_group_rules_match_dense_exponential(monkeypatch, n, columns, single):
+    # a lower one-thread bound makes every block add its terms one at a time,
+    # each overwriting the slot it reads; at the real bound these small
+    # blocks take all of a step's terms in one group
     rng = np.random.default_rng(n + columns)
     dim = 1 << n
-    monkeypatch.setattr(evolution, "_BLAS_ONE_THREAD_MNK", 2 * group * 2 * columns * dim + 1)
+    if single:
+        monkeypatch.setattr(evolution, "_BLAS_ONE_THREAD_MNK", 1)
     diags = rng.normal(scale=4.0, size=(dim, columns))
     prop = evolution._BatchPropagator(diags, 10.0, 1.5)
-    assert prop.group == group and prop.fold == (columns == 1)
+    assert (prop.group == 1) == single and prop.fold == (columns == 1)
     psi0 = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
     psi0 /= np.linalg.norm(psi0, axis=0)
     a, b, dt = 0.4, 0.6, 1.5
@@ -464,6 +472,14 @@ def test_runaway_schedule_weight_is_refused_at_its_step(monkeypatch):
     with pytest.raises(FloatingPointError, match="86 sub-steps"):
         magnus_step(uniform_superposition(3), transverse_field_hamiltonian(3), np.arange(8.0),
                     schedule, 0.0, 0.1)
+    # the limit holds for the whole anneal, not for each step: under a limit
+    # of 50, A = 116 asks each step for 10 sub-steps, so five steps spend it
+    # and the sixth is refused, while the pre-flight counted 10 one-split steps
+    monkeypatch.setattr(evolution, "_WORK_LIMIT", 50)
+    schedule = AnnealSchedule(1.0, lambda t: 116.0, lambda t: 0.0)
+    assert evolution._check_anneal(3, 1, 1.0, 0.1, 7.0) == 10
+    with pytest.raises(FloatingPointError, match="10 sub-steps, over the 0 left"):
+        evolve_batch(np.arange(8.0), schedule, 0.1)
     # under the real limit, A = 1e300 asks for about 1e299 sub-steps
     monkeypatch.undo()
     schedule = AnnealSchedule(10.0, lambda t: 1e300, lambda t: t / 10)
@@ -472,11 +488,15 @@ def test_runaway_schedule_weight_is_refused_at_its_step(monkeypatch):
 
 
 def test_work_budget_admits_the_longest_acceptance_anneal():
-    # T = 5000 at dt = 0.1 with a unit-scale diagonal: 5e4 one-split steps
-    # are well inside the budget, so only the pre-flight runs here
+    # T = 5000 at dt = 0.1 with a unit-scale diagonal: 5e4 one-split steps,
+    # and 1e5 at the halved dt, are inside the budget, so only the pre-flight
+    # runs here. Each sub-step truncates under _STEP_TOL, so the budget keeps
+    # an admitted run's norm drift at the 1e-9 that evolve_batch checks
     assert evolution._check_anneal(5, 1, 5000.0, 0.1, 1.0) == 50_000
+    assert evolution._check_anneal(5, 1, 5000.0, 0.05, 1.0) == 100_000
+    assert evolution._WORK_LIMIT * evolution._STEP_TOL <= 1e-9
     with pytest.raises(ValueError, match="sub-steps"):
-        evolution._check_anneal(5, 1, (1e7 + 1) * 0.1, 0.1, 1.0)
+        evolution._check_anneal(5, 1, (evolution._WORK_LIMIT + 1) * 0.1, 0.1, 1.0)
 
 
 @pytest.mark.parametrize("total_time, dt, steps", [
