@@ -65,7 +65,13 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonians import _check_qubit_count, _finite_diagonal, _transverse_field_cached
+from .hamiltonians import (
+    _check_driver,
+    _check_qubit_count,
+    _finite_diagonal,
+    _register_size,
+    _transverse_field_cached,
+)
 from .instances import _positive_finite
 
 __all__ = [
@@ -234,9 +240,7 @@ class _BatchPropagator:
     def __init__(self, diagonals: np.ndarray, total_time: float, dt: float):
         d = _finite_diagonal(diagonals, ndim=2)  # (dim, M)
         self.dim, count = d.shape
-        self.n = self.dim.bit_length() - 1
-        if self.dim < 1 or self.dim != 1 << self.n:
-            raise ValueError(f"diagonal length {self.dim} is not a power of two")
+        self.n = _register_size(self.dim)
         self.d_scale = float(np.abs(d).max(initial=0.0))  # no column: refused below
         self.steps = _check_anneal(self.n, count, total_time, dt, self.d_scale)
         self.budget = _WORK_LIMIT  # sub-steps left to this propagator's steps
@@ -356,8 +360,7 @@ def magnus_step(state, h0, diagonal, schedule: AnnealSchedule, t: float, dt: flo
     prop = _BatchPropagator(np.asarray(diagonal, dtype=np.float64)[:, None], dt, dt)
     if not (t >= 0 and t + dt <= schedule.total_time * (1 + 1e-12)):  # nan fails both
         raise ValueError(f"step [{t}, {t + dt}] lies outside [0, {schedule.total_time}]")
-    if not np.array_equal(h0, _transverse_field_cached(prop.n)):
-        raise ValueError(f"h0 is not the {prop.n}-qubit driver -sum_i X_i")
+    _check_driver(h0, prop.n)
     psi = np.array(state, dtype=complex).reshape(-1, 1)
     if psi.shape[0] != prop.dim:
         raise ValueError("state dimension does not match the Hamiltonians")

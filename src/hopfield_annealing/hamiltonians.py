@@ -70,6 +70,20 @@ def _transverse_field_cached(n: int) -> np.ndarray:
     return h
 
 
+def _register_size(dim: int) -> int:
+    """n for a diagonal of 2^n entries; any other length is a ValueError."""
+    n = dim.bit_length() - 1
+    if dim < 1 or dim != 1 << n:
+        raise ValueError(f"diagonal length {dim} is not a power of two")
+    return n
+
+
+def _check_driver(h0, n: int) -> None:
+    """Refuse an `h0` that is not `transverse_field_hamiltonian(n)`."""
+    if not np.array_equal(h0, _transverse_field_cached(n)):
+        raise ValueError(f"h0 is not the {n}-qubit driver -sum_i X_i")
+
+
 def transverse_field_hamiltonian(n: int) -> np.ndarray:
     """Dense matrix of -sum_i X_i; entry -1 between states differing in one bit."""
     _check_qubit_count(n)

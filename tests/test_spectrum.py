@@ -1,11 +1,18 @@
+import re
 from math import comb
 
 import numpy as np
 import pytest
 
+from hopfield_annealing import spectrum
 from hopfield_annealing.evolution import AnnealSchedule
-from hopfield_annealing.hamiltonians import ising_hamiltonian, transverse_field_hamiltonian
-from hopfield_annealing.learning import hebb_weights
+from hopfield_annealing.hamiltonians import (
+    IsingHamiltonian,
+    ising_hamiltonian,
+    transverse_field_hamiltonian,
+)
+from hopfield_annealing.instances import derive_seed, generate_instance
+from hopfield_annealing.learning import LEARNING_RULES, hebb_weights, weights_for_rule
 from hopfield_annealing.network import BiasSpec
 from hopfield_annealing.patterns import hadamard_memories
 from hopfield_annealing.spectrum import (
@@ -51,6 +58,36 @@ def test_spectrum_time_validation():
     schedule = AnnealSchedule.linear(1.0)
     with pytest.raises(ValueError):
         instantaneous_spectrum(h0, np.zeros(4), schedule, 2.0)
+    for t in ("a", None, float("nan"), -0.1):
+        with pytest.raises(ValueError, match=r"^t must be a time in \[0, 1.0\]"):
+            instantaneous_spectrum(h0, np.zeros(4), schedule, t)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), 1e308])
+def test_non_finite_schedule_weight_is_named_with_its_time(weight):
+    # 1e308 is finite, but times the driver's row sum 2 or the diagonal's 10
+    # it overflows
+    h0 = transverse_field_hamiltonian(2)
+    driver = AnnealSchedule(1.0, lambda t: weight if t == 0.5 else 0.5, lambda t: 0.5)
+    problem = AnnealSchedule(1.0, lambda t: 0.5, lambda t: weight if t == 0.5 else 0.5)
+    for schedule, weights in ((driver, f"A={weight:g}, B=0.5"),
+                              (problem, f"A=0.5, B={weight:g}")):
+        for call in (lambda: instantaneous_spectrum(h0, np.full(4, 10.0), schedule, 0.5),
+                     lambda: spectrum_trace(h0, np.full(4, 10.0), schedule, num_samples=3)):
+            with pytest.raises(FloatingPointError, match=re.escape(f"weights {weights} at t=0.5")):
+                call()
+
+
+def test_malformed_register_rejected():
+    schedule = AnnealSchedule.linear(1.0)
+    with pytest.raises(ValueError, match="diagonal length 3 is not a power of two"):
+        instantaneous_spectrum(np.zeros((3, 3)), np.zeros(3), schedule, 0.5)
+    driver = transverse_field_hamiltonian(3)
+    for h0 in (np.triu(driver), 2 * driver, np.zeros((8, 8))):
+        for call in (lambda: instantaneous_spectrum(h0, np.zeros(8), schedule, 0.5),
+                     lambda: spectrum_trace(h0, np.zeros(8), schedule, num_samples=3)):
+            with pytest.raises(ValueError, match=r"h0 is not the 3-qubit driver -sum_i X_i"):
+                call()
 
 
 def test_trace_endpoints_and_shape():
@@ -168,3 +205,102 @@ def test_spectrum_csv_round_trip(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], trace.times)        # 17 digits round-trip
     assert np.array_equal(data[:, 1:], trace.energies)
+
+
+@pytest.mark.parametrize("times, energies, field", [
+    (np.zeros(3), np.zeros((2, 4)), "energies"),
+    (np.zeros(3), np.zeros(3), "energies"),
+    (np.zeros(3), np.zeros((3, 0)), "energies"),
+    (np.zeros(2), np.array([[0.0, 1.0], [np.nan, 1.0]]), "energies"),
+    (np.zeros(2), np.array([[0.0, np.inf], [0.0, 1.0]]), "energies"),
+    (np.zeros((2, 1)), np.zeros((2, 4)), "times"),
+    (["a", "b"], np.zeros((2, 4)), "times"),
+    (np.zeros(2), None, "energies"),
+], ids=["rows-per-time", "1-D", "no-column", "nan", "inf", "2-D-times", "string-times",
+        "no-energies"])
+def test_trace_fields_must_fit_together(times, energies, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SpectrumTrace(times=times, energies=energies)
+
+
+def test_trace_consumers_refuse_what_is_not_a_trace(tmp_path):
+    with pytest.raises(ValueError, match="trace must be a SpectrumTrace"):
+        min_gap((1, 2))
+    with pytest.raises(ValueError, match="trace must be a SpectrumTrace"):
+        write_spectrum_csv((1, 2), tmp_path / "spectrum.csv")
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def _planted(rng, n, pairs):
+    """A unit-scale Ising diagonal whose swap of each (i, j, flipped) pair,
+    with both spins flipped when `flipped`, leaves every energy unchanged."""
+    couplings = np.triu(rng.normal(size=(n, n)) / n, 1)
+    couplings = couplings + couplings.T
+    fields = rng.normal(size=n) / n
+    for i, j, flipped in pairs:
+        sign = -1.0 if flipped else 1.0
+        others = [k for k in range(n) if k not in (i, j)]
+        couplings[i, others] = couplings[others, i] = sign * couplings[j, others]
+        fields[i] = sign * fields[j]
+    return IsingHamiltonian(couplings=couplings, fields=fields, n=n).diagonal()
+
+
+def _diagonals(n):
+    rng = np.random.default_rng(n)
+    yield "zero", np.zeros(1 << n)
+    yield "random", rng.normal(size=1 << n)
+    if n >= 2:
+        yield "plain", _planted(rng, n, [(0, n - 1, False)])
+        yield "flipped", _planted(rng, n, [(0, n - 1, True)])
+    if n >= 4:
+        yield "both", _planted(rng, n, [(0, 2, True), (1, n - 1, False)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sector_spectrum_matches_the_dense_matrix(n):
+    h0 = transverse_field_hamiltonian(n)
+    schedule = AnnealSchedule.linear(4.0)
+    for name, d in _diagonals(n):
+        sectors = list(spectrum._sectors(d))
+        assert sum(diagonal.size for _, diagonal in sectors) == 1 << n, name
+        assert all(block.shape == (diagonal.size,) * 2 for block, diagonal in sectors), name
+        trace = spectrum_trace(h0, d, schedule, num_samples=5)
+        for t, energies in zip(trace.times, trace.energies):
+            dense = np.linalg.eigvalsh((1 - t / 4.0) * h0 + np.diag(t / 4.0 * d))
+            assert np.abs(energies - dense).max() <= 1e-12, (name, t)
+            single = instantaneous_spectrum(h0, d, schedule, t)
+            assert np.abs(single - dense).max() <= 1e-12, (name, t)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pairs_are_the_planted_symmetries(n):
+    pairs = {name: spectrum._pairs(d) for name, d in _diagonals(n)}
+    # every qubit pairs on the zero diagonal, plainly and in order
+    assert pairs["zero"] == [(q, q + 1, False) for q in range(0, n - 1, 2)]
+    assert pairs["random"] == []
+    if n >= 2:
+        assert pairs["plain"] == [(0, n - 1, False)]
+        assert pairs["flipped"] == [(0, n - 1, True)]
+    if n >= 4:
+        assert pairs["both"] == [(0, 2, True), (1, n - 1, False)]
+
+
+def test_a_pair_broken_by_1e9_is_not_taken():
+    d = _planted(np.random.default_rng(5), 5, [(1, 3, False)])
+    assert spectrum._pairs(d) == [(1, 3, False)]
+    d[0b00010] += 1e-9  # bit 1 set, bit 3 clear: its swap partner is 0b01000
+    assert spectrum._pairs(d) == []
+    assert len(list(spectrum._sectors(d))) == 1
+
+
+@pytest.mark.parametrize("rule", LEARNING_RULES)
+def test_register_n8_instances_keep_the_sector_path(rule):
+    # instance 0 of the two n = 8, p = 3, gamma = 0.3 ensembles of each rule
+    # that the register_n8 benchmark workload traces at its seed 20587
+    for k in range(2):
+        master = derive_seed(20587, "exact", 3, 0, 0, k)
+        instance = generate_instance("exact", 8, 3, rule, 0.3, 100.0,
+                                     seed=derive_seed(master, "exact", 3, 0, 0, 0))
+        h1 = ising_hamiltonian(weights_for_rule(rule, instance.memories),
+                               BiasSpec(input_key=instance.input_key, gamma=instance.gamma))
+        assert len(spectrum._pairs(h1.diagonal())) >= 2
