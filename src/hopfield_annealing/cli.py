@@ -30,7 +30,7 @@ from .ensembles import (
 )
 from .evolution import AnnealSchedule, ConvergenceError, DEFAULT_DT, check_halving
 from .hamiltonians import MAX_QUBITS, ising_hamiltonian, transverse_field_hamiltonian
-from .instances import PROTOCOLS, ProblemInstance, generate_instance, _integer
+from .instances import PROTOCOLS, ProblemInstance, generate_instance
 from .learning import LEARNING_RULES, SingularCovarianceError, weights_for_rule
 from .memio import (
     FIGURE_IDS,
@@ -42,7 +42,7 @@ from .memio import (
     write_text_atomic,
 )
 from .network import BiasSpec, classical_update, network_energy
-from .patterns import as_pattern, hadamard_memories, overlapping_memories
+from .patterns import _integer, as_pattern, hadamard_memories, overlapping_memories
 from .spectrum import SpectrumTrace, min_gap, spectrum_trace, write_spectrum_csv
 
 __all__ = ["RunConfig", "parse_config", "main"]

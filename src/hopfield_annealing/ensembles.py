@@ -36,6 +36,8 @@ in-process one by about 1e-11; a thresholded result moves only for an
 instance that close to x.
 """
 
+import math
+import numbers
 import os
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
@@ -49,10 +51,10 @@ from .evolution import (
     AnnealSchedule, evolve_batch, DEFAULT_DT, _check_anneal, _one_thread_columns,
 )
 from .hamiltonians import ising_hamiltonian, ground_state_mass
-from .instances import ProblemInstance, derive_seed, generate_instance, _integer, _validate_request
+from .instances import ProblemInstance, derive_seed, generate_instance, _validate_request
 from .learning import LEARNING_RULES, weights_for_rule
 from .network import BiasSpec
-from .patterns import as_pattern, pattern_to_index
+from .patterns import _integer, as_pattern, pattern_to_index
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -95,8 +97,10 @@ RESULTS_HEADER = [
 
 def success_indicator(p_ans: float, x: float = DEFAULT_THRESHOLD) -> int:
     """1 when the answer probability reaches the threshold x, else 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"threshold x must lie in [0, 1], got {x}")
+    if not (isinstance(p_ans, numbers.Real) and math.isfinite(p_ans)):
+        raise ValueError(f"p_ans must be a finite real number, got {p_ans!r}")
+    if not (isinstance(x, numbers.Real) and 0.0 <= x <= 1.0):
+        raise ValueError(f"threshold x must lie in [0, 1], got {x!r}")
     return 1 if p_ans >= x else 0
 
 

@@ -24,9 +24,7 @@ n = 7 it uses the exact split
 
 a batched 32 x 32 product over the low five qubits plus a 2^(n-5) square
 GEMM over the rest, which costs O(2^n (32 + 2^(n-5))) per column instead of
-O(4^n). With 20 columns on two OpenBLAS threads of a 2-CPU Intel Xeon, one
-driver action took 8 us dense against 11 us split at n = 6, 30 against 17 us
-at n = 7, 99 against 33 us at n = 8 and 30 ms against 1.1 ms at n = 12.
+O(4^n).
 
 One power recurrence serves every block. The sub-step h is folded into
 the scaled driver and diagonal, u_0 = psi is read in place, and each Taylor
@@ -43,15 +41,7 @@ coefficient rows, on one OpenBLAS thread in a pooled worker. A wider block
 adds each term as it comes, (-i)^k u_k / k! in two calls: a stack of one.
 The combination must stay a real GEMM: a complex coefficient row makes it
 a zgemv, which OpenBLAS threads at far smaller sizes, and which ran pooled
-sweeps several times slower. On the same machine, in one process
-alternating with the three calls per term this replaced, an n = 5
-single-column step (12 terms) took 17-18 us against 27 us and 22 columns
-gained 11-16%, while 100-150 stacked columns ran 0-11% slower; past the
-edge the per-term path matched the old one within the runs' spread (n = 5
-at 160 and 241 columns, n = 8 at 20, n = 10 at 7 and 100). Stacking wide
-blocks in groups that fill the bound instead lost 9-24% at n = 5 with
-150-241 columns and 35% at n = 10 with 100, where a group of one pays the
-GEMM and three passes per term.
+sweeps several times slower.
 
 One pure pre-flight, `_check_anneal`, returns an anneal's step count and
 refuses a runaway one before any buffer exists; it reads only (n, M, T, dt)
@@ -125,6 +115,9 @@ class AnnealSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "total_time", _positive_finite(self.total_time, "total_time"))
+        for name in ("driver_weight", "problem_weight"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be callable, got {getattr(self, name)!r}")
 
     @classmethod
     def linear(cls, total_time: float) -> "AnnealSchedule":

@@ -22,7 +22,6 @@ ensemble master seed with a SplitMix64 hash over the labelled run coordinates
 the generator are part of the package's reproducibility contract.
 """
 
-import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .learning import LEARNING_RULES, SingularCovarianceError, _storable_covariance
-from .patterns import all_patterns, as_memory_set, as_pattern, random_pattern
+from .patterns import _integer, all_patterns, as_memory_set, as_pattern, random_pattern
 
 __all__ = [
     "PROTOCOLS",
@@ -134,17 +133,6 @@ class ProblemInstance:
         if self.protocol in ("failure1", "failure2"):
             return self.input_key
         return self.answer
-
-
-def _integer(value, name: str = "") -> int:
-    """int() that refuses booleans, non-integral numbers (numpy's included) and
-    what int() cannot read, with a ValueError whose message starts with `name`."""
-    with contextlib.suppress(TypeError, ValueError):
-        if not isinstance(value, (bool, np.bool_)) and (
-                not isinstance(value, numbers.Real) or isinstance(value, numbers.Integral)
-                or float(value).is_integer()):
-            return int(value)
-    raise ValueError(f"{name}{': ' if name else ''}expected an integer, got {value!r}")
 
 
 def _positive_finite(value, name: str) -> float:
@@ -260,6 +248,7 @@ def generate_instance(
 ) -> ProblemInstance:
     """Generate an instance for any named protocol from its 64-bit seed."""
     _validate_request(protocol, n, p, rule, gamma, anneal_time)
+    seed = _integer(seed, "seed")
     memories, answer_index, input_key = _DRAWS[protocol](instance_rng(seed), n, p, rule)
     return ProblemInstance(
         protocol=protocol,

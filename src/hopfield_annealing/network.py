@@ -13,6 +13,8 @@ and a positive bias attracts the state toward the key. At theta = 0 this is
 the plain sign rule z_i = sign(sum_j w_ij z_j).
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +39,8 @@ class BiasSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "input_key", as_pattern(self.input_key))
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
+        if not (isinstance(self.gamma, numbers.Real) and 0 <= self.gamma < math.inf):
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma!r}")
 
     @property
     def thresholds(self) -> np.ndarray:

@@ -13,6 +13,9 @@ Conventions used throughout the package:
   i.e. spin i occupies bit ``2**i`` of the state label.
 """
 
+import contextlib
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -26,6 +29,17 @@ __all__ = [
     "hadamard_memories",
     "overlapping_memories",
 ]
+
+
+def _integer(value, name: str = "") -> int:
+    """int() that refuses booleans, non-integral numbers (numpy's included) and
+    what int() cannot read, with a ValueError whose message starts with `name`."""
+    with contextlib.suppress(TypeError, ValueError):
+        if not isinstance(value, (bool, np.bool_)) and (
+                not isinstance(value, numbers.Real) or isinstance(value, numbers.Integral)
+                or float(value).is_integer()):
+            return int(value)
+    raise ValueError(f"{name}{': ' if name else ''}expected an integer, got {value!r}")
 
 
 def _bipolar(values, ndim: int) -> np.ndarray:
@@ -99,9 +113,10 @@ def hadamard_memories(n: int, p: int | None = None) -> np.ndarray:
     convenient source of non-interfering memories. Requires n a power of two
     and p <= n. The first memory is the all +1 pattern.
     """
+    n = _integer(n, "n")
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"Hadamard memories need n a power of two, got {n}")
-    p = n if p is None else p
+    p = n if p is None else _integer(p, "p")
     if not 1 <= p <= n:
         raise ValueError(f"p must be in [1, {n}], got {p}")
     h = np.array([[1]], dtype=np.int64)

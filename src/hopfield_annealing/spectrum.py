@@ -15,42 +15,37 @@ time that is not a number in [0, T]. A non-finite entry of H1, and a
 schedule weight that is not finite or whose H(t) overflows, are a
 `FloatingPointError`.
 
-H(t) is diagonalized one qubit-swap sector at a time. Qubits i and j whose
-swap leaves H1's diagonal d unchanged, plainly or with both bits flipped
-(X_i X_j SWAP_ij), give a symmetry of H(t), since both maps commute with H0.
-`_pairs` takes disjoint such pairs greedily, and each pair splits into a
-symmetric part of three states and an antisymmetric part of one:
+H(t) is diagonalized one block of exchangeable qubits at a time. `_groups`
+joins qubits greedily, in qubit order, into groups whose qubits can be
+permuted without changing H1's diagonal d, plainly or with some of them
+flipped (a mask `flip`). Permutations and flips commute with H0, so each
+group of k qubits splits like k spins 1/2 into total spins j = k/2 - low,
+low = 0..floor(k/2) (Dicke's multiplets): the multiplet of j holds the
+group weights w = low..k-low, where H0 is the tridiagonal -2 J_x with
+off-diagonal -sqrt((w - low + 1)(k - low - w)), and occurs C(k, low) -
+C(k, low - 1) times. One `low` per group makes a block: H0 is the Kronecker
+sum of the groups' -2 J_x, and H1 is diagonal, d at the state that sets,
+in the frame of `flip`, the first w qubits of each group. A block of
+Prod (k - 2 low + 1) states is diagonalized once and its eigenvalues
+counted Prod (C(k, low) - C(k, low - 1)) times; the blocks' sizes times
+their counts sum to 2^n. A group of one is -X on two states, a group of two
+splits into three symmetric states and one antisymmetric one, and a
+diagonal without groups of two or more is one block, the dense matrix. The
+spectrum is the sorted union of the blocks' eigenvalues; a block's samples
+are diagonalized in stacks of at most 64 KB, or one at a time.
 
-    plain pair:    |00>, |11>, (|01> + |10>)/sqrt2  |  (|01> - |10>)/sqrt2
-    flipped pair:  |01>, |10>, (|00> + |11>)/sqrt2  |  (|00> - |11>)/sqrt2
-
-One part per pair makes a sector. In it, H0 is the Kronecker sum of -X for
-each unpaired qubit, -sqrt2 [[0,0,1],[0,0,1],[1,1,0]] for each symmetric
-pair and 0 for each antisymmetric one, and H1 is diagonal: d at one
-representative basis state of each sector state. k pairs make 2^k sectors of
-3^(k-m) 2^(n-2k) states, m of the pairs antisymmetric, which sum to 2^n; a
-diagonal without pairs is one sector, the dense matrix. The spectrum is the
-sorted union of the sectors' eigenvalues; a sector's samples are
-diagonalized in stacks of at most 64 KB, or one at a time. The n = 8,
-p = 3 instances of the `register_n8` benchmark have two to four pairs at
-seeds 20587, 7 and 101, and their 201-sample traces took 0.09-0.23 s where
-the dense 256 x 256 matrices took 0.56-0.89 s; exact n = 4 and n = 5
-instances took 2.2-4.1 ms and 7.1-8.5 ms where the dense path took 11-13
-ms and 17-24 ms (2-CPU Intel Xeon, two OpenBLAS threads).
-
-A pair is taken when d, read at each basis state's representative under the
-pairs taken so far and this one, moves by at most tol = 64 eps max(1,
-max|d|). On those instances rounding left at most 0.82 eps max|d| on the
-exact pairs, and every other pair moved d by more than 10^14 eps max|d|.
-The sectors are exact for the diagonal read at the representatives, which
-is within tol of d, so by Weyl's inequality every eigenvalue is within
+A qubit joins a group when d, read at each basis state's representative
+(its state of the same weights set on the groups' first qubits) under the
+groups so far with this qubit joined, moves by at most tol = 64 eps max(1,
+max|d|). The blocks are exact for the diagonal read at the representatives,
+which is within tol of d, so by Weyl's inequality every eigenvalue is within
 |B(t)| tol of H(t)'s.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -62,9 +57,8 @@ from .hamiltonians import (
     _check_qubit_count,
     _finite_diagonal,
     _register_size,
-    _transverse_field_cached,
 )
-from .instances import _integer
+from .patterns import _integer
 
 __all__ = [
     "SpectrumTrace",
@@ -77,19 +71,9 @@ __all__ = [
 # most samples one trace may take: about 200 times the figure default of 201
 _SAMPLE_LIMIT = 40_000
 
-# most doubles one stacked eigvalsh call takes (64 KB); a larger sector
+# most doubles one stacked eigvalsh call takes (64 KB); a larger block
 # goes one sample at a time
 _STACK_DOUBLES = 1 << 13
-
-# H0 = -X_i - X_j on a pair's symmetric part, in the order of _PARTS
-_SYMMETRIC_DRIVER = -math.sqrt(2.0) * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-
-# (bit i, bit j) of the representative of each state of a pair's symmetric
-# part, then of its antisymmetric part: plain pairs, then flipped ones
-_PARTS = {
-    False: (np.array([[0, 0], [1, 1], [1, 0]]), np.array([[1, 0]])),
-    True: (np.array([[1, 0], [0, 1], [0, 0]]), np.array([[0, 0]])),
-}
 
 
 @dataclass(frozen=True)
@@ -123,46 +107,50 @@ class SpectrumTrace:
             raise ValueError("energies must be finite")
 
 
-def _pairs(d: np.ndarray) -> list:
-    """Disjoint qubit pairs (i, j, flipped), taken greedily in the order of
-    i, then j, then plain before flipped, whose swap (flipped: with both bits
-    flipped) leaves d unchanged within the tolerance of the module docstring."""
+def _representatives(index: np.ndarray, groups: list, flip: int) -> np.ndarray:
+    """Each basis state's representative: in the frame of `flip`, its weight
+    in each group set on the group's first qubits."""
+    frame = index ^ flip
+    rep = frame.copy()
+    for group in groups:
+        first = np.cumsum([0] + [1 << q for q in group])  # the first w qubits, by w
+        rep = rep & ~first[-1] | first[sum(frame >> q & 1 for q in group)]
+    return rep ^ flip
+
+
+def _groups(d: np.ndarray) -> tuple[list, int]:
+    """Qubit groups and flip mask; each qubit joins the first group, plainly
+    before flipped, whose representatives leave d unchanged within the
+    tolerance of the module docstring, or starts a group of its own."""
     tol = 64 * np.finfo(np.float64).eps * max(1.0, float(np.abs(d).max()))
-    rep = np.arange(d.size)  # each basis state's representative under the pairs taken
-    pairs, paired = [], set()
-    for i, j in combinations(range(_register_size(d.size)), 2):
-        if i in paired or j in paired:
-            continue
-        bit_i, bit_j = rep >> i & 1, rep >> j & 1
-        for flipped in (False, True):
-            if flipped:  # |00>, |11> -> |00>
-                joined = np.where(bit_i == bit_j, rep & ~(1 << i | 1 << j), rep)
-            else:  # |01>, |10> -> bit i set
-                joined = np.where(bit_i != bit_j, (rep | 1 << i) & ~(1 << j), rep)
-            if np.abs(d[joined] - d).max() <= tol:
-                pairs.append((i, j, flipped))
-                paired |= {i, j}
-                rep = joined
+    index = np.arange(d.size)
+    groups, flip = [], 0
+    for q in range(_register_size(d.size)):
+        for group, flipped in product(groups, (0, 1)):
+            group.append(q)
+            if np.abs(d[_representatives(index, groups, flip | flipped << q)] - d).max() <= tol:
+                flip |= flipped << q
                 break
-    return pairs
+            group.pop()
+        else:
+            groups.append([q])
+    return groups, flip
 
 
-def _sectors(d: np.ndarray):
-    """Yield the (H0 block, H1 diagonal) of each sector of d's pairs."""
-    pairs = _pairs(d)
-    paired = {q for i, j, _ in pairs for q in (i, j)}
-    rest = [q for q in range(_register_size(d.size)) if q not in paired]
-    # the unpaired qubits as a register of their own, in standard order
-    index = np.arange(1 << len(rest))
-    rest_offsets = sum(((index >> r & 1) << q for r, q in enumerate(rest)), np.zeros_like(index))
-    for parts in product((0, 1), repeat=len(pairs)):  # 0: symmetric, 1: antisymmetric
-        driver, offsets = _transverse_field_cached(len(rest)), rest_offsets
-        for (i, j, flipped), part in zip(pairs, parts):
-            offsets = (offsets[:, None] + _PARTS[flipped][part] @ (1 << i, 1 << j)).ravel()
-            if part == 0:  # symmetric; an antisymmetric part adds 0 to H0
-                driver = (np.kron(driver, np.eye(3))
-                          + np.kron(np.eye(len(driver)), _SYMMETRIC_DRIVER))
-        yield driver, d[offsets]
+def _blocks(d: np.ndarray):
+    """Yield the (H0 block, H1 diagonal, count) of each block of d's groups."""
+    groups, flip = _groups(d)
+    for lows in product(*(range(len(group) // 2 + 1) for group in groups)):
+        driver, offsets, count = np.zeros((1, 1)), np.zeros(1, dtype=np.int64), 1
+        for group, low in zip(groups, lows):
+            k = len(group)
+            w = np.arange(low, k - low + 1)  # the multiplet's weights
+            spin = np.diag(-np.sqrt((w[:-1] - low + 1) * (k - low - w[:-1])), 1)
+            driver = (np.kron(driver, np.eye(w.size))
+                      + np.kron(np.eye(len(driver)), spin + spin.T))
+            offsets = (offsets[:, None] + np.cumsum([0] + [1 << q for q in group])[w]).ravel()
+            count *= math.comb(k, low) - (math.comb(k, low - 1) if low else 0)
+        yield driver, d[offsets ^ flip], count
 
 
 def _spectra(h0, h1, schedule: AnnealSchedule, times) -> np.ndarray:
@@ -184,15 +172,15 @@ def _spectra(h0, h1, schedule: AnnealSchedule, times) -> np.ndarray:
         )
     energies = np.empty((len(times), d.size))
     start = 0
-    for driver, diagonal in _sectors(d):
+    for driver, diagonal, count in _blocks(d):
         dim = diagonal.size
         chunk = max(1, _STACK_DOUBLES // dim**2)
         for low in range(0, len(times), chunk):
             rows = slice(low, low + chunk)
             stack = a[rows, None, None] * driver
             stack.reshape(len(stack), -1)[:, :: dim + 1] += b[rows, None] * diagonal
-            energies[rows, start:start + dim] = np.linalg.eigvalsh(stack)
-        start += dim
+            energies[rows, start:start + dim * count] = np.tile(np.linalg.eigvalsh(stack), count)
+        start += dim * count
     energies.sort(axis=1)
     return energies
 

@@ -54,6 +54,15 @@ def test_success_indicator():
     assert DEFAULT_THRESHOLD == 2 / 3
     with pytest.raises(ValueError):
         success_indicator(0.5, 1.2)
+    assert success_indicator(np.float64(0.7)) == 1
+
+
+@pytest.mark.parametrize("p_ans", ["a", None, float("nan"), float("inf"), [0.7]])
+def test_success_indicator_refuses_what_is_not_a_finite_number(p_ans):
+    with pytest.raises(ValueError, match="^p_ans must be a finite real number"):
+        success_indicator(p_ans)
+    with pytest.raises(ValueError, match="^threshold x must lie in"):
+        success_indicator(0.5, "a")
 
 
 @pytest.mark.parametrize("rule", LEARNING_RULES)

@@ -46,6 +46,14 @@ def test_schedule_validation():
         AnnealSchedule.linear(0.0)
 
 
+@pytest.mark.parametrize("field", ["driver_weight", "problem_weight"])
+@pytest.mark.parametrize("weight", [3, None, "t / T"])
+def test_schedule_refuses_a_weight_that_is_not_callable(field, weight):
+    weights = {"driver_weight": lambda t: 1.0 - t, "problem_weight": lambda t: t, field: weight}
+    with pytest.raises(ValueError, match=f"^{field} must be callable"):
+        AnnealSchedule(1.0, **weights)
+
+
 @pytest.mark.parametrize("total_time", [float("inf"), float("nan")])
 def test_schedule_rejects_non_finite_total_time(total_time):
     with pytest.raises(ValueError, match="finite"):

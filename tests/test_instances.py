@@ -56,6 +56,14 @@ def test_generation_is_deterministic(protocol):
     assert a.answer_index == b.answer_index
 
 
+@pytest.mark.parametrize("seed", ["a", None, 11.5, True])
+def test_generation_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="^seed: expected an integer"):
+        generate_exact_instance(5, 3, "hebb", 0.3, 10.0, seed=seed)
+    a = generate_exact_instance(5, 3, "hebb", 0.3, 10.0, seed=11.0)
+    assert np.array_equal(a.memories, generate_instance("exact", 5, 3, "hebb", 0.3, 10.0, 11).memories)
+
+
 # one instance per protocol at n=6, p=4, recorded when each protocol had its own
 # generator; a change in the order of the draws from the Philox stream moves them
 _PINNED_INSTANCES = [

@@ -68,6 +68,12 @@ def test_bias_rejects_non_finite_gamma(gamma):
         BiasSpec(input_key=[1, -1], gamma=gamma)
 
 
+@pytest.mark.parametrize("gamma", ["a", None, [0.3], np.array([0.3, 0.4])])
+def test_bias_rejects_a_gamma_that_is_not_a_number(gamma):
+    with pytest.raises(ValueError, match="^gamma must be non-negative and finite"):
+        BiasSpec(input_key=[1, 1], gamma=gamma)
+
+
 # -- network_energy ------------------------------------------------------------
 
 def test_energy_spin_flip_symmetry_without_bias():

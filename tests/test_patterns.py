@@ -128,6 +128,13 @@ def test_hadamard_memories_validation():
         hadamard_memories(4, 5)
 
 
+def test_hadamard_memories_read_their_sizes_as_integers():
+    assert np.array_equal(hadamard_memories(4.0, np.int64(2)), hadamard_memories(4, 2))
+    for args, name in (((4.5,), "n"), (("a",), "n"), ((True,), "n"), ((4, 2.5), "p")):
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+            hadamard_memories(*args)
+
+
 def test_overlapping_memories_structure():
     mem = overlapping_memories()
     assert mem.shape == (4, 4)

@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfield_annealing import spectrum
 from hopfield_annealing.evolution import AnnealSchedule
@@ -231,18 +232,32 @@ def test_trace_consumers_refuse_what_is_not_a_trace(tmp_path):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
-def _planted(rng, n, pairs):
-    """A unit-scale Ising diagonal whose swap of each (i, j, flipped) pair,
-    with both spins flipped when `flipped`, leaves every energy unchanged."""
-    couplings = np.triu(rng.normal(size=(n, n)) / n, 1)
-    couplings = couplings + couplings.T
-    fields = rng.normal(size=n) / n
-    for i, j, flipped in pairs:
-        sign = -1.0 if flipped else 1.0
-        others = [k for k in range(n) if k not in (i, j)]
-        couplings[i, others] = couplings[others, i] = sign * couplings[j, others]
-        fields[i] = sign * fields[j]
+def _planted(rng, n, groups, flipped=()):
+    """A unit-scale Ising diagonal whose qubits in each group, those in
+    `flipped` with their spins flipped, can be permuted without changing any
+    energy."""
+    label = list(range(n))  # qubits of one group share a label
+    for group in groups:
+        for q in group:
+            label[q] = group[0]
+    sign = np.array([-1.0 if q in flipped else 1.0 for q in range(n)])
+    template = rng.normal(size=(n, n)) / n
+    couplings = np.outer(sign, sign) * (template + template.T)[np.ix_(label, label)]
+    np.fill_diagonal(couplings, 0.0)
+    fields = sign * (rng.normal(size=n) / n)[label]
     return IsingHamiltonian(couplings=couplings, fields=fields, n=n).diagonal()
+
+
+def _expected_groups(n, groups, flipped=()):
+    """`spectrum._groups` of a `_planted` diagonal: every group in qubit
+    order, a qubit of none alone, and a qubit flipped when its spin is
+    flipped relative to its group's first qubit's."""
+    grouped = {q for group in groups for q in group}
+    found = sorted([sorted(group) for group in groups]
+                   + [[q] for q in range(n) if q not in grouped])
+    flip = sum(1 << q for group in found for q in group
+               if (q in flipped) != (group[0] in flipped))
+    return found, flip
 
 
 def _diagonals(n):
@@ -250,57 +265,115 @@ def _diagonals(n):
     yield "zero", np.zeros(1 << n)
     yield "random", rng.normal(size=1 << n)
     if n >= 2:
-        yield "plain", _planted(rng, n, [(0, n - 1, False)])
-        yield "flipped", _planted(rng, n, [(0, n - 1, True)])
+        yield "plain", _planted(rng, n, [[0, n - 1]])
+        yield "flipped", _planted(rng, n, [[0, n - 1]], {n - 1})
+    if n >= 3:
+        yield "three", _planted(rng, n, [[0, 1, n - 1]], {1})
     if n >= 4:
-        yield "both", _planted(rng, n, [(0, 2, True), (1, n - 1, False)])
+        yield "both", _planted(rng, n, [[0, 2], [1, n - 1]], {2})
+    if n >= 7:
+        yield "groups", _planted(rng, n, [[1, 2, 4, n - 1], [0, 3, 5]], {0, 2, 4})
+
+
+def _assert_matches_the_dense_matrix(d, label=""):
+    n = d.size.bit_length() - 1
+    h0 = transverse_field_hamiltonian(n)
+    schedule = AnnealSchedule.linear(4.0)
+    blocks = list(spectrum._blocks(d))
+    assert sum(diagonal.size * count for _, diagonal, count in blocks) == 1 << n, label
+    assert all(block.shape == (diagonal.size,) * 2 for block, diagonal, _ in blocks), label
+    trace = spectrum_trace(h0, d, schedule, num_samples=5)
+    for t, energies in zip(trace.times, trace.energies):
+        dense = np.linalg.eigvalsh((1 - t / 4.0) * h0 + np.diag(t / 4.0 * d))
+        assert np.abs(energies - dense).max() <= 1e-12, (label, t)
+        single = instantaneous_spectrum(h0, d, schedule, t)
+        assert np.abs(single - dense).max() <= 1e-12, (label, t)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sector_spectrum_matches_the_dense_matrix(n):
-    h0 = transverse_field_hamiltonian(n)
-    schedule = AnnealSchedule.linear(4.0)
+    # every diagonal's blocks, counted by their multiplicities, are the whole
+    # register, and their eigenvalues are the dense matrix's
     for name, d in _diagonals(n):
-        sectors = list(spectrum._sectors(d))
-        assert sum(diagonal.size for _, diagonal in sectors) == 1 << n, name
-        assert all(block.shape == (diagonal.size,) * 2 for block, diagonal in sectors), name
-        trace = spectrum_trace(h0, d, schedule, num_samples=5)
-        for t, energies in zip(trace.times, trace.energies):
-            dense = np.linalg.eigvalsh((1 - t / 4.0) * h0 + np.diag(t / 4.0 * d))
-            assert np.abs(energies - dense).max() <= 1e-12, (name, t)
-            single = instantaneous_spectrum(h0, d, schedule, t)
-            assert np.abs(single - dense).max() <= 1e-12, (name, t)
+        _assert_matches_the_dense_matrix(d, name)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pairs_are_the_planted_symmetries(n):
-    pairs = {name: spectrum._pairs(d) for name, d in _diagonals(n)}
-    # every qubit pairs on the zero diagonal, plainly and in order
-    assert pairs["zero"] == [(q, q + 1, False) for q in range(0, n - 1, 2)]
-    assert pairs["random"] == []
+    groups = {name: spectrum._groups(d) for name, d in _diagonals(n)}
+    # all qubits are exchangeable on the zero diagonal, plainly
+    assert groups["zero"] == ([list(range(n))], 0)
+    assert groups["random"] == _expected_groups(n, [])
     if n >= 2:
-        assert pairs["plain"] == [(0, n - 1, False)]
-        assert pairs["flipped"] == [(0, n - 1, True)]
+        assert groups["plain"] == _expected_groups(n, [[0, n - 1]])
+        assert groups["flipped"] == _expected_groups(n, [[0, n - 1]], {n - 1})
     if n >= 4:
-        assert pairs["both"] == [(0, 2, True), (1, n - 1, False)]
+        assert groups["both"] == _expected_groups(n, [[0, 2], [1, n - 1]], {2})
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_groups_of_three_or_more_are_the_planted_symmetries(n):
+    groups = {name: spectrum._groups(d) for name, d in _diagonals(n)}
+    assert groups["three"] == _expected_groups(n, [[0, 1, n - 1]], {1})
+    if n >= 7:
+        expected = _expected_groups(n, [[1, 2, 4, n - 1], [0, 3, 5]], {0, 2, 4})
+        assert groups["groups"] == expected
+        assert expected[1] == 0b111100  # flips relative to qubits 0 and 1
+
+
+def test_pair_blocks_are_a_symmetric_triplet_and_an_antisymmetric_singlet():
+    d = _planted(np.random.default_rng(3), 2, [[0, 1]], {1})
+    (triplet, diagonal, count), (singlet, single, one) = spectrum._blocks(d)
+    assert count == one == 1 and singlet.shape == (1, 1) and singlet[0, 0] == 0.0
+    assert np.allclose(np.linalg.eigvalsh(triplet), [-2.0, 0.0, 2.0], atol=1e-15)
+    # flipped pair: |01>, |00> and |10> (weights 0, 1, 2 in the flipped frame)
+    assert np.array_equal(diagonal, d[[0b10, 0b11, 0b01]]) and np.array_equal(single, d[[0b11]])
 
 
 def test_a_pair_broken_by_1e9_is_not_taken():
-    d = _planted(np.random.default_rng(5), 5, [(1, 3, False)])
-    assert spectrum._pairs(d) == [(1, 3, False)]
+    d = _planted(np.random.default_rng(5), 5, [[1, 3]])
+    assert spectrum._groups(d) == _expected_groups(5, [[1, 3]])
     d[0b00010] += 1e-9  # bit 1 set, bit 3 clear: its swap partner is 0b01000
-    assert spectrum._pairs(d) == []
-    assert len(list(spectrum._sectors(d))) == 1
+    assert spectrum._groups(d) == _expected_groups(5, [])
+    assert len(list(spectrum._blocks(d))) == 1
+
+
+def test_a_group_broken_by_1e9_loses_the_broken_qubit():
+    d = _planted(np.random.default_rng(6), 5, [[0, 2, 4]], {4})
+    assert spectrum._groups(d) == _expected_groups(5, [[0, 2, 4]], {4})
+    # only qubit 4 set in the group's frame, against only qubit 0 (0b10001)
+    # or only qubit 2 (0b10100): qubits 0 and 2 stay exchangeable
+    d[0b00000] += 1e-9
+    assert spectrum._groups(d) == _expected_groups(5, [[0, 2]])
+    _assert_matches_the_dense_matrix(d)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.lists(st.integers(1, 5), min_size=n, max_size=n),
+    st.sets(st.integers(0, n - 1)), st.integers(0, 2**32 - 1))))
+def test_planted_groups_match_the_dense_spectrum(drawn):
+    order, sizes, flipped, seed = drawn
+    n, groups = len(order), []
+    while order:  # cut the shuffled qubits into groups of the drawn sizes
+        groups.append(sorted(order[:sizes[len(groups)]]))
+        order = order[sizes[len(groups) - 1]:]
+    d = _planted(np.random.default_rng(seed), n, groups, flipped)
+    assert spectrum._groups(d) == _expected_groups(n, groups, flipped)
+    _assert_matches_the_dense_matrix(d, groups)
 
 
 @pytest.mark.parametrize("rule", LEARNING_RULES)
 def test_register_n8_instances_keep_the_sector_path(rule):
     # instance 0 of the two n = 8, p = 3, gamma = 0.3 ensembles of each rule
-    # that the register_n8 benchmark workload traces at its seed 20587
+    # that the register_n8 benchmark workload traces at its seed 20587: each
+    # has a group of three or more, and no block holds more than 72 states
     for k in range(2):
         master = derive_seed(20587, "exact", 3, 0, 0, k)
         instance = generate_instance("exact", 8, 3, rule, 0.3, 100.0,
                                      seed=derive_seed(master, "exact", 3, 0, 0, 0))
         h1 = ising_hamiltonian(weights_for_rule(rule, instance.memories),
                                BiasSpec(input_key=instance.input_key, gamma=instance.gamma))
-        assert len(spectrum._pairs(h1.diagonal())) >= 2
+        groups, _ = spectrum._groups(h1.diagonal())
+        assert max(map(len, groups)) >= 3
+        assert max(diagonal.size for _, diagonal, _ in spectrum._blocks(h1.diagonal())) <= 72
