@@ -14,7 +14,7 @@ projection cells differ only where that rule rejects a memory set and
 redraws. Seeds leave out T too (time index 0): a sweep draws each (rule, p,
 bias) instance set once and scores it at every annealing time.
 
-A sweep anneals symmetry classes, not instances. H0 = -sum_i X_i and the
+A sweep anneals energy landscapes, not instances. H0 = -sum_i X_i and the
 uniform start state are unchanged by permuting the qubits and by flipping any
 of them, and every learning rule and the bias are equivariant under these
 signed permutations. Every rule is also even in each memory (Hebb stores
@@ -22,15 +22,21 @@ xi xi^T, projection's Xi^T C^-1 Xi and Storkey's update are unchanged when a
 memory changes sign), so a memory's sign matters only where that memory is
 the target. P_ans is the same for every instance of a class (the
 symmetry-sector idea of exact diagonalization, applied between instances).
-Each class is keyed by its canonical form (`_class_key`), annealed once per
-annealing time with the other classes of the sweep in packed blocks (see
-`evolution.evolve_batch`), and its P_ans is scored for every member.
+Each instance is first keyed by its canonical form (`_class_key`), a cheap
+exact key. Form classes whose rules store the same Ising problem then merge
+into one landscape (`_class_landscape`): the projection rule stores the
+projector onto the memories' span, so at p = n every set has zero couplings,
+and at p = 1 all three rules store xi xi^T / n. Each landscape is annealed
+once per annealing time with the other landscapes of the sweep in packed
+blocks (see `evolution.evolve_batch`), and its P_ans is scored for every
+member of every class it holds.
 
 A sweep forks at most once (`_Workers`): one worker per usable CPU draws and
-keys slices of its instances (`_draw_classes`), then anneals its classes in
-near-equal blocks in class order (`_anneal_classes`); each phase stays
-in-process on one CPU, at n = 12 and below its break-even. A pooled block can
-be narrower than an in-process one, and a block's largest |diagonal| sets its
+keys slices of its instances and builds the landscape of each class it meets
+first (`_draw_classes`), then anneals the landscapes in near-equal blocks in
+order of first appearance (`_anneal_classes`); each phase stays in-process
+on one CPU, at n = 12 and below its break-even. A pooled block can be
+narrower than an in-process one, and a block's largest |diagonal| sets its
 Taylor term and split counts, so a pooled P_ans may differ from the
 in-process one by about 1e-11; a thresholded result moves only for an
 instance that close to x.
@@ -74,12 +80,13 @@ __all__ = [
 DEFAULT_THRESHOLD = 2.0 / 3.0
 DEFAULT_ENSEMBLE_SIZE = 100
 
-# a sweep splits its classes over worker processes only if every block keeps
-# at least this much work, its amplitudes (columns << n) times the steps of
-# all its anneals: below it the pool's start-up (fork, pickling, join; about
-# 20-60 ms) outweighs the halved per-step work. Two workers broke even at
-# 4e5-6e5 (n = 5: 24 columns at T = 50, 2 at T = 1000; n = 8: 2 columns at
-# T = 100); the bound keeps a factor of about 2 for timing noise
+# a sweep whose draws ran in-process splits its landscapes over worker
+# processes only if every block keeps at least this much work, its amplitudes
+# (columns << n) times the steps of all its anneals: below it the pool's
+# start-up (fork, pickling, join; about 20-60 ms) outweighs the halved
+# per-step work. Two workers broke even at 4e5-6e5 (n = 5: 24 columns at
+# T = 50, 2 at T = 1000; n = 8: 2 columns at T = 100); the bound keeps a
+# factor of about 2 for timing noise
 _POOL_MIN_WORK = 1 << 20
 # a sweep draws and keys on the workers from this many instances: two workers
 # (fork, map and join 13-20 ms) broke even at about 200 draws of 180-220 us
@@ -193,11 +200,26 @@ def _class_key(instance: ProblemInstance) -> tuple:
     return instance.rule, instance.gamma, form.shape, form.tobytes()
 
 
-def _class_diagonal(key: tuple) -> np.ndarray:
-    """H1's diagonal of the canonical instance a `_class_key` describes."""
+def _class_landscape(key: tuple):
+    """The landscape of the canonical instance a `_class_key` describes, as
+    (fields, couplings, diagonal): the fields and the weights in a canonical
+    qubit order, and H1's diagonal in the form's own order.
+
+    The fields are gamma times the key, whose target is all +1, so every
+    qubit permutation keeps the target and P_ans, and equal fields mean an
+    equal gamma. The canonical order is a stable sort of the qubits by
+    field, then by their sorted row of weights rounded to 1e-9; qubits that
+    tie keep their form order, so two landscapes that differ only in a tied
+    order are not merged, which costs a column and never a wrong P_ans.
+    """
     rule, gamma, shape, data = key
     form = np.frombuffer(data, dtype=np.int8).reshape(shape)
-    return _diagonal(rule, form[:-1], form[-1], gamma)
+    weights = weights_for_rule(rule, form[:-1])
+    bias = BiasSpec(input_key=form[-1], gamma=gamma)
+    fields = bias.thresholds + 0.0  # + 0.0 turns -0.0 into 0.0, also below
+    rows = np.sort(np.round(weights, 9), axis=1) + 0.0
+    order = np.lexsort([*rows.T[::-1], fields])  # the last key sorts first
+    return fields[order], weights[np.ix_(order, order)], ising_hamiltonian(weights, bias).diagonal()
 
 
 def _usable_cpus() -> int:
@@ -216,12 +238,16 @@ class _Workers(AbstractContextManager):
         self.count = _usable_cpus() if _one_thread_columns(n) else 1
         self._pool = None
 
+    @property
+    def started(self) -> bool:
+        return self._pool is not None
+
     def __exit__(self, *exc):
-        if self._pool is not None:
+        if self.started:
             self._pool.shutdown()
 
     def map(self, fn, items, pooled: bool) -> list:
-        if pooled and self._pool is None:
+        if pooled and not self.started:
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
 
@@ -234,62 +260,95 @@ class _Workers(AbstractContextManager):
 
 
 def _draw_slice(protocol, n, sets, count, anneal_time, master_seed, span):
-    """Draw and key the instances `span` of a sweep's `sets` x `count` list: the
-    distinct class keys in order of first appearance, and each one's index."""
-    keys, ids = {}, []
+    """Draw and key the instances `span` of a sweep's `sets` x `count` list:
+    the distinct class keys in order of first appearance, their landscapes
+    (`_class_landscape`) as three stacked arrays, and each instance's index
+    into the keys."""
+    index, ids, landscapes = {}, [], ([], [], [])
     for k in span:
         rule, p, gi, gamma = sets[k // count]
         instance = generate_instance(protocol, n, p, rule, gamma, anneal_time,
                                      seed=derive_seed(master_seed, protocol, p, gi, 0, k % count))
-        ids.append(keys.setdefault(_class_key(instance), len(keys)))
-    return list(keys), ids
+        key = _class_key(instance)
+        if key not in index:
+            index[key] = len(index)
+            for part, value in zip(landscapes, _class_landscape(key)):
+                part.append(value)
+        ids.append(index[key])
+    return list(index), *map(np.array, landscapes), ids
 
 
 def _draw_classes(workers, protocol, n, sets, count, anneal_time, master_seed):
-    """A sweep's class keys in order of first appearance and each instance's
-    class id, shape (sets, count), from slices drawn in-process or on `workers`."""
+    """A sweep's landscape diagonals in order of first appearance, and each
+    instance's landscape id, shape (sets, count), from slices drawn
+    in-process or on `workers`.
+
+    Class keys merge exactly. A class whose fields equal a landscape's and
+    whose couplings round to the same values at 1e-9 is a candidate; it
+    joins the first candidate whose couplings all agree with its own within
+    64 eps max(1, max|w|), the tolerance of `spectrum._groups`: float noise
+    in the weights is at most about 20 eps, while distinct rational
+    couplings differ by about 1e-7 or more. Otherwise it starts a landscape,
+    whose diagonal is its own. The slices merge in order, so the landscapes,
+    their representatives and every id are those of one in-process pass.
+    """
     total = len(sets) * count
     pooled = workers.count > 1 and total >= _POOL_MIN_DRAWS
     m = 4 * workers.count if pooled else 1  # later, larger-p slices cost more; 4 beat 1
     spans = [range(total * s // m, total * (s + 1) // m) for s in range(m)]
     draw = partial(_draw_slice, protocol, n, sets, count, anneal_time, master_seed)
-    classes, ids = {}, []
-    for keys, local in workers.map(draw, spans, pooled):
-        merged = [classes.setdefault(key, len(classes)) for key in keys]
-        ids += [merged[i] for i in local]
-    return list(classes), np.reshape(ids, (len(sets), count))
+    classes, buckets, diagonals, ids = {}, {}, [], []
+    for keys, fields, couplings, landscapes, local in workers.map(draw, spans, pooled):
+        rounded = np.round(couplings, 9) + 0.0
+        for i, key in enumerate(keys):
+            if key in classes:
+                continue
+            tol = 64 * np.finfo(np.float64).eps * max(1.0, float(np.abs(couplings[i]).max()))
+            candidates = buckets.setdefault((fields[i].tobytes(), rounded[i].tobytes()), [])
+            for landscape, other in candidates:
+                if np.abs(other - couplings[i]).max() <= tol:
+                    break
+            else:
+                landscape = len(diagonals)
+                candidates.append((landscape, couplings[i]))
+                diagonals.append(landscapes[i])
+            classes[key] = landscape
+        ids += [classes[keys[i]] for i in local]
+    return np.array(diagonals), np.reshape(ids, (len(sets), count))
 
 
-def _anneal_block(keys, n: int, time_list, dt: float) -> np.ndarray:
-    """P_ans of each class of `keys` (rows) at each annealing time (columns)."""
-    diagonals = np.stack([_class_diagonal(key) for key in keys])
-    targets = [(1 << n) - 1] * len(keys)  # every canonical target is all +1
+def _anneal_block(diagonals, n: int, time_list, dt: float) -> np.ndarray:
+    """P_ans of each landscape of `diagonals` (rows) at each annealing time (columns)."""
+    targets = [(1 << n) - 1] * len(diagonals)  # every canonical target is all +1
     return np.stack([_anneal(diagonals, targets, T, dt)[1] for T in time_list], axis=1)
 
 
-def _anneal_classes(keys, n: int, time_list, dt: float, count: int,
+def _anneal_classes(diagonals, n: int, time_list, dt: float, count: int,
                     steps: int, workers: _Workers) -> np.ndarray:
-    """P_ans of every class at every annealing time, in `keys` order; `steps`
-    is the step count of all the annealing times together.
+    """P_ans of every landscape at every annealing time, in `diagonals`
+    order; `steps` is the step count of all the annealing times together.
 
-    The classes split, in class order, into the fewest near-equal blocks, a
+    The landscapes split, in order, into the fewest near-equal blocks, a
     multiple of the worker count, none wider than OpenBLAS runs on one
     thread (`_one_thread_columns`); in-process, a block may also hold one
     cell's `count` columns. They run on `workers` unless it has one worker
     or a pooled block would keep under `_POOL_MIN_WORK`, which run them
-    in-process. A worker's failure is raised here with its type and
+    in-process; once the draws have started the pool, only an empty pooled
+    block keeps them in-process. A worker's failure is raised here with its type and
     message, and blocks not yet handed to a worker never start.
     """
     # two processes that each thread their products over two CPUs ran 3-50
     # times slower than one (n = 5 at 600 columns, n = 10-12 at 5-56)
     cap = _one_thread_columns(n)
-    blocks = workers.count * -(-len(keys) // (workers.count * max(cap, 1)))
-    pooled = workers.count > 1 and ((len(keys) // blocks) << n) * steps >= _POOL_MIN_WORK
+    blocks = workers.count * -(-len(diagonals) // (workers.count * max(cap, 1)))
+    work = ((len(diagonals) // blocks) << n) * steps  # of the narrowest pooled block
+    # a pool the draws started has paid its start-up, so any work is enough
+    pooled = workers.count > 1 and work >= (1 if workers.started else _POOL_MIN_WORK)
     if not pooled:
-        blocks = -(-len(keys) // max(cap, count))
-    edges = [len(keys) * b // blocks for b in range(blocks + 1)]
+        blocks = -(-len(diagonals) // max(cap, count))
+    edges = [len(diagonals) * b // blocks for b in range(blocks + 1)]
     anneal = partial(_anneal_block, n=n, time_list=time_list, dt=dt)
-    spans = [keys[a:b] for a, b in zip(edges, edges[1:])]
+    spans = [diagonals[a:b] for a, b in zip(edges, edges[1:])]
     return np.concatenate(workers.map(anneal, spans, pooled))
 
 
@@ -307,12 +366,23 @@ def _numbers(values, convert, name: str) -> list:
         raise ValueError(f"{name}: {error}") from None
 
 
+def _is(kind):
+    """A `_numbers` converter that passes a `kind` and refuses anything else."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+    return check
+
+
 def run_instance(
     instance: ProblemInstance,
     x: float = DEFAULT_THRESHOLD,
     dt: float = DEFAULT_DT,
 ) -> RecallOutcome:
-    """Anneal one instance and score the recall probability of its target."""
+    """Anneal one instance and score the recall probability of its target;
+    an `instance` that is not a `ProblemInstance` is a ValueError."""
+    [instance] = _numbers([instance], _is(ProblemInstance), "instance")
     diagonal = _diagonal(instance.rule, instance.memories, instance.input_key,
                          instance.gamma)
     target = pattern_to_index(instance.target_pattern())
@@ -353,9 +423,9 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     number, an unknown protocol or rule, a repeated p or gamma and a T list
     that is not positive and strictly ascending are refused with a
     ValueError that names the argument. Each (rule, p, gamma) instance set
-    is drawn once and keyed by symmetry class (`_draw_classes`), and the
-    classes are annealed at every T (`_anneal_classes`). A sweep with no
-    cell returns [].
+    is drawn once and keyed by symmetry class, the classes merge into
+    landscapes (`_draw_classes`), and the landscapes are annealed at every
+    T (`_anneal_classes`). A sweep with no cell returns [].
     """
     n, count = _integer(n, "n"), _integer(count, "count")
     master_seed, p_list = _integer(master_seed, "master_seed"), _numbers(p_list, _integer, "p_list")
@@ -392,8 +462,9 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
         return []
     with _Workers(n) as workers:
         # draws do not read T, so the first T of the list serves them all
-        keys, members = _draw_classes(workers, protocol, n, sets, count, time_list[0], master_seed)
-        p_ans = _anneal_classes(keys, n, time_list, dt, count, steps, workers)
+        diagonals, members = _draw_classes(workers, protocol, n, sets, count, time_list[0],
+                                           master_seed)
+        p_ans = _anneal_classes(diagonals, n, time_list, dt, count, steps, workers)
     means = (p_ans[members] >= x).mean(axis=1).tolist()  # (sets, T)
     return [EnsembleStats(protocol=protocol, rule=rule, n=n, p=p, gamma=gamma,
                           anneal_time=anneal_time, count=count, threshold=x,
@@ -448,15 +519,20 @@ def bias_response(memories, answer, gammas, anneal_time: float,
     "projection": [...]}``, the bias-response input of figures f3-f5. The
     anneal's pre-flight runs first, and every rule's diagonals are built
     before they anneal as one block, so an empty bias grid, or a memory set
-    one rule cannot store, fails before anything has annealed.
+    one rule cannot store, fails before anything has annealed. Each
+    bitwise-distinct diagonal anneals once: at p = 1 the three rules store
+    the same weights, and so the same diagonals.
     """
     curves = {"gamma": [float(g) for g in gammas]}
     _check_anneal(as_pattern(answer).size, len(LEARNING_RULES) * len(curves["gamma"]),
                   anneal_time, dt)
-    diagonals = np.stack([_diagonal(rule, memories, answer, g)
-                          for rule in LEARNING_RULES for g in curves["gamma"]])
+    distinct = {}
+    ids = [distinct.setdefault(d.tobytes(), (len(distinct), d))[0]
+           for d in [_diagonal(rule, memories, answer, g)
+                     for rule in LEARNING_RULES for g in curves["gamma"]]]
+    diagonals = np.stack([d for _, d in distinct.values()])
     targets = [pattern_to_index(answer)] * len(diagonals)
-    p_ans = _anneal(diagonals, targets, anneal_time, dt)[1]
+    p_ans = _anneal(diagonals, targets, anneal_time, dt)[1][ids]
     curves.update(zip(LEARNING_RULES, p_ans.reshape(len(LEARNING_RULES), -1).tolist()))
     return curves
 
@@ -467,12 +543,13 @@ def _sort_key(s: EnsembleStats):
 
 def write_results_csv(stats, path) -> None:
     """Deterministic results table, one row per cell, sorted by its keys;
-    written atomically."""
+    written atomically. `stats` that is not an iterable of `EnsembleStats`
+    is a ValueError, and nothing is written."""
     write_csv_atomic(path, RESULTS_HEADER, [
         [s.protocol, s.rule, s.n, s.p,
          f"{s.gamma:.17g}", f"{s.anneal_time:.17g}",
          s.count, f"{s.threshold:.17g}",
          f"{s.mean_success:.17g}", f"{s.variance:.17g}",
          s.master_seed]
-        for s in sorted(stats, key=_sort_key)
+        for s in sorted(_numbers(stats, _is(EnsembleStats), "stats"), key=_sort_key)
     ])

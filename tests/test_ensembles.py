@@ -363,18 +363,169 @@ def test_class_key_keeps_storkey_memory_order():
 def test_c3_draws_anneal_as_few_classes(monkeypatch):
     # the acceptance C3 grid, one sweep per p as the benchmark runs it: every
     # rule is even in each memory, so with memory signs in the key its
-    # 1,500 instances fall into 101 classes (426 without); nothing anneals
-    classes = []
+    # 1,500 instances fall into 101 classes (426 without); the projection
+    # rule stores the projector onto the memories' span, so these hold only
+    # 30 landscapes (every p = 5 set stores zero couplings); nothing anneals
+    forms, classes = [], []
+    real_landscape = ensembles._class_landscape
 
-    def anneal_classes(keys, n, time_list, dt, count, steps, workers):
-        classes.append(len(keys))
-        return np.zeros((len(keys), len(time_list)))
+    def class_landscape(key):
+        forms[-1] += 1
+        return real_landscape(key)
 
+    def anneal_classes(diagonals, n, time_list, dt, count, steps, workers):
+        classes.append(len(diagonals))
+        return np.zeros((len(diagonals), len(time_list)))
+
+    monkeypatch.setattr(ensembles, "_class_landscape", class_landscape)
     monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
+    monkeypatch.setattr(ensembles, "_usable_cpus", lambda: 1)  # one slice: one call per class
     for p in range(1, 6):
+        forms.append(0)
         bias_sweep("exact", 5, [p], "projection", [0.05, 0.15, 0.5], 1000.0,
                    count=100, master_seed=20587)
-    assert classes == [3, 6, 15, 33, 44]
+    assert forms == [3, 6, 15, 33, 44]
+    assert classes == [3, 6, 9, 9, 3]
+
+
+def test_single_memory_rules_anneal_one_landscape_per_gamma(monkeypatch):
+    # at p = 1 Hebb, Storkey and projection all store xi xi^T / n, so a
+    # three-rule sweep anneals one landscape per gamma, and every instance's
+    # P_ans, read through its landscape, is run_instance's to 1e-12
+    drawn, plans, results = [], [], []
+    real_draw, real_classes = ensembles._draw_classes, ensembles._anneal_classes
+
+    def counted(*args, **kw):
+        drawn.append(generate_instance(*args, **kw))
+        return drawn[-1]
+
+    def draw_classes(*args):
+        plans.append(real_draw(*args))
+        return plans[-1]
+
+    def anneal_classes(*args):
+        results.append(real_classes(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ensembles, "generate_instance", counted)
+    monkeypatch.setattr(ensembles, "_draw_classes", draw_classes)
+    monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
+    gammas, times, count = [0.1, 0.6], [20.0, 60.0], 4
+    _sweep_cells("exact", 5, [1], dict.fromkeys(LEARNING_RULES, gammas), times, count,
+                 0.5, 0.1, 9)
+    [(diagonals, ids)], [p_ans] = plans, results
+    assert len(diagonals) == len(gammas) and p_ans.shape == (len(gammas), len(times))
+    assert np.array_equal(ids, np.repeat(np.tile(np.arange(len(gammas)), 3), count).reshape(-1, count))
+    for inst, landscape in zip(drawn, ids.flat):
+        for t, T in enumerate(times):
+            alone = run_instance(replace(inst, anneal_time=T)).p_ans
+            assert abs(p_ans[landscape, t] - alone) <= 1e-12
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_instance_reads_its_own_p_ans_through_its_landscape(monkeypatch, protocol):
+    # a landscape holds classes of other keys, rules and qubit orders; each
+    # drawn instance's P_ans, read through its landscape id, is its own
+    # anneal's to 1e-12. gamma = 0 zeroes every field, so keys merge too
+    drawn, plans, results = [], [], []
+    real_draw, real_classes = ensembles._draw_classes, ensembles._anneal_classes
+
+    def counted(*args, **kw):
+        drawn.append(generate_instance(*args, **kw))
+        return drawn[-1]
+
+    def draw_classes(*args):
+        plans.append(real_draw(*args))
+        return plans[-1]
+
+    def anneal_classes(*args):
+        results.append(real_classes(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ensembles, "generate_instance", counted)
+    monkeypatch.setattr(ensembles, "_draw_classes", draw_classes)
+    monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
+    _sweep_cells(protocol, 5, [2, 3, 5], dict.fromkeys(LEARNING_RULES, [0.0, 0.4]), [8.0], 6,
+                 0.5, 0.1, 21)
+    [(diagonals, ids)], [p_ans] = plans, results
+    assert len(diagonals) < len({_class_key(inst) for inst in drawn})
+    for inst, landscape in zip(drawn, ids.flat):
+        assert abs(p_ans[landscape, 0] - run_instance(inst).p_ans) <= 1e-12
+
+
+def _perturbed_storkey(monkeypatch, delta):
+    """Storkey weights with one coupling pair moved by `delta`."""
+    real_weights = ensembles.weights_for_rule
+
+    def weights(rule, memories):
+        w = real_weights(rule, memories)
+        if rule == "storkey":
+            w[0, 1] += delta
+            w[1, 0] += delta
+        return w
+
+    monkeypatch.setattr(ensembles, "weights_for_rule", weights)
+
+
+@pytest.mark.parametrize("delta, merged", [(1e-9, False), (3e-10, False), (1e-12, False),
+                                           (4e-16, True)])
+def test_landscapes_merge_only_within_float_noise(monkeypatch, delta, merged):
+    # a coupling moved by 1e-9 rounds into another bucket, and one moved by
+    # 3e-10 or 1e-12 into the same bucket, where the 64 eps tolerance (about
+    # 1.4e-14 here) refuses it; a move of a few ulps is float noise and merges
+    plans = []
+    real_draw = ensembles._draw_classes
+
+    def draw_classes(*args):
+        plans.append(real_draw(*args))
+        return plans[-1]
+
+    _perturbed_storkey(monkeypatch, delta)
+    monkeypatch.setattr(ensembles, "_draw_classes", draw_classes)
+    _sweep_cells("exact", 5, [1], dict.fromkeys(LEARNING_RULES, [0.3]), [5.0], 3, 0.5, 0.1, 1)
+    [(diagonals, ids)] = plans
+    hebb, storkey, projection = ids[:, 0]
+    assert hebb == projection and (storkey == hebb) == merged
+    assert len(diagonals) == (1 if merged else 2)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_and_one_cpu_draws_pick_the_same_representatives(monkeypatch, pools, workers):
+    # exact projection sets at p = 5 and n = 5 all store zero couplings, and
+    # p = 1 sets store the same weights under every rule: both merge form
+    # classes whose diagonals differ. Pooled over `workers` or on one CPU,
+    # each landscape anneals the diagonal of its first form class in the
+    # order of one in-process pass, and every instance gets the same id
+    plans = []
+    real_draw = ensembles._draw_classes
+
+    def draw_classes(*args):
+        plans.append(real_draw(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(ensembles, "_draw_classes", draw_classes)
+    monkeypatch.setattr(ensembles, "_POOL_MIN_DRAWS", 0)
+    rule_gammas = {"projection": [0.2, 0.4], "hebb": [0.2]}
+    args = ("exact", 5, [1, 5], rule_gammas, [2.0], 12, 0.5, 0.1, 6)
+    for cpus in (1, workers):
+        monkeypatch.setattr(ensembles, "_usable_cpus", lambda: cpus)
+        _sweep_cells(*args)
+    assert pools == [workers]
+    (diagonals, ids), (pooled, pooled_ids) = plans
+    assert np.array_equal(diagonals, pooled) and np.array_equal(ids, pooled_ids)
+
+    sets = [(rule, p, gi, g) for rule, grid in rule_gammas.items() for p in [1, 5]
+            for gi, g in enumerate(grid)]
+    forms, _, _, form_diagonals, form_ids = ensembles._draw_slice("exact", 5, sets, 12, 2.0, 6,
+                                                                  range(len(ids.flat)))
+    first = {}
+    for form, landscape in zip(form_ids, ids.flat):
+        first.setdefault(landscape, form)
+    assert sorted(first) == list(range(len(diagonals))) and len(diagonals) < len(forms)
+    for landscape, form in first.items():
+        assert np.array_equal(diagonals[landscape], form_diagonals[form])
+    assert any(not np.array_equal(diagonals[landscape], form_diagonals[form])
+               for form, landscape in zip(form_ids, ids.flat))
 
 
 def test_packed_sweep_matches_every_instance_annealed_alone(monkeypatch):
@@ -458,22 +609,23 @@ def _inline_pool(workers, mp_context):
 
 @pytest.mark.parametrize("workers, n, count", [(2, 5, 30), (3, 5, 30), (2, 6, 28)])
 def test_pooled_blocks_are_near_equal_in_class_order(monkeypatch, workers, n, count):
-    # 3 rules x p in {4, 5} x N instances give nearly 6 N classes. In-process
-    # and at `workers` workers (the work bound lifted) they split, in class
-    # order, into the fewest near-equal blocks that are a multiple of the
+    # 3 rules x p in {4, 5} x N instances give nearly 6 N classes and fewer
+    # landscapes (every p = 5 projection set at n = 5 stores zero couplings).
+    # In-process and at `workers` workers (the work bound lifted) they split,
+    # in order, into the fewest near-equal blocks that are a multiple of the
     # worker count and no wider than the cap: the one-thread width (255
     # columns at n = 5, 63 at n = 6), in-process at least one cell's N. No
-    # block order is imposed beyond class order, and the two runs score each
-    # class the same to 1e-10
+    # block order is imposed beyond landscape order, and the two runs score
+    # each landscape the same to 1e-10
     blocks, results = [], []
     real_block, real_classes = ensembles._anneal_block, ensembles._anneal_classes
 
-    def anneal_block(keys, **kwargs):
-        blocks.append(list(keys))
-        return real_block(keys, **kwargs)
+    def anneal_block(diagonals, **kwargs):
+        blocks.append(diagonals)
+        return real_block(diagonals, **kwargs)
 
-    def anneal_classes(keys, *args):
-        results.append((list(keys), real_classes(keys, *args)))
+    def anneal_classes(diagonals, *args):
+        results.append((diagonals, real_classes(diagonals, *args)))
         return results[-1][1]
 
     monkeypatch.setattr(ensembles, "_anneal_block", anneal_block)
@@ -487,7 +639,7 @@ def test_pooled_blocks_are_near_equal_in_class_order(monkeypatch, workers, n, co
         _sweep_cells("noisy", n, [4, 5], dict.fromkeys(LEARNING_RULES, [0.3]), [2.0],
                      count, 0.5, 0.1, 4)
         keys, sizes = results[-1][0], [len(block) for block in blocks]
-        assert [key for block in blocks for key in block] == keys
+        assert np.array_equal(np.concatenate(blocks), keys)
         assert len(sizes) % cpus == 0 and max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
         assert len(sizes) == cpus or len(keys) > cap * (len(sizes) - cpus)  # the fewest
     (_, in_process), (_, pooled) = results
@@ -530,14 +682,14 @@ def test_worker_failure_keeps_its_type_and_exit_code(monkeypatch, tmp_path, caps
     # and message, so the CLI still exits 3; no worker outlives the failure
     from hopfield_annealing.cli import main
 
-    parent, real_diagonal = os.getpid(), ensembles._class_diagonal
+    parent, real_anneal = os.getpid(), ensembles._anneal
 
-    def diagonal(key):
+    def anneal(*args):
         if os.getpid() != parent:
             raise FloatingPointError("problem Hamiltonian is not finite in a worker")
-        return real_diagonal(key)
+        return real_anneal(*args)
 
-    monkeypatch.setattr(ensembles, "_class_diagonal", diagonal)
+    monkeypatch.setattr(ensembles, "_anneal", anneal)
     monkeypatch.setattr(ensembles, "_POOL_MIN_WORK", 0)
     with pytest.raises(FloatingPointError, match="not finite in a worker"):
         _sweep_cells("exact", 5, [4, 5], {"hebb": [0.3]}, [5.0], 40, 0.5, 0.1, 3)
@@ -635,9 +787,9 @@ def test_pooled_draws_match_in_process_draws(monkeypatch, tmp_path, pools, worke
     # into 4 slices per worker, so slices end inside instance sets, and a
     # sweep of 2 instances (one class, annealed in-process) leaves most
     # slices empty. Drawn on one worker and on `workers`, both give the same
-    # class keys in the same order, the same class id for every instance and
-    # the same results CSV bytes; each sweep forks once, whether one phase
-    # pools or both, and every instance is drawn on a worker
+    # landscape diagonals in the same order, the same landscape id for every
+    # instance and the same results CSV bytes; each sweep forks once, whether
+    # one phase pools or both, and every instance is drawn on a worker
     drawn, anneals = [], []
     real_draw, real_classes = ensembles._draw_classes, ensembles._anneal_classes
     real_anneal = ensembles._anneal
@@ -646,9 +798,9 @@ def test_pooled_draws_match_in_process_draws(monkeypatch, tmp_path, pools, worke
         drawn.append(real_draw(*args))
         return drawn[-1]
 
-    def anneal_classes(keys, *args):
-        anneals.append(list(keys))
-        return real_classes(keys, *args)
+    def anneal_classes(diagonals, *args):
+        anneals.append(diagonals)
+        return real_classes(diagonals, *args)
 
     def draw(*args, **kw):  # one byte per draw, in a file named by its process
         with open(tmp_path / f"draws.{os.getpid()}", "a") as fh:
@@ -684,8 +836,8 @@ def test_pooled_draws_match_in_process_draws(monkeypatch, tmp_path, pools, worke
             annealed_here = (tmp_path / f"anneal.{os.getpid()}").exists()
             assert annealed_here == (cpus == 1 or min_work > 0)
             assert pools == ([] if cpus == 1 else [workers])
-        (keys_a, ids_a), (keys_b, ids_b) = drawn[-2:]
-        assert keys_a == keys_b == anneals[-2] == anneals[-1]
+        (diagonals_a, ids_a), (diagonals_b, ids_b) = drawn[-2:]
+        assert all(np.array_equal(diagonals_a, d) for d in (diagonals_b, *anneals[-2:]))
         assert np.array_equal(ids_a, ids_b) and ids_a.shape == (len(stats) // len(args[4]), args[5])
         assert csvs[0] == csvs[1]
 
@@ -776,6 +928,37 @@ def test_bias_response_anneals_every_rule_in_one_block(monkeypatch):
         alone = np.abs(evolve_batch(diagonals, AnnealSchedule.linear(T))[:, target]) ** 2
         assert np.abs(np.array(curves[rule]) - alone).max() < 1e-11
     assert np.abs(np.subtract(curves["hebb"], curves["projection"])).max() > 1e-3
+
+
+def test_bias_response_anneals_each_distinct_diagonal_once(monkeypatch):
+    # at p = 1 the three rules' diagonals are bitwise equal: one block of one
+    # column per gamma, and three identical curves equal to one rule's anneal
+    memories, gammas, T = overlapping_memories()[:1], [0.0, 0.3, 0.8], 20.0
+    blocks = []
+
+    def anneal(diagonals, targets, anneal_time, dt):
+        blocks.append(diagonals.shape)
+        return real_anneal(diagonals, targets, anneal_time, dt)
+
+    real_anneal = ensembles._anneal
+    monkeypatch.setattr(ensembles, "_anneal", anneal)
+    curves = ensembles.bias_response(memories, memories[0], gammas, T)
+    assert blocks == [(len(gammas), 16)]
+    diagonals = [ensembles._diagonal("hebb", memories, memories[0], g) for g in gammas]
+    alone = np.abs(evolve_batch(diagonals, AnnealSchedule.linear(T))[:, pattern_to_index(memories[0])]) ** 2
+    for rule in LEARNING_RULES:
+        assert curves[rule] == curves["hebb"]
+        assert np.abs(np.array(curves[rule]) - alone).max() < 1e-11
+
+
+def test_run_instance_and_results_writer_refuse_what_is_not_theirs(tmp_path):
+    # both raised AttributeError; a refused write leaves no file behind
+    with pytest.raises(ValueError, match="^instance: expected ProblemInstance, got None"):
+        run_instance(None)
+    for stats in ([1], None, [bias_sweep("exact", 4, [1], "hebb", [0.3], 5.0, count=2)[0], "x"]):
+        with pytest.raises(ValueError, match="^stats: "):
+            write_results_csv(stats, tmp_path / "results.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_results_csv_format_and_determinism(tmp_path):
