@@ -12,14 +12,14 @@ Exit codes: 0 success, 2 usage error, 3 numerical or convergence failure.
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from ._guards import integer, member, real, sequence, typed
 from .ensembles import (
     DEFAULT_ENSEMBLE_SIZE,
     DEFAULT_THRESHOLD,
@@ -42,7 +42,7 @@ from .memio import (
     write_text_atomic,
 )
 from .network import BiasSpec, classical_update, network_energy
-from .patterns import _integer, as_pattern, hadamard_memories, overlapping_memories
+from .patterns import as_pattern, hadamard_memories, overlapping_memories
 from .spectrum import SpectrumTrace, min_gap, spectrum_trace, write_spectrum_csv
 
 __all__ = ["RunConfig", "parse_config", "main"]
@@ -56,85 +56,66 @@ class RunConfig:
     params: dict
 
 
-def _list_of(convert):
-    """Normalizer of a list option given as a JSON list or as text like '1,2 3'."""
+def _list_of(item, **checks):
+    """Normalizer of a list option given as a JSON list or as text like '1,2 3':
+    at least one value, each read by the guard `item` (`_guards.sequence`)."""
     def parse(value):
         if not isinstance(value, (list, tuple)):
             value = str(value).replace(",", " ").split()
-        return [convert(v) for v in value]
+        values = sequence(value, "", item, **checks)
+        if not values:
+            raise ValueError("must list at least one value")
+        return values
     return parse
 
 
-# a check is (predicate, message); the message is formatted with the value as {v}
-_FINITE = (math.isfinite, "must be finite, got {v}")
-_ALL_FINITE = (lambda vs: all(map(math.isfinite, vs)), "values must be finite, got {v}")
-_POSITIVE = (lambda v: v > 0, "must be positive, got {v}")
-_BOOL = (lambda v: isinstance(v, bool), "must be true or false, got {v!r}")
-_NON_EMPTY = (lambda vs: len(vs) > 0, "must list at least one value")
-_DISTINCT = (lambda vs: len(set(vs)) == len(vs), "values must be distinct, got {v}")
-
-
-def _usable_dir(path: str) -> bool:
-    """Whether `path` is a directory or `os.makedirs` could make it one; creates nothing."""
+def _out_dir(path) -> str:
+    """`path` if it is a directory or `os.makedirs` could make it one; creates nothing."""
+    path = str(path)
     head = os.path.abspath(path)
     while not os.path.exists(head):  # the nearest existing ancestor
         head = os.path.dirname(head)
-    return bool(path) and "\0" not in path and os.path.isdir(head)
+    if not (path and "\0" not in path and os.path.isdir(head)):
+        raise ValueError(f"must be a directory or creatable as one, got {path!r}")
+    return path
 
 
-def _at_least(low):
-    return (lambda v: v is None or v >= low, f"must be at least {low}, got {{v}}")
-
-
-def _at_most(high):
-    return (lambda v: v is None or v <= high, f"must be at most {high}, got {{v}}")
-
-
-def _one_of(choices):
-    return (lambda v: v in choices, f"must be one of {choices}, got {{v!r}}")
-
-
-# option name -> (value normalizer, default, checks in order, help). The flag is
-# "--" + name with "_" -> "-"; only options whose default is None accept null.
+# option name -> (normalizer, default, help); the normalizer is the library's
+# guard, called with no name, so `_normalize` names the flag "--" + name with
+# "_" -> "-". A boolean default makes a switch; a default of None accepts null.
 _OPTIONS = {
-    "n": (_integer, None, [_at_least(1), _at_most(MAX_QUBITS)],
+    "n": (partial(integer, low=1, high=MAX_QUBITS), None,
           f"number of neurons / qubits, at most {MAX_QUBITS} (dense simulation)"),
-    "p": (_integer, None, [_at_least(1)], "number of stored memories"),
-    "rule": (str, "hebb", [_one_of(LEARNING_RULES)], f"learning rule, one of {LEARNING_RULES}"),
-    "gamma": (float, 0.1, [_FINITE, (lambda v: v >= 0, "must be non-negative, got {v}")],
-              "bias energy scale"),
-    "T": (float, 1000.0, [_FINITE, _POSITIVE], "annealing time"),
-    "dt": (float, DEFAULT_DT, [_FINITE, _POSITIVE], "propagator time step"),
-    "N": (_integer, DEFAULT_ENSEMBLE_SIZE, [_at_least(1)], "instances per ensemble cell"),
-    "x": (float, DEFAULT_THRESHOLD,
-          [_FINITE, (lambda v: 0 <= v <= 1, "must lie in [0, 1], got {v}")],
+    "p": (partial(integer, low=1), None, "number of stored memories"),
+    "rule": (partial(member, choices=LEARNING_RULES), "hebb",
+             f"learning rule, one of {LEARNING_RULES}"),
+    "gamma": (partial(real, low=0.0), 0.1, "bias energy scale"),
+    "T": (partial(real, positive=True), 1000.0, "annealing time"),
+    "dt": (partial(real, positive=True), DEFAULT_DT, "propagator time step"),
+    "N": (partial(integer, low=1), DEFAULT_ENSEMBLE_SIZE, "instances per ensemble cell"),
+    "x": (partial(real, low=0.0, high=1.0), DEFAULT_THRESHOLD,
           "success threshold on the answer probability"),
-    "seed": (_integer, 0, [], "master seed; all randomness derives from it"),
-    "protocol": (str, "exact", [_one_of(PROTOCOLS)], f"instance protocol, one of {PROTOCOLS}"),
-    "memories": (str, None, [], "memory-set file (see README for the format)"),
-    "input": (_list_of(_integer), None, [], "input key, e.g. '+1,-1,+1,-1'"),
-    "out": (str, None, [(_usable_dir, "must be a directory or creatable as one, got {v!r}")],
-            "output directory"),
-    "samples": (_integer, 201, [_at_least(2)], "time samples for the spectrum grid"),
-    "hadamard": (bool, False, [_BOOL], "use orthogonal Hadamard-column memories"),
-    "check_dt": (bool, False, [_BOOL], "verify the result is stable under dt halving"),
-    "mode": (str, "asynchronous", [_one_of(("synchronous", "asynchronous"))],
+    "seed": (integer, 0, "master seed; all randomness derives from it"),
+    "protocol": (partial(member, choices=PROTOCOLS), "exact",
+                 f"instance protocol, one of {PROTOCOLS}"),
+    "memories": (str, None, "memory-set file (see README for the format)"),
+    "input": (_list_of(integer), None, "input key, e.g. '+1,-1,+1,-1'"),
+    "out": (_out_dir, None, "output directory"),
+    "samples": (partial(integer, low=2), 201, "time samples for the spectrum grid"),
+    "hadamard": (partial(typed, kind=bool), False,
+                 "use orthogonal Hadamard-column memories"),
+    "check_dt": (partial(typed, kind=bool), False,
+                 "verify the result is stable under dt halving"),
+    "mode": (partial(member, choices=("synchronous", "asynchronous")), "asynchronous",
              "update mode: synchronous or asynchronous"),
-    "max_sweeps": (_integer, 100, [_at_least(1)], "sweep budget for the classical dynamics"),
-    "p_list": (_list_of(_integer), [1, 2, 3, 4, 5],
-               [_NON_EMPTY, _DISTINCT,
-                (lambda ps: all(p >= 1 for p in ps), "memory counts must be at least 1")],
+    "max_sweeps": (partial(integer, low=1), 100, "sweep budget for the classical dynamics"),
+    "p_list": (_list_of(partial(integer, low=1), distinct=True), [1, 2, 3, 4, 5],
                "memory counts, e.g. '1,2,3,4,5'"),
-    "gamma_grid": (_list_of(float), [round(0.05 * k, 2) for k in range(0, 21)],
-                   [_NON_EMPTY, _ALL_FINITE, _DISTINCT,
-                    (lambda gs: all(0 <= g <= 1 for g in gs), "bias values must lie in [0, 1]")],
-                   "bias grid, e.g. '0.05,0.15,0.5'"),
-    "T_list": (_list_of(float), [50.0, 500.0, 5000.0],
-               [_NON_EMPTY, _ALL_FINITE,
-                (lambda ts: ts[0] > 0 and all(a < b for a, b in zip(ts, ts[1:])),
-                 "annealing times must be positive and strictly ascending")],
+    "gamma_grid": (_list_of(partial(real, low=0.0, high=1.0), distinct=True),
+                   [round(0.05 * k, 2) for k in range(0, 21)], "bias grid, e.g. '0.05,0.15,0.5'"),
+    "T_list": (_list_of(partial(real, positive=True), ascending=True), [50.0, 500.0, 5000.0],
                "annealing times, strictly ascending"),
-    "id": (str, None, [_one_of(FIGURE_IDS)], f"figure id, one of {FIGURE_IDS}"),
+    "id": (partial(member, choices=FIGURE_IDS), None, f"figure id, one of {FIGURE_IDS}"),
 }
 
 # exactly the options each command's handler reads, in config.json order
@@ -186,28 +167,22 @@ def _build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--config", default=None,
                         help="JSON file of option values (flags win)")
         for name in _COMMAND_PARAMS[command]:
-            norm, _, _, help_text = _OPTIONS[name]
-            if norm is bool:
-                cp.add_argument(_flag(name), dest=name, action="store_true", default=None,
-                                help=help_text)
-            else:
-                cp.add_argument(_flag(name), dest=name, type=str, default=None,
-                                help=help_text)
+            _, default, help_text = _OPTIONS[name]
+            action = "store_true" if isinstance(default, bool) else "store"
+            cp.add_argument(_flag(name), dest=name, action=action, default=None, help=help_text)
     return parser
 
 
 def _normalize(name: str, value):
-    norm, default = _OPTIONS[name][:2]
+    norm, default, _ = _OPTIONS[name]
     if value is None:
         if default is not None:
             raise ValueError(f"{_flag(name)}: must not be null")
         return None
-    if norm is bool:
-        return value
     try:
         return norm(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{_flag(name)}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"{_flag(name)}: {exc}") from None
 
 
 def parse_config(argv) -> RunConfig:
@@ -242,11 +217,7 @@ def parse_config(argv) -> RunConfig:
             params[name] = _normalize(name, flag_value)
 
     if params["out"] is None:
-        params["out"] = f"{command}-out"
-    for name, value in params.items():
-        for predicate, why in _OPTIONS[name][2]:
-            if not predicate(value):
-                raise ValueError(f"{_flag(name)}: {why.format(v=value)}")
+        params["out"] = _normalize("out", f"{command}-out")
     return RunConfig(command=command, params=params)
 
 

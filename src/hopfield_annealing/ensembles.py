@@ -42,8 +42,6 @@ in-process one by about 1e-11; a thresholded result moves only for an
 instance that close to x.
 """
 
-import math
-import numbers
 import os
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
@@ -53,6 +51,7 @@ from itertools import permutations
 import numpy as np
 
 from ._atomic import write_csv_atomic
+from ._guards import integer, real, sequence, typed
 from .evolution import (
     AnnealSchedule, evolve_batch, DEFAULT_DT, _check_anneal, _one_thread_columns,
 )
@@ -60,7 +59,7 @@ from .hamiltonians import ising_hamiltonian, ground_state_mass
 from .instances import ProblemInstance, derive_seed, generate_instance, _validate_request
 from .learning import LEARNING_RULES, weights_for_rule
 from .network import BiasSpec
-from .patterns import _integer, as_pattern, pattern_to_index
+from .patterns import as_pattern, pattern_to_index
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -104,11 +103,7 @@ RESULTS_HEADER = [
 
 def success_indicator(p_ans: float, x: float = DEFAULT_THRESHOLD) -> int:
     """1 when the answer probability reaches the threshold x, else 0."""
-    if not (isinstance(p_ans, numbers.Real) and math.isfinite(p_ans)):
-        raise ValueError(f"p_ans must be a finite real number, got {p_ans!r}")
-    if not (isinstance(x, numbers.Real) and 0.0 <= x <= 1.0):
-        raise ValueError(f"threshold x must lie in [0, 1], got {x!r}")
-    return 1 if p_ans >= x else 0
+    return 1 if real(p_ans, "p_ans") >= real(x, "threshold x", 0.0, 1.0) else 0
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,7 @@ class _Workers(AbstractContextManager):
         if self.started:
             self._pool.shutdown()
 
-    def map(self, fn, items, pooled: bool) -> list:
+    def map(self, fn, items, pooled: bool):
         if pooled and not self.started:
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
@@ -255,8 +250,9 @@ class _Workers(AbstractContextManager):
             # that sweep at top level. The executor forks before it starts its
             # threads, and OpenBLAS rebuilds its thread pool after a fork
             self._pool = ProcessPoolExecutor(self.count, mp_context=get_context("fork"))
-        # when a call raises, map cancels every call it has not yet yielded
-        return list((self._pool.map if pooled else map)(fn, items))
+        # yields in order as results come in; when a call raises, map cancels
+        # every call it has not yet yielded
+        return (self._pool.map if pooled else map)(fn, items)
 
 
 def _draw_slice(protocol, n, sets, count, anneal_time, master_seed, span):
@@ -289,8 +285,9 @@ def _draw_classes(workers, protocol, n, sets, count, anneal_time, master_seed):
     64 eps max(1, max|w|), the tolerance of `spectrum._groups`: float noise
     in the weights is at most about 20 eps, while distinct rational
     couplings differ by about 1e-7 or more. Otherwise it starts a landscape,
-    whose diagonal is its own. The slices merge in order, so the landscapes,
-    their representatives and every id are those of one in-process pass.
+    whose diagonal is its own. The slices merge in order, each as it comes
+    in, so the landscapes, their representatives and every id are those of
+    one in-process pass.
     """
     total = len(sets) * count
     pooled = workers.count > 1 and total >= _POOL_MIN_DRAWS
@@ -349,30 +346,13 @@ def _anneal_classes(diagonals, n: int, time_list, dt: float, count: int,
     edges = [len(diagonals) * b // blocks for b in range(blocks + 1)]
     anneal = partial(_anneal_block, n=n, time_list=time_list, dt=dt)
     spans = [diagonals[a:b] for a, b in zip(edges, edges[1:])]
-    return np.concatenate(workers.map(anneal, spans, pooled))
+    return np.concatenate(list(workers.map(anneal, spans, pooled)))
 
 
 def _anneal(diagonals, targets, anneal_time: float, dt: float):
     """Final states of a linear anneal per row of `diagonals`, and each row's P_ans."""
     states = evolve_batch(diagonals, AnnealSchedule.linear(anneal_time), dt)
     return states, np.abs(states[np.arange(len(states)), targets]) ** 2
-
-
-def _numbers(values, convert, name: str) -> list:
-    """[convert(v) for v in values], or a ValueError that names `name`."""
-    try:
-        return [convert(v) for v in values]
-    except (TypeError, ValueError) as error:
-        raise ValueError(f"{name}: {error}") from None
-
-
-def _is(kind):
-    """A `_numbers` converter that passes a `kind` and refuses anything else."""
-    def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}, got {value!r}")
-        return value
-    return check
 
 
 def run_instance(
@@ -382,7 +362,7 @@ def run_instance(
 ) -> RecallOutcome:
     """Anneal one instance and score the recall probability of its target;
     an `instance` that is not a `ProblemInstance` is a ValueError."""
-    [instance] = _numbers([instance], _is(ProblemInstance), "instance")
+    typed(instance, "instance", ProblemInstance)
     diagonal = _diagonal(instance.rule, instance.memories, instance.input_key,
                          instance.gamma)
     target = pattern_to_index(instance.target_pattern())
@@ -427,28 +407,18 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     landscapes (`_draw_classes`), and the landscapes are annealed at every
     T (`_anneal_classes`). A sweep with no cell returns [].
     """
-    n, count = _integer(n, "n"), _integer(count, "count")
-    master_seed, p_list = _integer(master_seed, "master_seed"), _numbers(p_list, _integer, "p_list")
-    time_list = _numbers(time_list, float, "time_list")
-    [x], [dt] = _numbers([x], float, "x"), _numbers([dt], float, "dt")
-    rule_gammas = [(rule, _numbers(grid, float, "gamma")) for rule, grid in
+    n, count = integer(n, "n"), integer(count, "count", 1)
+    master_seed = integer(master_seed, "master_seed")
+    p_list = sequence(p_list, "p_list", integer, distinct=True)
+    time_list = sequence(time_list, "time_list", partial(real, positive=True), ascending=True)
+    x, dt = real(x, "threshold x", 0.0, 1.0), real(dt, "dt", positive=True)
+    rule_gammas = [(rule, sequence(grid, f"the {rule} bias grid",
+                                   partial(real, name="gamma", low=0.0), distinct=True))
+                   for rule, grid in
                    (rule_gammas.items() if isinstance(rule_gammas, dict) else rule_gammas)]
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"threshold x must lie in [0, 1], got {x}")
-    if len(set(p_list)) < len(p_list):
-        raise ValueError(f"p_list repeats a value: {p_list}")
     for rule, gamma_grid in rule_gammas:
-        if len(set(gamma_grid)) < len(gamma_grid):
-            raise ValueError(f"the {rule} bias grid repeats a value: {gamma_grid}")
-    if not all(a < b for a, b in zip([0.0, *time_list], time_list)):
-        raise ValueError(f"time_list must be positive and strictly ascending, got {time_list}")
-    for rule, gamma_grid in rule_gammas:
-        # T = 1 stands in for every T: the request checks T > 0 and finite,
-        # which the ascending check above and the pre-flight below make; p = 1
-        # and gamma = 0 stand in for an empty p list or bias grid, so a sweep
-        # of no cell still checks its protocol and rules
+        # T = 1 stands in for every T (each checked above), p = 1 and gamma = 0 for
+        # an empty p list or bias grid: a sweep of no cell checks protocol and rules
         for p in p_list or [1]:
             for gamma in gamma_grid or [0.0]:
                 _validate_request(protocol, n, p, rule, gamma, 1.0)
@@ -487,9 +457,7 @@ def bias_sweep(
     master_seed: int = 0,
 ) -> list[EnsembleStats]:
     """One ensemble per (p, gamma) cell; instances re-sampled per cell."""
-    gamma_grid = _numbers(gamma_grid, float, "gamma_grid")
-    if any(not 0.0 <= g <= 1.0 for g in gamma_grid):
-        raise ValueError("gamma grid values must lie in [0, 1]")
+    gamma_grid = sequence(gamma_grid, "gamma grid", partial(real, low=0.0, high=1.0))
     return _sweep_cells(protocol, n, p_list, [(rule, gamma_grid)], [anneal_time],
                         count, x, dt, master_seed)
 
@@ -523,7 +491,7 @@ def bias_response(memories, answer, gammas, anneal_time: float,
     bitwise-distinct diagonal anneals once: at p = 1 the three rules store
     the same weights, and so the same diagonals.
     """
-    curves = {"gamma": [float(g) for g in gammas]}
+    curves = {"gamma": sequence(gammas, "gammas", real)}
     _check_anneal(as_pattern(answer).size, len(LEARNING_RULES) * len(curves["gamma"]),
                   anneal_time, dt)
     distinct = {}
@@ -545,11 +513,12 @@ def write_results_csv(stats, path) -> None:
     """Deterministic results table, one row per cell, sorted by its keys;
     written atomically. `stats` that is not an iterable of `EnsembleStats`
     is a ValueError, and nothing is written."""
+    stats = sequence(stats, "stats", partial(typed, kind=EnsembleStats))
     write_csv_atomic(path, RESULTS_HEADER, [
         [s.protocol, s.rule, s.n, s.p,
          f"{s.gamma:.17g}", f"{s.anneal_time:.17g}",
          s.count, f"{s.threshold:.17g}",
          f"{s.mean_success:.17g}", f"{s.variance:.17g}",
          s.master_seed]
-        for s in sorted(_numbers(stats, _is(EnsembleStats), "stats"), key=_sort_key)
+        for s in sorted(stats, key=_sort_key)
     ])

@@ -55,6 +55,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._guards import array, real, typed
 from .hamiltonians import (
     _check_driver,
     _check_qubit_count,
@@ -62,7 +63,6 @@ from .hamiltonians import (
     _register_size,
     _transverse_field_cached,
 )
-from .instances import _positive_finite
 
 __all__ = [
     "AnnealSchedule",
@@ -114,7 +114,7 @@ class AnnealSchedule:
     problem_weight: Callable[[float], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "total_time", _positive_finite(self.total_time, "total_time"))
+        object.__setattr__(self, "total_time", real(self.total_time, "total_time", positive=True))
         for name in ("driver_weight", "problem_weight"):
             if not callable(getattr(self, name)):
                 raise ValueError(f"{name} must be callable, got {getattr(self, name)!r}")
@@ -122,7 +122,7 @@ class AnnealSchedule:
     @classmethod
     def linear(cls, total_time: float) -> "AnnealSchedule":
         """The default ramp A(t) = 1 - t/T, B(t) = t/T."""
-        total_time = _positive_finite(total_time, "total_time")
+        total_time = real(total_time, "total_time", positive=True)
         return cls(
             total_time=total_time,
             driver_weight=lambda t: 1.0 - t / total_time,
@@ -193,12 +193,12 @@ def _one_thread_columns(n: int) -> int:
 def _check_anneal(n: int, count: int, total_time: float, dt: float,
                   d_scale: float = 0.0) -> int:
     """Steps `evolve_batch` takes over [0, total_time] for `count` n-qubit
-    states with |diagonal| <= d_scale; refuses a bad dt, a register over the
-    cap, an empty block, one over `_BLOCK_LIMIT` and a run over `_WORK_LIMIT`
+    states with |diagonal| <= d_scale; refuses a bad dt or total_time, a
+    register over the cap, an empty block, one over `_BLOCK_LIMIT` and a run over `_WORK_LIMIT`
     sub-steps, each step counted at full schedule weight (a bound for weights
     in [0, 1])."""
-    dt = _positive_finite(dt, "dt")
-    _check_qubit_count(n)
+    dt, total_time = real(dt, "dt", positive=True), real(total_time, "total_time", positive=True)
+    n = _check_qubit_count(n)
     if count < 1:
         raise ValueError(f"need at least one problem diagonal to anneal, got {count}")
     if count << n > _BLOCK_LIMIT:
@@ -350,17 +350,18 @@ def magnus_step(state, h0, diagonal, schedule: AnnealSchedule, t: float, dt: flo
     propagator applies that driver itself.
     """
     # a single step over [0, dt]; its pre-flight checks dt before the window does
-    prop = _BatchPropagator(np.asarray(diagonal, dtype=np.float64)[:, None], dt, dt)
-    if not (t >= 0 and t + dt <= schedule.total_time * (1 + 1e-12)):  # nan fails both
-        raise ValueError(f"step [{t}, {t + dt}] lies outside [0, {schedule.total_time}]")
+    prop = _BatchPropagator(_finite_diagonal(diagonal)[:, None], dt, dt)
+    total, t = typed(schedule, "schedule", AnnealSchedule).total_time, real(t, "t")
+    if not (t >= 0 and t + dt <= total * (1 + 1e-12)):
+        raise ValueError(f"step [{t}, {t + dt}] lies outside [0, {total}]")
     _check_driver(h0, prop.n)
-    psi = np.array(state, dtype=complex).reshape(-1, 1)
-    if psi.shape[0] != prop.dim:
+    psi = array(state, "state", complex)
+    if psi.shape != (prop.dim,):
         raise ValueError("state dimension does not match the Hamiltonians")
     t_mid = t + dt / 2.0
     a = float(schedule.driver_weight(t_mid))
     b = float(schedule.problem_weight(t_mid))
-    return prop.step(psi, a, b, dt)[:, 0]
+    return prop.step(psi[:, None].copy(), a, b, dt)[:, 0]
 
 
 def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) -> np.ndarray:
@@ -372,8 +373,8 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
     ends exactly on T, shorter when dt does not divide T; a remainder under
     1e-9 T joins the last step instead of making a step of its own.
     """
-    total = schedule.total_time
-    prop = _BatchPropagator(np.atleast_2d(diagonals).T, total, dt)
+    total = typed(schedule, "schedule", AnnealSchedule).total_time
+    prop = _BatchPropagator(np.atleast_2d(array(diagonals, "diagonals")).T, total, dt)
     psi = np.full(prop.term.shape, 1.0 / np.sqrt(prop.dim), dtype=complex)
     for k in range(prop.steps):
         t = k * dt

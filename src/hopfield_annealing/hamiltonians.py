@@ -17,12 +17,12 @@ propagator, the spectra and `ground_state_mass` take an `IsingHamiltonian`
 or its diagonal and reject one with a non-finite entry.
 """
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._guards import array, integer
 from .network import _thresholds
 from .patterns import all_patterns, as_pattern, pattern_to_index
 
@@ -48,15 +48,13 @@ class QubitBudgetError(ValueError):
     """Register size would exceed the dense-simulation cap."""
 
 
-def _check_qubit_count(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer number of qubits, got {n!r}")
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
-    if n > MAX_QUBITS:
+def _check_qubit_count(n: int) -> int:
+    """`n` as a qubit count, an integer of at least 1; `QubitBudgetError` above MAX_QUBITS."""
+    if (n := integer(n, "n", 1)) > MAX_QUBITS:
         raise QubitBudgetError(
             f"n={n} qubits needs a dense 2^{n}-dimensional basis; cap is {MAX_QUBITS}"
         )
+    return n
 
 
 @lru_cache(maxsize=8)
@@ -86,8 +84,7 @@ def _check_driver(h0, n: int) -> None:
 
 def transverse_field_hamiltonian(n: int) -> np.ndarray:
     """Dense matrix of -sum_i X_i; entry -1 between states differing in one bit."""
-    _check_qubit_count(n)
-    return _transverse_field_cached(n).copy()
+    return _transverse_field_cached(_check_qubit_count(n)).copy()
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ def _finite_diagonal(h1, ndim: int = 1) -> np.ndarray:
     of diagonals; raises `FloatingPointError` if an entry is not finite."""
     if isinstance(h1, IsingHamiltonian):
         h1 = h1.diagonal()
-    d = np.asarray(h1, dtype=np.float64)
+    d = array(h1, "problem Hamiltonian")
     if not np.isfinite(d).all():
         raise FloatingPointError("problem Hamiltonian is not finite")
     if d.ndim != ndim:
@@ -127,24 +124,22 @@ def ising_hamiltonian(weights, bias) -> IsingHamiltonian:
     energies reproduce `network.network_energy` exactly, so the quantum ground
     state is the classical energy minimizer.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = array(weights, "weights")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weights must be square, got shape {w.shape}")
-    n = w.shape[0]
-    _check_qubit_count(n)
+    n = _check_qubit_count(w.shape[0])
     return IsingHamiltonian(couplings=w.copy(), fields=_thresholds(bias, n), n=n)
 
 
 def uniform_superposition(n: int) -> np.ndarray:
     """Ground state of the driver: all 2^n amplitudes equal to 2^(-n/2)."""
-    _check_qubit_count(n)
-    dim = 1 << n
+    dim = 1 << _check_qubit_count(n)
     return np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
 
 
 def answer_overlap(state, answer) -> float:
     """Probability |<answer|psi>|^2 of measuring the given spin pattern."""
-    psi = np.asarray(state)
+    psi = array(state, "state", complex)
     z = as_pattern(answer)
     if psi.shape != (1 << z.size,):
         raise ValueError(

@@ -23,14 +23,14 @@ the generator are part of the package's reproducibility contract.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from ._guards import integer, member, real
 from .learning import LEARNING_RULES, SingularCovarianceError, _storable_covariance
-from .patterns import _integer, all_patterns, as_memory_set, as_pattern, random_pattern
+from .patterns import all_patterns, as_memory_set, as_pattern, random_pattern
 
 __all__ = [
     "PROTOCOLS",
@@ -71,10 +71,10 @@ def derive_seed(
     Annealing-time sweeps pass time_index=0 for every T on purpose: the same
     instances are reused so curves differ only by annealing time.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
-    acc = _splitmix64(master_seed & _MASK64)
-    for field in (PROTOCOLS.index(protocol), p, gamma_index, time_index, instance_index):
+    acc = _splitmix64(integer(master_seed, "master_seed") & _MASK64)
+    for field in (PROTOCOLS.index(member(protocol, "protocol", PROTOCOLS)), integer(p, "p"),
+                  integer(gamma_index, "gamma_index"), integer(time_index, "time_index"),
+                  integer(instance_index, "instance_index")):
         acc = _splitmix64(acc ^ (field & _MASK64))
     return acc
 
@@ -109,12 +109,9 @@ class ProblemInstance:
             raise ValueError(
                 f"input key has length {self.input_key.size}, expected n={self.n}"
             )
-        if not 0 <= self.answer_index < self.memories.shape[0]:
-            raise ValueError(
-                f"answer_index {self.answer_index} out of range for p={self.memories.shape[0]}"
-            )
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}")
+        object.__setattr__(self, "answer_index", integer(
+            self.answer_index, "answer_index", 0, self.memories.shape[0] - 1))
+        member(self.protocol, "protocol", PROTOCOLS)
 
     @property
     def p(self) -> int:
@@ -135,29 +132,17 @@ class ProblemInstance:
         return self.answer
 
 
-def _positive_finite(value, name: str) -> float:
-    """float() of a positive finite real number (numpy's included); anything
-    else, a string or None too, is a ValueError whose message starts with `name`."""
-    if isinstance(value, numbers.Real) and 0 < value < math.inf:
-        return float(value)
-    raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _validate_request(protocol: str, n: int, p: int, rule: str, gamma: float,
-                      anneal_time: float) -> None:
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+                      anneal_time: float) -> tuple:
+    """The request's (n, p, gamma, anneal_time) as guarded values."""
+    member(protocol, "protocol", PROTOCOLS)
+    n, p = integer(n, "n", 1), integer(p, "p")
     if not (p >= 1 and (p - 1).bit_length() <= n - 1):  # p <= 2^(n-1), never building 2^(n-1)
         raise ValueError(f"p={p} infeasible for n={n} (need 1 <= p <= 2^(n-1))")
-    if rule not in LEARNING_RULES:
-        raise ValueError(f"unknown learning rule {rule!r}; choose from {LEARNING_RULES}")
+    member(rule, "learning rule", LEARNING_RULES)
     if rule == "projection" and p > n:  # p patterns of length n span at most n dimensions
         raise ValueError(f"p={p} infeasible for the projection rule at n={n} (need p <= n)")
-    if not 0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
-    _positive_finite(anneal_time, "anneal_time")
+    return n, p, real(gamma, "gamma", 0.0), real(anneal_time, "anneal_time", positive=True)
 
 
 def _draw_memory_set(rng, n: int, p: int, rule: str, spacing: int = 1) -> np.ndarray:
@@ -247,8 +232,8 @@ def generate_instance(
     protocol: str, n: int, p: int, rule: str, gamma: float, anneal_time: float, seed: int
 ) -> ProblemInstance:
     """Generate an instance for any named protocol from its 64-bit seed."""
-    _validate_request(protocol, n, p, rule, gamma, anneal_time)
-    seed = _integer(seed, "seed")
+    n, p, gamma, anneal_time = _validate_request(protocol, n, p, rule, gamma, anneal_time)
+    seed = integer(seed, "seed")
     memories, answer_index, input_key = _DRAWS[protocol](instance_rng(seed), n, p, rule)
     return ProblemInstance(
         protocol=protocol,

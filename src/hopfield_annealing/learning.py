@@ -18,6 +18,7 @@ projector property, memory energies of -n/2) hold only in that form.
 
 import numpy as np
 
+from ._guards import member
 from .patterns import as_memory_set
 
 __all__ = [
@@ -127,6 +128,4 @@ LEARNING_RULES = tuple(_RULES)
 
 def weights_for_rule(rule: str, memories, zero_diagonal: bool = True) -> np.ndarray:
     """Dispatch a rule name from `LEARNING_RULES` to its weight constructor."""
-    if rule not in _RULES:
-        raise ValueError(f"unknown learning rule {rule!r}; choose from {LEARNING_RULES}")
-    return _RULES[rule](memories, zero_diagonal)
+    return _RULES[member(rule, "learning rule", LEARNING_RULES)](memories, zero_diagonal)

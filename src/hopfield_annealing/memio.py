@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from ._atomic import write_csv_atomic, write_json_atomic, write_text_atomic
+from ._guards import member, sequence
 from ._version import __version__
 from .ensembles import EnsembleStats, write_results_csv
 from .learning import LEARNING_RULES
@@ -54,24 +55,29 @@ class MemoryFileError(ValueError):
 
 
 def load_memories(path) -> np.ndarray:
-    """Parse a memory-set file into a (p, n) pattern array."""
+    """Parse a memory-set file into a (p, n) pattern array; `MemoryFileError`
+    for a malformed file and for a path it cannot read, a directory too."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as error:
+        raise MemoryFileError(f"{path}: cannot read the file: {error}") from None
     rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            values = []
-            for pos, token in enumerate(line.split(), start=1):
-                if token in ("+1", "1"):
-                    values.append(1)
-                elif token == "-1":
-                    values.append(-1)
-                else:
-                    raise MemoryFileError(
-                        f"{path}: line {lineno}: invalid token {token!r} at position {pos}"
-                    )
-            rows.append((lineno, values))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        values = []
+        for pos, token in enumerate(line.split(), start=1):
+            if token in ("+1", "1"):
+                values.append(1)
+            elif token == "-1":
+                values.append(-1)
+            else:
+                raise MemoryFileError(
+                    f"{path}: line {lineno}: invalid token {token!r} at position {pos}"
+                )
+        rows.append((lineno, values))
     if not rows:
         raise MemoryFileError(f"{path}: no patterns found")
     width = len(rows[0][1])
@@ -122,9 +128,7 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
     Returns the written file paths. `results` is checked before `out_dir`
     is created, so a refused call leaves nothing behind.
     """
-    if figure_id not in FIGURE_IDS:
-        raise ValueError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
-    kind, setting = FIGURES[figure_id]
+    kind, setting = FIGURES[member(figure_id, "figure id", FIGURE_IDS)]
     written = []
     manifest = {"figure": figure_id, "basis": "little-endian (spin i -> bit 2^i)"}
 
@@ -151,7 +155,7 @@ def emit_figure_data(results, figure_id: str, out_dir) -> list[str]:
                         inset={"y_label": "1 - q", "floor": ERROR_FLOOR,
                                "files": [os.path.basename(written[1])]})
     else:
-        stats = list(results)
+        stats = sequence(results, "results")
         _require(
             stats and all(isinstance(s, EnsembleStats) for s in stats),
             figure_id, "expected a list of EnsembleStats",

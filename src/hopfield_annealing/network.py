@@ -13,12 +13,11 @@ and a positive bias attracts the state toward the key. At theta = 0 this is
 the plain sign rule z_i = sign(sum_j w_ij z_j).
 """
 
-import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._guards import array, integer, member, real, typed
 from .patterns import as_pattern
 
 __all__ = [
@@ -39,8 +38,7 @@ class BiasSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "input_key", as_pattern(self.input_key))
-        if not (isinstance(self.gamma, numbers.Real) and 0 <= self.gamma < math.inf):
-            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", real(self.gamma, "gamma", 0.0))
 
     @property
     def thresholds(self) -> np.ndarray:
@@ -53,7 +51,7 @@ class BiasSpec:
 
 
 def _check_square(weights: np.ndarray, n: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
+    w = array(weights, "weights")
     if w.shape != (n, n):
         raise ValueError(f"weight matrix shape {w.shape} does not match n={n}")
     return w
@@ -62,7 +60,7 @@ def _check_square(weights: np.ndarray, n: int) -> np.ndarray:
 def _thresholds(bias: BiasSpec | None, n: int) -> np.ndarray:
     if bias is None:
         return np.zeros(n)
-    if bias.n != n:
+    if typed(bias, "bias", BiasSpec).n != n:
         raise ValueError(f"bias length {bias.n} does not match n={n}")
     return bias.thresholds
 
@@ -90,8 +88,7 @@ def delta_energy(state, flip_index: int, weights) -> float:
     """
     z = as_pattern(state).astype(np.float64)
     w = _check_square(weights, z.size)
-    if not 0 <= flip_index < z.size:
-        raise ValueError(f"flip_index {flip_index} out of range for n={z.size}")
+    flip_index = integer(flip_index, "flip_index", 0, z.size - 1)
     local = float(w[:, flip_index] @ z)
     z_new = 1.0 if local > 0 else -1.0
     return float(-2.0 * (z_new - z[flip_index]) * local)
@@ -115,12 +112,9 @@ def classical_update(
     n = z.size
     w = _check_square(weights, n)
     theta = _thresholds(bias, n)
-    if mode not in ("synchronous", "asynchronous"):
-        raise ValueError(f"mode must be 'synchronous' or 'asynchronous', got {mode!r}")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
-
-    rng = np.random.default_rng(seed)
+    member(mode, "mode", ("synchronous", "asynchronous"))
+    max_sweeps = integer(max_sweeps, "max_sweeps", 1)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     for sweep in range(1, max_sweeps + 1):
         if mode == "synchronous":
             z_next = np.where(w @ z + theta > 0, 1.0, -1.0)

@@ -13,10 +13,9 @@ Conventions used throughout the package:
   i.e. spin i occupies bit ``2**i`` of the state label.
 """
 
-import contextlib
-import numbers
-
 import numpy as np
+
+from ._guards import integer
 
 __all__ = [
     "as_pattern",
@@ -29,17 +28,6 @@ __all__ = [
     "hadamard_memories",
     "overlapping_memories",
 ]
-
-
-def _integer(value, name: str = "") -> int:
-    """int() that refuses booleans, non-integral numbers (numpy's included) and
-    what int() cannot read, with a ValueError whose message starts with `name`."""
-    with contextlib.suppress(TypeError, ValueError):
-        if not isinstance(value, (bool, np.bool_)) and (
-                not isinstance(value, numbers.Real) or isinstance(value, numbers.Integral)
-                or float(value).is_integer()):
-            return int(value)
-    raise ValueError(f"{name}{': ' if name else ''}expected an integer, got {value!r}")
 
 
 def _bipolar(values, ndim: int) -> np.ndarray:
@@ -88,8 +76,8 @@ def pattern_to_index(pattern) -> int:
 
 def index_to_pattern(index: int, n: int) -> np.ndarray:
     """Spin pattern encoded by a little-endian basis index."""
-    if not 0 <= index < (1 << n):
-        raise ValueError(f"index {index} out of range for n={n}")
+    n = integer(n, "n", 0)
+    index = integer(index, "index", 0, (1 << n) - 1)
     bits = (index >> np.arange(n)) & 1
     return (2 * bits - 1).astype(np.int64)
 
@@ -113,12 +101,10 @@ def hadamard_memories(n: int, p: int | None = None) -> np.ndarray:
     convenient source of non-interfering memories. Requires n a power of two
     and p <= n. The first memory is the all +1 pattern.
     """
-    n = _integer(n, "n")
-    if n < 1 or (n & (n - 1)) != 0:
+    n = integer(n, "n", 1)
+    if n & (n - 1):
         raise ValueError(f"Hadamard memories need n a power of two, got {n}")
-    p = n if p is None else _integer(p, "p")
-    if not 1 <= p <= n:
-        raise ValueError(f"p must be in [1, {n}], got {p}")
+    p = n if p is None else integer(p, "p", 1, n)
     h = np.array([[1]], dtype=np.int64)
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])

@@ -43,13 +43,13 @@ which is within tol of d, so by Weyl's inequality every eigenvalue is within
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from ._atomic import write_csv_atomic
+from ._guards import array, integer, real, typed
 from .evolution import AnnealSchedule
 from .hamiltonians import (
     DEGENERACY_TOL,
@@ -58,7 +58,6 @@ from .hamiltonians import (
     _finite_diagonal,
     _register_size,
 )
-from .patterns import _integer
 
 __all__ = [
     "SpectrumTrace",
@@ -90,11 +89,7 @@ class SpectrumTrace:
 
     def __post_init__(self):
         for name in ("times", "energies"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, np.asarray(value, dtype=np.float64))
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be an array of numbers, got {value!r}") from None
+            object.__setattr__(self, name, array(getattr(self, name), name))
         times, energies = self.times, self.energies
         if times.ndim != 1:
             raise ValueError(f"times must be 1-D, got a {times.ndim}-D array")
@@ -156,10 +151,9 @@ def _blocks(d: np.ndarray):
 def _spectra(h0, h1, schedule: AnnealSchedule, times) -> np.ndarray:
     """Ascending eigenvalues of A(t) H0 + B(t) H1, one row per time."""
     d = _finite_diagonal(h1)
-    n = _register_size(d.size)
-    _check_qubit_count(n)
-    if np.shape(h0) != (d.size, d.size):
-        raise ValueError(f"h0 must be {d.size} x {d.size} to match H1, got shape {np.shape(h0)}")
+    n = _check_qubit_count(_register_size(d.size))
+    if (h0 := array(h0, "h0")).shape != (d.size, d.size):
+        raise ValueError(f"h0 must be {d.size} x {d.size} to match H1, got shape {h0.shape}")
     _check_driver(h0, n)
     a = np.array([float(schedule.driver_weight(t)) for t in times])
     b = np.array([float(schedule.problem_weight(t)) for t in times])
@@ -187,25 +181,17 @@ def _spectra(h0, h1, schedule: AnnealSchedule, times) -> np.ndarray:
 
 def instantaneous_spectrum(h0, h1, schedule: AnnealSchedule, t: float) -> np.ndarray:
     """All eigenvalues of A(t) H0 + B(t) H1 in ascending order."""
-    if not (isinstance(t, numbers.Real) and 0 <= t <= schedule.total_time * (1 + 1e-12)):
-        raise ValueError(f"t must be a time in [0, {schedule.total_time}], got {t!r}")
+    t = real(t, "t", 0.0, typed(schedule, "schedule", AnnealSchedule).total_time * (1 + 1e-12))
     return _spectra(h0, h1, schedule, [t])[0]
 
 
 def spectrum_trace(h0, h1, schedule: AnnealSchedule, num_samples: int = 101) -> SpectrumTrace:
     """Spectrum on a uniform time grid including both endpoints."""
-    num_samples = _integer(num_samples, "num_samples")
-    if num_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {num_samples}")
+    num_samples = integer(num_samples, "num_samples", 2)
     if num_samples > _SAMPLE_LIMIT:
         raise ValueError(f"{num_samples} samples exceed the limit of {_SAMPLE_LIMIT}")
-    times = np.linspace(0.0, schedule.total_time, num_samples)
+    times = np.linspace(0.0, typed(schedule, "schedule", AnnealSchedule).total_time, num_samples)
     return SpectrumTrace(times=times, energies=_spectra(h0, h1, schedule, times))
-
-
-def _check_trace(trace) -> None:
-    if not isinstance(trace, SpectrumTrace):
-        raise ValueError(f"trace must be a SpectrumTrace, got {trace!r}")
 
 
 def min_gap(trace: SpectrumTrace) -> tuple[float, float]:
@@ -215,7 +201,7 @@ def min_gap(trace: SpectrumTrace) -> tuple[float, float]:
     final-time ground eigenvalue within `hamiltonians.DEGENERACY_TOL`; if the manifold spans
     the whole spectrum the gap is 0 at t = T by convention.
     """
-    _check_trace(trace)
+    typed(trace, "trace", SpectrumTrace)
     if trace.times.size == 0:
         raise ValueError("empty spectrum trace")
     final = trace.energies[-1]
@@ -230,7 +216,7 @@ def min_gap(trace: SpectrumTrace) -> tuple[float, float]:
 def write_spectrum_csv(trace: SpectrumTrace, path) -> None:
     """CSV with header t,E_0,...,E_{2^n-1}; full double precision; written
     atomically."""
-    _check_trace(trace)
+    typed(trace, "trace", SpectrumTrace)
     write_csv_atomic(
         path,
         ["t"] + [f"E_{i}" for i in range(trace.energies.shape[1])],

@@ -549,6 +549,16 @@ def test_memory_file_parse_error_is_usage_error(tmp_path, capsys):
     assert "position 3" in err
 
 
+@pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing", "directory"])
+def test_unreadable_memory_file_is_usage_error(tmp_path, capsys, name):
+    code, _, err = run(capsys, "recall", "--memories", str(tmp_path / name), "--T", "20",
+                       "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path / name}: cannot read the file")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_singular_covariance_is_numerical_failure(tmp_path, capsys, monkeypatch):
     import hopfield_annealing.ensembles as ensembles
 

@@ -47,6 +47,14 @@ def test_parse_rejects_empty_file(tmp_path):
         load_memories(path)
 
 
+@pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing", "directory"])
+def test_parse_refuses_a_path_it_cannot_open(tmp_path, name):
+    # these raised FileNotFoundError and IsADirectoryError
+    path = tmp_path / name
+    with pytest.raises(MemoryFileError, match=f"^{path}: cannot read the file"):
+        load_memories(path)
+
+
 def test_save_load_round_trip(tmp_path):
     mem = overlapping_memories()
     path = tmp_path / "mem.txt"

@@ -70,7 +70,7 @@ def test_bias_rejects_non_finite_gamma(gamma):
 
 @pytest.mark.parametrize("gamma", ["a", None, [0.3], np.array([0.3, 0.4])])
 def test_bias_rejects_a_gamma_that_is_not_a_number(gamma):
-    with pytest.raises(ValueError, match="^gamma must be non-negative and finite"):
+    with pytest.raises(ValueError, match="^gamma must be finite and at least 0"):
         BiasSpec(input_key=[1, 1], gamma=gamma)
 
 

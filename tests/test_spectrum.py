@@ -60,7 +60,7 @@ def test_spectrum_time_validation():
     with pytest.raises(ValueError):
         instantaneous_spectrum(h0, np.zeros(4), schedule, 2.0)
     for t in ("a", None, float("nan"), -0.1):
-        with pytest.raises(ValueError, match=r"^t must be a time in \[0, 1.0\]"):
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]"):
             instantaneous_spectrum(h0, np.zeros(4), schedule, t)
 
 
@@ -225,9 +225,9 @@ def test_trace_fields_must_fit_together(times, energies, field):
 
 
 def test_trace_consumers_refuse_what_is_not_a_trace(tmp_path):
-    with pytest.raises(ValueError, match="trace must be a SpectrumTrace"):
+    with pytest.raises(ValueError, match="^trace: expected SpectrumTrace"):
         min_gap((1, 2))
-    with pytest.raises(ValueError, match="trace must be a SpectrumTrace"):
+    with pytest.raises(ValueError, match="^trace: expected SpectrumTrace"):
         write_spectrum_csv((1, 2), tmp_path / "spectrum.csv")
     assert not (tmp_path / "spectrum.csv").exists()
 
