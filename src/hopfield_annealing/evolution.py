@@ -26,6 +26,15 @@ a batched 32 x 32 product over the low five qubits plus a 2^(n-5) square
 GEMM over the rest, which costs O(2^n (32 + 2^(n-5))) per column instead of
 O(4^n).
 
+Steps are planned before they run, up to `_PLAN_STEPS` at a time: each
+step's schedule weights (called once per step), sub-steps, Taylor terms and
+scales a*h, b*h per sub-step, as numpy arrays by the float operations of
+`_splits` and `_taylor_terms`, and checked against the work budget before
+the first product. One loop then runs them through the body that fits the
+block's shape, with no branch per Taylor term; each product is a bound method
+of the propagator's own buffer (`a_h0.dot`), which skips numpy's dispatch.
+`magnus_step` is a plan of one step.
+
 One power recurrence serves every block. The sub-step h is folded into
 the scaled driver and diagonal, u_0 = psi is read in place, and each Taylor
 term u_k = (h G) u_(k-1), G = a H0 + b diag, is one driver product into a
@@ -103,6 +112,11 @@ _WORK_LIMIT = 10**5
 # most amplitudes one state block may hold: about 40 times the largest ensemble
 # cell in use (n = 10, N = 100); a complex buffer of this size takes 64 MB
 _BLOCK_LIMIT = 1 << 22
+
+# most steps `evolve_batch` plans at a time: planning a whole T = 1000 anneal
+# (10^4 steps) at once raised the peak RSS of sweep_long's ops by 1.3-1.4 MB;
+# runs of this length leave it unchanged
+_PLAN_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -225,9 +239,10 @@ class _BatchPropagator:
     _DENSE_MAX_QUBITS and as the Kronecker split above. `steps` is the
     pre-flight's count for [0, total_time]; the buffers, allocated after it,
     are reused per step, the scaled driver a*h*H0 and problem b*h*diag
-    included. A step runs the power recurrence of the module docstring into
-    a stack of `group` blocks, 27 or one, and refuses to take more
-    sub-steps than the `budget` that `_WORK_LIMIT` leaves.
+    included. `step` plans a run of steps and takes each by the power
+    recurrence of the module docstring into a stack of `group` blocks, 27 or
+    one, and refuses to take more sub-steps than the `budget` that
+    `_WORK_LIMIT` leaves.
     """
 
     def __init__(self, diagonals: np.ndarray, total_time: float, dt: float):
@@ -241,6 +256,7 @@ class _BatchPropagator:
         # (dim, 2M). `pair` takes a term's driver products, then (R0, R1) or
         # a scaled term; `term` and `odd` are its complex views
         self.pair = np.empty((2, self.dim, 2 * count))
+        self.pair_rows = self.pair.reshape(2, -1)
         self.term, self.odd = self.pair.view(complex)
         # one group takes all of a step's terms, at most _taylor_terms(_THETA)
         # = 27, when its (2 x 27) @ (27 x 2M*dim) combination runs on one
@@ -255,92 +271,136 @@ class _BatchPropagator:
         if self.dense:
             self.h0 = _transverse_field_cached(self.n)
             self.a_h0 = np.empty_like(self.h0)
+            self.scaled = [(self.h0, self.a_h0)]  # each driver factor and its a*h multiple
         if self.fold:  # b*h*d goes on the zero diagonal of a*h*H0
             self.d, self.b_d = d[:, 0], self.a_h0.reshape(-1)[:: self.dim + 1]
         else:  # repeated to match the re/im interleaved view
             self.d = np.repeat(d, 2, axis=1)
             self.b_d = np.empty_like(self.d)
         if self.dense:
-            self.slots = [(u,) for u in self.stack]
+            self.slots = [(u, u) for u in self.stack]  # (u, what a driver product reads)
             return
         # H0(n) = I (x) H0(low) + H0(high) (x) I on the index s = hi * 2^low + lo
         self.h0_low = _transverse_field_cached(_LOW_QUBITS)
         self.h0_high = _transverse_field_cached(self.n - _LOW_QUBITS)
         self.a_low, self.a_high = np.empty_like(self.h0_low), np.empty_like(self.h0_high)
+        self.scaled = [(self.h0_low, self.a_low), (self.h0_high, self.a_high)]
         # each block as (hi, lo, 2M) for the low product and (hi, lo * 2M) for the high one
-        self.blocks = blocks = (self.h0_high.shape[0], self.h0_low.shape[0], -1)
-        self.term_low = self.pair[0].reshape(blocks)
-        self.high_rows = self.pair[1].reshape(blocks[0], -1)
-        self.slots = [(u, u.reshape(blocks), u.reshape(blocks[0], -1)) for u in self.stack]
+        self.blocks = (self.h0_high.shape[0], self.h0_low.shape[0], -1)
+        self.term_low = self.pair[0].reshape(self.blocks)
+        self.high_rows = self.pair[1].reshape(self.blocks[0], -1)
+        self.slots = [self._views(u) for u in self.stack]
 
-    def _plan(self, terms: int) -> list:
-        """Per Taylor term k = 1..terms, the stack slot of u_k and, after the
-        last term of its group, what adds the group to psi: for one group of
-        all the terms, the coefficients (-1)^(k//2) / k! (even k in row 0, odd
-        k in row 1) and the stack rows; for groups of one, (-i)^k / k! and the
-        complex view of u_k."""
+    def _views(self, block: np.ndarray) -> tuple:
+        """A (dim, 2M) block and what a driver product reads of it: the block
+        itself when dense, its (hi, lo, 2M) and (hi, lo * 2M) views when split."""
+        if self.dense:
+            return block, block
+        return block, (block.reshape(self.blocks), block.reshape(self.blocks[0], -1))
+
+    def _plan(self, terms: int) -> tuple:
+        """Per Taylor term k = 1..terms, the stack slot of u_k, then what adds
+        the terms to psi: for one group of all of them, the coefficients
+        (-1)^(k//2) / k! (even k in row 0, odd k in row 1) and the stack rows;
+        for groups of one, slot 0 each time, (-i)^k / k! and its complex view."""
         coef = np.zeros((2, terms))
         for k in range(1, terms + 1):
             coef[k % 2, k - 1] = (-1) ** (k // 2) / math.factorial(k)
         if self.group == 1:
-            u = self.stack[0].view(complex)
-            return [(self.slots[0], (c_even - 1j * c_odd, u)) for c_even, c_odd in coef.T]
-        rows = self.stack[:terms].reshape(terms, -1)
-        return [(slot, None) for slot in self.slots[:terms - 1]] + [
-            (self.slots[terms - 1], (coef, rows))]
+            return ([self.slots[0]] * terms, [c_even - 1j * c_odd for c_even, c_odd in coef.T],
+                    self.stack[0].view(complex))
+        return self.slots[:terms], coef, self.stack[:terms].reshape(terms, -1)
 
-    def step(self, psi: np.ndarray, a: float, b: float, dt: float) -> np.ndarray:
-        """Advance the block by one propagator application, in place."""
-        rho = abs(dt) * (abs(a) * self.n + abs(b) * self.d_scale)  # |H0| row sums: n
-        splits = _splits(rho)
-        if not splits <= self.budget:  # a runaway or non-finite schedule weight
-            raise FloatingPointError(
-                f"a step of {dt:g} at A={a:g}, B={b:g} needs {splits:.3g} sub-steps, "
-                f"over the {self.budget:.3g} left of the anneal's {_WORK_LIMIT:.0e}"
-            )
-        self.budget -= splits
-        h = dt / splits
-        terms = _taylor_terms(rho / splits)
-        if (plan := self.plans.get(terms)) is None:
-            plan = self.plans[terms] = self._plan(terms)
-        dense, fold, single = self.dense, self.fold, self.group == 1
-        term, odd, term_v, high_v = self.term, self.odd, self.pair[0], self.pair[1]
-        pair_rows = self.pair.reshape(2, -1)
-        psi_v = psi.view(np.float64)
-        if dense:
-            a_h0 = np.multiply(self.h0, a * h, out=self.a_h0)
-            first = (psi_v,)
-        else:
-            a_low = np.multiply(self.h0_low, a * h, out=self.a_low)
-            a_high = np.multiply(self.h0_high, a * h, out=self.a_high)
-            first = psi_v, psi_v.reshape(self.blocks), psi_v.reshape(self.blocks[0], -1)
-        b_d = np.multiply(self.d, b * h, out=self.b_d)  # folded: a_h0 = h*(a*H0 + b*diag)
-        for _ in range(int(splits)):
-            source = first  # u_0 is psi itself
-            for target, combine in plan:
-                s, u = source[0], target[0]
-                if fold:  # never a group of one, so u is not s
-                    np.dot(a_h0, s, out=u)
-                else:  # the products read s before u overwrites it (a group of one)
-                    if dense:
-                        np.dot(a_h0, s, out=term_v)
-                    else:
-                        np.matmul(a_low, source[1], out=self.term_low)  # I (x) a*h*H0(low)
-                        np.dot(a_high, source[2], out=self.high_rows)   # a*h*H0(high) (x) I
-                        np.add(term_v, high_v, out=term_v)
-                    np.multiply(b_d, s, out=u)
-                    np.add(u, term_v, out=u)
-                if single:  # psi += (-i)^k u_k / k!
-                    np.multiply(combine[1], combine[0], out=term)
-                    np.add(psi, term, out=psi)
-                elif combine is not None:
-                    coef, rows = combine
-                    np.dot(coef, rows, out=pair_rows)  # (R0, R1): a two-row real GEMM
-                    np.multiply(odd, -1j, out=odd)
-                    np.add(psi, term, out=psi)
-                    np.add(psi, odd, out=psi)
-                source = target
+    def _plan_steps(self, a, b, h) -> tuple:
+        """Sub-steps, Taylor terms, a*h/sub-steps and b*h/sub-steps (lists) of
+        steps of lengths h at weights a, b, by the float operations of
+        `_splits` and `_taylor_terms`; refuses the first step over `budget`
+        (a runaway or non-finite weight) before any is taken."""
+        a, b, h = (np.asarray(x, dtype=float).reshape(-1) for x in (a, b, h))
+        with np.errstate(all="ignore"):  # as Python floats: overflow to inf, inf * 0 to nan
+            rho = np.abs(h) * (np.abs(a) * self.n + np.abs(b) * self.d_scale)  # |H0| row sums: n
+            splits = np.maximum(np.ceil(rho / _THETA), 1.0)
+            spent = np.cumsum(splits)
+            if not spent[-1] <= self.budget:
+                i = int(np.argmin(spent <= self.budget))
+                raise FloatingPointError(
+                    f"a step of {h[i]:g} at A={a[i]:g}, B={b[i]:g} needs {splits[i]:.3g} "
+                    f"sub-steps, over the {self.budget - (spent[i - 1] if i else 0.0):.3g} "
+                    f"left of the anneal's {_WORK_LIMIT:.0e}"
+                )
+        self.budget -= float(spent[-1])
+        h = h / splits
+        terms = np.searchsorted(_TERM_BOUNDS, rho / splits) + 1  # bisect_left, as _taylor_terms
+        return splits.astype(int).tolist(), terms.tolist(), (a * h).tolist(), (b * h).tolist()
+
+    def step(self, psi: np.ndarray, a, b, h) -> np.ndarray:
+        """Advance the block over consecutive steps of lengths h at schedule
+        weights a, b (equal-length sequences, or scalars for one step), in place."""
+        splits, terms, a_h, b_h = self._plan_steps(a, b, h)
+        for k in set(terms) - self.plans.keys():
+            self.plans[k] = self._plan(k)
+        first = self._views(psi.view(np.float64))  # u_0 is psi itself
+        # the body for this block (module docstring); bound here, not kept,
+        # so the propagator holds no cycle and frees its buffers when dropped
+        body = self._fold if self.fold else self._stacked if self.group > 1 else self._single
+        for count, k, ah, bh in zip(splits, terms, a_h, b_h):
+            for h0, a_h0 in self.scaled:
+                np.multiply(h0, ah, out=a_h0)
+            np.multiply(self.d, bh, out=self.b_d)  # folded: a_h0 = h*(a*H0 + b*diag)
+            body(psi, first, count, *self.plans[k])
         return psi
+
+    def _kron(self, views: tuple, out: np.ndarray) -> None:
+        """out = a*h*H0 @ block, from the block's split `_views`."""
+        low, rows = views
+        np.matmul(self.a_low, low, out=self.term_low)  # I (x) a*h*H0(low)
+        self.a_high.dot(rows, out=self.high_rows)      # a*h*H0(high) (x) I
+        np.add(out, self.pair[1], out=out)
+
+    def _combine(self, psi, coef, rows) -> None:
+        """psi += R0 - i R1, with (R0, R1) from the stacked terms by one
+        two-row real GEMM."""
+        coef.dot(rows, out=self.pair_rows)
+        np.multiply(self.odd, -1j, out=self.odd)
+        np.add(psi, self.term, out=psi)
+        np.add(psi, self.odd, out=psi)
+
+    def _fold(self, psi, first, count, slots, coef, rows) -> None:
+        """`count` sub-steps of one dense column, one product per term."""
+        dot = self.a_h0.dot
+        for _ in range(count):
+            s = first[0]
+            for u, _views in slots:
+                dot(s, out=u)
+                s = u
+            self._combine(psi, coef, rows)
+
+    def _stacked(self, psi, first, count, slots, coef, rows) -> None:
+        """`count` sub-steps of a block whose terms are stacked, then added at once."""
+        drive = self.a_h0.dot if self.dense else self._kron  # a bound .dot skips np.dot's dispatch
+        b_d, term_v = self.b_d, self.pair[0]
+        for _ in range(count):
+            s, read = first
+            for u, views in slots:
+                drive(read, out=term_v)
+                np.multiply(b_d, s, out=u)
+                np.add(u, term_v, out=u)
+                s, read = u, views
+            self._combine(psi, coef, rows)
+
+    def _single(self, psi, first, count, slots, coef, u_c) -> None:
+        """`count` sub-steps of a block that adds each term as it comes."""
+        drive = self.a_h0.dot if self.dense else self._kron  # a bound .dot skips np.dot's dispatch
+        b_d, term_v, term = self.b_d, self.pair[0], self.term
+        for _ in range(count):
+            s, read = first
+            for (u, views), c in zip(slots, coef):  # the products read s before u overwrites it
+                drive(read, out=term_v)
+                np.multiply(b_d, s, out=u)
+                np.add(u, term_v, out=u)
+                np.multiply(u_c, c, out=term)  # psi += (-i)^k u_k / k!
+                np.add(psi, term, out=psi)
+                s, read = u, views
 
 
 def magnus_step(state, h0, diagonal, schedule: AnnealSchedule, t: float, dt: float) -> np.ndarray:
@@ -373,15 +433,17 @@ def evolve_batch(diagonals, schedule: AnnealSchedule, dt: float = DEFAULT_DT) ->
     ends exactly on T, shorter when dt does not divide T; a remainder under
     1e-9 T joins the last step instead of making a step of its own.
     """
-    total = typed(schedule, "schedule", AnnealSchedule).total_time
+    total, dt = typed(schedule, "schedule", AnnealSchedule).total_time, real(dt, "dt", positive=True)
     prop = _BatchPropagator(np.atleast_2d(array(diagonals, "diagonals")).T, total, dt)
     psi = np.full(prop.term.shape, 1.0 / np.sqrt(prop.dim), dtype=complex)
-    for k in range(prop.steps):
-        t = k * dt
-        h = dt if k < prop.steps - 1 else total - t
-        t_mid = t + h / 2.0
-        a = float(schedule.driver_weight(t_mid))
-        b = float(schedule.problem_weight(t_mid))
+    for start in range(0, prop.steps, _PLAN_STEPS):
+        t = np.arange(start, min(start + _PLAN_STEPS, prop.steps), dtype=float) * dt
+        h = np.full_like(t, dt)
+        if start + len(t) == prop.steps:
+            h[-1] = total - t[-1]
+        a, b = np.empty_like(t), np.empty_like(t)
+        for i, t_mid in enumerate((t + h / 2.0).tolist()):
+            a[i], b[i] = float(schedule.driver_weight(t_mid)), float(schedule.problem_weight(t_mid))
         psi = prop.step(psi, a, b, h)
     # the C9a bound on the norm, one reduction per column
     drift = float(np.abs(np.linalg.norm(psi, axis=0) - 1.0).max())

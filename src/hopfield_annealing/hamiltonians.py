@@ -89,11 +89,23 @@ def transverse_field_hamiltonian(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsingHamiltonian:
-    """Diagonal problem Hamiltonian with couplings J_ij and fields h_i."""
+    """Diagonal problem Hamiltonian with couplings J_ij and fields h_i: a
+    square weight matrix over n qubits, n at most MAX_QUBITS, and n fields,
+    stored as float64 arrays (the couplings as a copy)."""
 
     couplings: np.ndarray
     fields: np.ndarray
     n: int
+
+    def __post_init__(self):
+        w, h = array(self.couplings, "couplings"), array(self.fields, "fields")
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"couplings must be a square weight matrix, got shape {w.shape}")
+        if w.shape[0] != (n := _check_qubit_count(self.n)) or h.shape != (n,):
+            raise ValueError(f"couplings of shape {w.shape} and fields of shape {h.shape} "
+                             f"do not match n={n}")
+        for name, value in (("couplings", w.copy()), ("fields", h), ("n", n)):
+            object.__setattr__(self, name, value)
 
     def diagonal(self) -> np.ndarray:
         """Energies of all 2^n basis states, index-aligned with the basis."""
@@ -125,10 +137,8 @@ def ising_hamiltonian(weights, bias) -> IsingHamiltonian:
     state is the classical energy minimizer.
     """
     w = array(weights, "weights")
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"weights must be square, got shape {w.shape}")
-    n = _check_qubit_count(w.shape[0])
-    return IsingHamiltonian(couplings=w.copy(), fields=_thresholds(bias, n), n=n)
+    n = len(w) if w.ndim else 0  # IsingHamiltonian checks the weights and n
+    return IsingHamiltonian(couplings=w, fields=_thresholds(bias, n), n=n)
 
 
 def uniform_superposition(n: int) -> np.ndarray:

@@ -56,7 +56,10 @@ class MemoryFileError(ValueError):
 
 def load_memories(path) -> np.ndarray:
     """Parse a memory-set file into a (p, n) pattern array; `MemoryFileError`
-    for a malformed file and for a path it cannot read, a directory too."""
+    for a malformed file, for a path it cannot read, a directory too, and for
+    a `path` that is not a file path."""
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() reads an int as a descriptor
+        raise MemoryFileError(f"path: expected a file path, got {path!r}")
     try:
         with open(path) as fh:
             lines = fh.readlines()

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._guards import array, integer, member, real, typed
+from .instances import _MASK64
 from .patterns import as_pattern
 
 __all__ = [
@@ -114,7 +115,7 @@ def classical_update(
     theta = _thresholds(bias, n)
     member(mode, "mode", ("synchronous", "asynchronous"))
     max_sweeps = integer(max_sweeps, "max_sweeps", 1)
-    rng = np.random.default_rng(integer(seed, "seed", 0))
+    rng = np.random.default_rng(integer(seed, "seed") & _MASK64)  # any integer, as derive_seed
     for sweep in range(1, max_sweeps + 1):
         if mode == "synchronous":
             z_next = np.where(w @ z + theta > 0, 1.0, -1.0)

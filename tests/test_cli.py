@@ -459,6 +459,15 @@ def test_classical_smoke(tmp_path, capsys):
     assert set(outcome["final_state"]) <= {-1, 1}
 
 
+@pytest.mark.parametrize("command, flags", [("classical", []), ("recall", ["--T", "5"])])
+def test_every_command_takes_a_negative_seed(tmp_path, capsys, command, flags):
+    # classical folds its seed to 64 bits, as recall's instance seeds do
+    code, _, err = run(capsys, command, "--n", "4", "--p", "2", "--seed", "-3", *flags,
+                       "--out", str(tmp_path / "run"))
+    assert code == 0, err
+    assert json.loads((tmp_path / "run" / "config.json").read_text())["seed"] == -3
+
+
 def test_spectrum_smoke(tmp_path, capsys):
     out = tmp_path / "run"
     code, stdout, _ = run(
@@ -583,8 +592,8 @@ def test_norm_drift_is_numerical_failure(tmp_path, capsys, monkeypatch):
 
     step = evolution._BatchPropagator.step
 
-    def drifting(self, psi, a, b, dt):
-        return step(self, psi, a, b, dt) * (1.0 + 1e-10)
+    def drifting(self, psi, a, b, dt):  # 1e-10 per step, over a planned run of steps
+        return step(self, psi, a, b, dt) * (1.0 + 1e-10) ** np.size(dt)
 
     monkeypatch.setattr(evolution._BatchPropagator, "step", drifting)
     out = tmp_path / "run"

@@ -7,8 +7,8 @@ Such a call raises a ValueError or an ArithmeticError whose message names
 the argument at fault, and a refused writer leaves no file; with every
 argument valid, the call returns. Numbers are read as the CLI reads them, so
 a numeric string or an integral float passes for an integer. Left out: the
-plain records `EnsembleStats`, `RecallOutcome` and `IsingHamiltonian`, the
-exception class `SingularCovarianceError`, file paths, and the fields of
+plain records `EnsembleStats` and `RecallOutcome`, the exception class
+`SingularCovarianceError`, the output paths of the writers, and the fields of
 `ProblemInstance` that `generate_instance` guards before it builds one.
 """
 
@@ -62,6 +62,7 @@ SCHEDULED = (SCHEDULE, [None, 1.0, "linear"], r"schedule")
 QUANTUM = (STATE, [*ARRAY, np.ones(4), np.ones((1, 8))], r"state")
 DRIVER = (H0, [*ARRAY, np.ones((8, 8)), ha.transverse_field_hamiltonian(2)], r"h0")
 WEIGHT = (lambda t: t, [None, 3, "t"], r"weight")
+MEMORY_FILE = object()  # stands for a memory file the test writes under tmp_path
 
 
 # name -> (function, {argument: (valid, invalid, words)})
@@ -70,6 +71,10 @@ CALLS = {
         "total_time": TIME, "driver_weight": WEIGHT, "problem_weight": WEIGHT}),
     "AnnealSchedule.linear": (ha.AnnealSchedule.linear, {"total_time": TIME}),
     "BiasSpec": (ha.BiasSpec, {"input_key": ALONE, "gamma": GAMMA}),
+    "IsingHamiltonian": (ha.IsingHamiltonian, {
+        "couplings": (WEIGHTS, [*ARRAY, np.ones((3, 4)), np.ones((2, 2))], r"couplings"),
+        "fields": (np.zeros(3), [*ARRAY, np.zeros(2)], r"fields"),
+        "n": (3, [*INTEGER, 0, 2, 13], r"\bn\b")}),
     "ProblemInstance": (ha.ProblemInstance, {
         "protocol": PROTOCOL, "n": (3, [*WRONG, 2.5, 4], r"\bn\b"), "memories": SIZED,
         "answer_index": (1, [*INTEGER, -1, 2], r"answer_index"),
@@ -125,6 +130,8 @@ CALLS = {
         "h0": DRIVER, "h1": H1, "schedule": SCHEDULED,
         "t": (0.5, [*REAL, -0.1, 2.0], r"\bt\b")}),
     "ising_hamiltonian": (ha.ising_hamiltonian, {"weights": MATRIX, "bias": BIAS}),
+    "load_memories": (ha.load_memories, {
+        "path": (MEMORY_FILE, [None, 1, 1.5, True, [], {}], r"\bpath\b")}),
     "magnus_step": (ha.magnus_step, {
         "state": QUANTUM, "h0": DRIVER, "diagonal": H1, "schedule": SCHEDULED,
         "t": (0.0, [*REAL, -0.5, 2.0], r"\bt\b|step"), "dt": STEP}),
@@ -171,6 +178,9 @@ def calls(draw):
 @given(calls())
 def test_public_names_refuse_bad_arguments_by_name(tmp_path, call):
     name, kwargs, bad = call
+    if kwargs.get("path") is MEMORY_FILE:
+        kwargs["path"] = tmp_path / "memories.txt"
+        ha.save_memories(MEMORIES, kwargs["path"])
     before = sorted(os.listdir(tmp_path))
     out = tmp_path / f"out-{len(before)}"
     if name in WRITERS:

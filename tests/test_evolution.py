@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -267,14 +269,13 @@ def test_group_rule_keeps_every_combination_on_one_thread(n):
         assert not prop.fold or g == most_terms  # a folded block never reads its own slot
         assert prop.stack.nbytes <= max(mnk * 4, block.nbytes)
         for terms in range(1, most_terms + 1):
-            plan = prop._plan(terms)
-            assert len(plan) == terms
-            combines = [combine for _, combine in plan if combine is not None]
+            slots, coef, rows = prop._plan(terms)
+            assert len(slots) == terms
             if g == 1:  # (-i)^k / k! times u_k, which is always slot 0
-                assert len(combines) == terms
-                assert all(u.base is prop.stack for _, u in combines)
+                assert len(coef) == terms
+                assert all(u.base is prop.stack for u, _ in slots)
+                assert rows.base is prop.stack and rows.shape == (1 << n, columns)
             else:  # both coefficient rows over all the terms' stack rows
-                [(coef, rows)] = combines
                 assert coef.shape == (2, terms) and rows.shape == (terms, block.size)
 
 
@@ -516,14 +517,131 @@ def test_pre_flight_counts_the_steps_evolve_batch_takes(monkeypatch, total_time,
     taken = []
     step = evolution._BatchPropagator.step
 
-    def counted(self, psi, a, b, h):
-        taken.append(h)
+    def counted(self, psi, a, b, h):  # one call per planned run of steps
+        taken.extend(h)
         return step(self, psi, a, b, h)
 
     monkeypatch.setattr(evolution._BatchPropagator, "step", counted)
     assert evolution._check_anneal(3, 2, total_time, dt) == steps
     evolve_batch(np.ones((2, 8)), AnnealSchedule.linear(total_time), dt)
     assert len(taken) == steps
+
+
+def _scalar_plan(diagonals, schedule, dt):
+    """Per step of `evolve_batch`: (sub-steps, Taylor terms, a*h/sub-steps,
+    b*h/sub-steps) by Python-float arithmetic, one step at a time, and the
+    refusal of the first step over the work limit, worded as the propagator
+    words it."""
+    total, d_scale = schedule.total_time, float(np.abs(diagonals).max())
+    n = diagonals.shape[1].bit_length() - 1
+    steps = evolution._check_anneal(n, len(diagonals), total, dt, d_scale)
+    budget, plan = evolution._WORK_LIMIT, []
+    for k in range(steps):
+        t = k * dt
+        h = dt if k < steps - 1 else total - t
+        a = float(schedule.driver_weight(t + h / 2.0))
+        b = float(schedule.problem_weight(t + h / 2.0))
+        rho = abs(h) * (abs(a) * n + abs(b) * d_scale)
+        splits = evolution._splits(rho)
+        if not splits <= budget:
+            return plan, (f"a step of {h:g} at A={a:g}, B={b:g} needs {splits:.3g} sub-steps, "
+                          f"over the {budget:.3g} left of the anneal's 1e+05")
+        budget -= splits
+        plan.append((int(splits), evolution._taylor_terms(rho / splits),
+                     a * (h / splits), b * (h / splits)))
+    return plan, None
+
+
+def _recorded_plan(monkeypatch):
+    """The steps each `_plan_steps` call plans, one list per call."""
+    calls = []
+    plan_steps = evolution._BatchPropagator._plan_steps
+
+    def recorded(self, a, b, h):
+        planned = plan_steps(self, a, b, h)
+        calls.append(list(zip(*planned)))
+        return planned
+
+    monkeypatch.setattr(evolution._BatchPropagator, "_plan_steps", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("total_time, dt, ramp", [
+    (1.05, 0.1, "linear"),         # a shorter last step
+    (1.0 + 1e-11, 0.25, "linear"),  # a remainder under 1e-9 T joins the last step
+    (250.0, 0.1, "linear"),         # 2,500 steps, planned in three runs
+    (250.0, 0.1, "sine"),           # a non-linear ramp
+], ids=["short-last-step", "tiny-remainder", "three-runs", "sine-ramp"])
+def test_planned_steps_equal_the_scalar_formula(monkeypatch, total_time, dt, ramp):
+    # every sub-step count, term count and product scale of the plan equals,
+    # bit for bit, the Python-float arithmetic of one step at a time; the
+    # diagonal's scale (about 300) splits the steps of each ramp into at
+    # least three different sub-step counts
+    rng = np.random.default_rng(3)
+    diagonals = rng.normal(scale=100.0, size=(2, 8))
+    if ramp == "linear":
+        schedule = AnnealSchedule.linear(total_time)
+    else:
+        schedule = AnnealSchedule(total_time, lambda t: np.cos(np.pi * t / (2 * total_time)) ** 2,
+                                  lambda t: np.sin(np.pi * t / (2 * total_time)) ** 2)
+    expected, refusal = _scalar_plan(diagonals, schedule, dt)
+    assert refusal is None and len({s for s, *_ in expected}) >= 3
+    calls = _recorded_plan(monkeypatch)
+    evolve_batch(diagonals, schedule, dt)
+    assert [step for call in calls for step in call] == expected
+    runs = -(-len(expected) // evolution._PLAN_STEPS)
+    assert [len(call) for call in calls[:-1]] == [evolution._PLAN_STEPS] * (runs - 1)
+    assert len(calls) == runs
+
+
+def test_numeric_string_dt_is_read_as_its_number():
+    # the dt guard reads "0.25" as 0.25, and the time loop then uses the number
+    diagonals, schedule = np.arange(16.0).reshape(2, 8), AnnealSchedule.linear(2.0)
+    assert np.array_equal(evolve_batch(diagonals, schedule, "0.25"),
+                          evolve_batch(diagonals, schedule, 0.25))
+
+
+def test_plan_counts_terms_at_every_bound_as_the_scalar_search():
+    # norm bounds on, just under and just over every term bound (a one-qubit
+    # register with a zero diagonal has rho = h exactly), where a right-sided
+    # search or an off-by-one would count one term more or fewer
+    prop = evolution._BatchPropagator(np.zeros((2, 1)), 1.0, 1.0)
+    rhos = [f(rho) for rho in evolution._TERM_BOUNDS
+            for f in (float, lambda r: math.nextafter(r, 0.0), lambda r: math.nextafter(r, 9.0))]
+    splits, terms, a_h, _ = prop._plan_steps(np.ones(len(rhos)), np.zeros(len(rhos)), rhos)
+    expected = [(int(evolution._splits(rho)),
+                 evolution._taylor_terms(rho / evolution._splits(rho)), rho / evolution._splits(rho))
+                for rho in rhos]
+    assert list(zip(splits, terms, a_h)) == expected
+
+
+def test_weight_that_jumps_late_is_refused_with_the_step_message(monkeypatch):
+    # A jumps to 1e300 after step 1,500, in the second planned run: refused
+    # before that run's first product, with the message of its first step over
+    schedule = AnnealSchedule(250.0, lambda t: 1e300 if t > 150.0 else 1.0 - t / 250.0,
+                              lambda t: t / 250.0)
+    diagonals = np.arange(16.0).reshape(2, 8)
+    expected, refusal = _scalar_plan(diagonals, schedule, 0.1)
+    assert len(expected) == 1500 and "A=1e+300" in refusal
+    calls = _recorded_plan(monkeypatch)
+    with pytest.raises(FloatingPointError) as error:
+        evolve_batch(diagonals, schedule, 0.1)
+    assert str(error.value) == refusal
+    assert [step for call in calls for step in call] == expected[:evolution._PLAN_STEPS]
+
+
+@pytest.mark.parametrize("driver, problem, diagonal", [
+    (lambda t: float("nan") if t > 5.0 else 1.0 - t / 10, lambda t: t / 10, np.arange(8.0)),
+    (lambda t: 1.0 - t / 10, lambda t: float("inf"), np.zeros(8)),  # inf * 0 is nan
+    (lambda t: 1.0, lambda t: 1e305, np.full(8, 1e4)),              # rho overflows to inf
+], ids=["nan-driver-mid-run", "inf-times-zero-scale", "overflow"])
+def test_non_finite_plan_is_refused_without_a_warning(driver, problem, diagonal):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="sub-steps, over the"):
+            evolve_batch(diagonal, AnnealSchedule(10.0, driver, problem), 0.1)
 
 
 def test_oversized_block_is_refused_before_any_buffer(monkeypatch):

@@ -201,6 +201,22 @@ def test_async_visit_order_is_seeded():
     assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
 
 
+def test_any_integer_seed_folds_to_64_bits():
+    # a negative seed visits in the order of its 64-bit residue, as
+    # derive_seed and instance_rng read seeds; one sweep keeps the visit
+    # order visible in the state it leaves
+    rng = np.random.default_rng(4)
+    w = hebb_weights(rng.choice([-1, 1], size=(3, 8)))
+    starts = rng.choice([-1, 1], size=(20, 8))
+
+    def sweeps(seed):
+        return [classical_update(z, w, max_sweeps=1, seed=seed)[0].tolist() for z in starts]
+
+    assert sweeps(-3) == sweeps(2**64 - 3) == sweeps("-3")
+    assert sweeps(-3) != sweeps(3)
+    assert sweeps(2**64 + 5) == sweeps(5)
+
+
 def test_update_validation():
     w = np.zeros((2, 2))
     with pytest.raises(ValueError):
