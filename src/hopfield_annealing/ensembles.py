@@ -22,14 +22,15 @@ xi xi^T, projection's Xi^T C^-1 Xi and Storkey's update are unchanged when a
 memory changes sign), so a memory's sign matters only where that memory is
 the target. P_ans is the same for every instance of a class (the
 symmetry-sector idea of exact diagonalization, applied between instances).
-Each instance is first keyed by its canonical form (`_class_key`), a cheap
-exact key. Form classes whose rules store the same Ising problem then merge
-into one landscape (`_class_landscape`): the projection rule stores the
-projector onto the memories' span, so at p = n every set has zero couplings,
-and at p = 1 all three rules store xi xi^T / n. Each landscape is annealed
-once per annealing time with the other landscapes of the sweep in packed
-blocks (see `evolution.evolve_batch`), and its P_ans is scored for every
-member of every class it holds.
+Each instance is first keyed by its canonical form (`_class_keys`, numpy
+passes over batches of an instance set), a cheap exact key. Form classes
+whose rules store the same Ising problem then merge into one landscape
+(`_class_landscape`): the projection rule stores the projector onto the
+memories' span, so at p = n every set has zero couplings, and at p = 1 all
+three rules store xi xi^T / n. Each landscape is annealed once per annealing
+time with the other landscapes of the sweep in packed blocks (see
+`evolution.evolve_batch`), and its P_ans is scored for every member of every
+class it holds.
 
 A sweep forks at most once (`_Workers`): one worker per usable CPU draws and
 keys slices of its instances and builds the landscape of each class it meets
@@ -46,7 +47,7 @@ import os
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import groupby, permutations
 
 import numpy as np
 
@@ -56,10 +57,10 @@ from .evolution import (
     AnnealSchedule, evolve_batch, DEFAULT_DT, _check_anneal, _one_thread_columns,
 )
 from .hamiltonians import ising_hamiltonian, ground_state_mass
-from .instances import ProblemInstance, derive_seed, generate_instance, _validate_request
+from .instances import ProblemInstance, _draw_codes, _instance_seeds, _validate_request
 from .learning import LEARNING_RULES, weights_for_rule
 from .network import BiasSpec
-from .patterns import as_pattern, pattern_to_index
+from .patterns import _code_patterns, as_pattern, pattern_to_index
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -87,13 +88,22 @@ DEFAULT_ENSEMBLE_SIZE = 100
 # T = 50, 2 at T = 1000; n = 8: 2 columns at T = 100); the bound keeps a
 # factor of about 2 for timing noise
 _POOL_MIN_WORK = 1 << 20
-# a sweep draws and keys on the workers from this many instances: two workers
-# (fork, map and join 13-20 ms) broke even at about 200 draws of 180-220 us
-# (n = 5) and 100 of 430 us; the bound keeps a factor of 2 for timing noise
+# a sweep draws and keys on the workers from this many instances. At n = 5
+# over p = 1-5 and 3 gammas a draw with its key and its share of the class
+# landscapes costs 70-150 us from 600 draws on (150-330 us at 150 draws);
+# two workers (fork, map and join 13-20 ms) broke even at 150-300 draws
+# (failure1, projection) and 600-900 (noisy Hebb, failure2 Storkey), and at
+# 400-900 draws won or lost by at most 15 ms, within the runs' spread
 _POOL_MIN_DRAWS = 400
 # class keys search memory orders and the signs of balanced memory rows up to
 # this p: at most 120 orders (failure protocols) times 32 signs (even n)
 _ORDERED_MAX_P = 5
+# a sweep keys at most this many of one set's instances at once, and a keying
+# pass holds at most about this many candidate column codes (instances x
+# signs x orders x n, int64, 8 MB, and as much again sorted), so a key's
+# memory does not grow with N or with the balanced rows of other instances
+_KEY_BATCH = 1024
+_KEY_CODES = 1 << 20
 
 RESULTS_HEADER = [
     "protocol", "rule", "n", "p", "gamma", "T", "N", "x",
@@ -156,8 +166,10 @@ def _code_weights(p: int, head: tuple) -> np.ndarray:
     return weights
 
 
-def _class_key(instance: ProblemInstance) -> tuple:
-    """(rule, gamma, shape, bytes) of the instance's canonical int8 form.
+def _class_keys(protocol: str, rule: str, gamma: float, rows, answers) -> list:
+    """(rule, gamma, shape, bytes) of the canonical int8 form of each instance
+    of one set: `rows` (instances, p + 1, n) stacks each instance's memories
+    and its input key, and `answers` holds the answer indices.
 
     The form is the stacked (memories; input key) matrix with spins flipped so
     the target pattern is all +1, every memory row signed to hold more +1
@@ -166,37 +178,62 @@ def _class_key(instance: ProblemInstance) -> tuple:
     allows and both signs of each balanced memory row is taken: Storkey
     learns in order and keeps its drawn order; Hebb and projection weights
     do not depend on memory order, so the failure protocols, whose target is
-    the key, try every order, and exact and noisy keep the answer first. The
+    the key, try every order, and exact and noisy keep the answer first,
+    which moves to row 0 (the other rows take every order either way). The
     search runs on each column's rows read as one integer, so sorting the
-    columns is sorting the integers. Above _ORDERED_MAX_P the drawn order and
-    the drawn sign of balanced rows are kept. Instances with one key have one
+    columns is sorting the integers, and the smallest sorted candidate is
+    found one column at a time. Above _ORDERED_MAX_P the drawn order and the
+    drawn sign of balanced rows are kept. Instances with one key have one
     P_ans at target index 2^n - 1.
     """
-    p = instance.p
-    rows = np.vstack([instance.memories, instance.input_key]) * instance.target_pattern()
-    sums = rows[:p].sum(axis=1)
-    rows[:p][sums < 0] *= -1  # signs go on the rows before any reordering
+    count, p, n = rows.shape[0], rows.shape[1] - 1, rows.shape[2]
+    failure = protocol in ("failure1", "failure2")
+    each = np.arange(count)
+    rows = rows * (rows[:, p] if failure else rows[each, answers])[:, None, :]
+    sums = rows[:, :p].sum(axis=2)
+    rows[:, :p] *= np.where(sums < 0, -1, 1)[..., None]  # signs go on before any reordering
     if p > _ORDERED_MAX_P:
-        form = rows[:, np.lexsort(rows[::-1])].astype(np.int8)  # row 0 sorts first
-        return instance.rule, instance.gamma, form.shape, form.tobytes()
-    balanced = np.flatnonzero(sums == 0)
-    flips = np.zeros((1 << len(balanced), p + 1, 1), dtype=np.int64)
-    flips[:, balanced, 0] = (np.arange(len(flips))[:, None] >> np.arange(len(balanced))) & 1
-    bits = (rows > 0) ^ flips  # (signs, p + 1, n)
-    if instance.rule == "storkey":
-        head = tuple(range(p))
-    elif instance.protocol in ("failure1", "failure2"):
-        head = ()
+        forms = [r[:, np.lexsort(r[::-1])] for r in rows]  # row 0 sorts first
     else:
-        head = (instance.answer_index,)
-    codes = np.sort(_code_weights(p, head) @ bits, axis=-1).reshape(-1, instance.n)
-    best = codes[np.lexsort(codes.T[::-1])[0]]
-    form = ((best >> np.arange(p, -1, -1)[:, None] & 1) * 2 - 1).astype(np.int8)
-    return instance.rule, instance.gamma, form.shape, form.tobytes()
+        if rule == "storkey":
+            head = tuple(range(p))
+        elif failure:
+            head = ()
+        else:  # row 0 takes the answer, rows 1..answer the rows before it
+            head, i, a = (0,), np.arange(p + 1), np.asarray(answers)[:, None]
+            order = np.where(i == 0, a, i - (i <= a))
+            rows, sums = rows[each[:, None], order], sums[each[:, None], order[:, :p]]
+        weights, balanced = _code_weights(p, head), sums == 0
+        forms, width = np.empty((count, p + 1, n), dtype=np.int64), balanced.sum(axis=1)
+        for b in np.unique(width).tolist():  # an instance with b balanced rows tries 2^b signs
+            group = np.flatnonzero(width == b)
+            size = max(1, _KEY_CODES // ((max(len(weights), p + 1) << b) * n))
+            for part in np.array_split(group, -(-len(group) // size)):
+                forms[part] = _smallest_forms(rows[part], balanced[part], b, weights)
+    return [(rule, gamma, (p + 1, n), form.astype(np.int8).tobytes()) for form in forms]
+
+
+def _smallest_forms(rows, balanced, b: int, weights) -> np.ndarray:
+    """The smallest +-1 form of each instance of `rows` (instances, p + 1, n)
+    over the row orders of `weights` (`_code_weights`) and both signs of each
+    of its b `balanced` memory rows, its spin columns sorted."""
+    count, p, n = rows.shape[0], rows.shape[1] - 1, rows.shape[2]
+    rank = np.maximum(np.cumsum(balanced, axis=1) - 1, 0)  # each balanced row's bit
+    signs = np.arange(1 << b)
+    flips = np.zeros((count, len(signs), p + 1), dtype=bool)  # (instances, signs, rows)
+    flips[..., :p] = balanced[:, None] & (signs[:, None] >> rank[:, None] & 1 == 1)
+    bits = (rows > 0)[:, None] ^ flips[..., None]  # (instances, signs, p + 1, n)
+    codes = np.einsum("or,isrj->isoj", weights, bits)
+    codes = np.sort(codes, axis=-1).reshape(count, -1, n)
+    best, alive = np.empty((count, n), dtype=np.int64), np.ones(codes.shape[:2], dtype=bool)
+    for j in range(n):  # narrow the candidates to the smallest prefix
+        best[:, j] = np.where(alive, codes[..., j], np.iinfo(np.int64).max).min(axis=1)
+        alive &= codes[..., j] == best[:, j, None]
+    return (best[:, None, :] >> np.arange(p, -1, -1)[:, None] & 1) * 2 - 1
 
 
 def _class_landscape(key: tuple):
-    """The landscape of the canonical instance a `_class_key` describes, as
+    """The landscape of the canonical instance a `_class_keys` key describes, as
     (fields, couplings, diagonal): the fields and the weights in a canonical
     qubit order, and H1's diagonal in the form's own order.
 
@@ -255,26 +292,28 @@ class _Workers(AbstractContextManager):
         return (self._pool.map if pooled else map)(fn, items)
 
 
-def _draw_slice(protocol, n, sets, count, anneal_time, master_seed, span):
+def _draw_slice(protocol, n, sets, count, master_seed, span):
     """Draw and key the instances `span` of a sweep's `sets` x `count` list:
     the distinct class keys in order of first appearance, their landscapes
     (`_class_landscape`) as three stacked arrays, and each instance's index
-    into the keys."""
+    into the keys. One set's instances are keyed in batches of `_KEY_BATCH`."""
     index, ids, landscapes = {}, [], ([], [], [])
-    for k in span:
-        rule, p, gi, gamma = sets[k // count]
-        instance = generate_instance(protocol, n, p, rule, gamma, anneal_time,
-                                     seed=derive_seed(master_seed, protocol, p, gi, 0, k % count))
-        key = _class_key(instance)
-        if key not in index:
-            index[key] = len(index)
-            for part, value in zip(landscapes, _class_landscape(key)):
-                part.append(value)
-        ids.append(index[key])
+    philox = np.random.Philox(key=0)  # re-keyed for each instance
+    for (s, _), run in groupby(span, lambda k: (k // count, k % count // _KEY_BATCH)):
+        rule, p, gi, gamma = sets[s]
+        seeds = _instance_seeds(master_seed, protocol, p, gi, 0, (k % count for k in run))
+        draws = [_draw_codes(philox, protocol, n, p, rule, seed) for seed in seeds]
+        rows = _code_patterns([[*codes, key] for codes, _, key in draws], n)
+        for key in _class_keys(protocol, rule, gamma, rows, [a for _, a, _ in draws]):
+            if key not in index:
+                index[key] = len(index)
+                for part, value in zip(landscapes, _class_landscape(key)):
+                    part.append(value)
+            ids.append(index[key])
     return list(index), *map(np.array, landscapes), ids
 
 
-def _draw_classes(workers, protocol, n, sets, count, anneal_time, master_seed):
+def _draw_classes(workers, protocol, n, sets, count, master_seed):
     """A sweep's landscape diagonals in order of first appearance, and each
     instance's landscape id, shape (sets, count), from slices drawn
     in-process or on `workers`.
@@ -293,7 +332,7 @@ def _draw_classes(workers, protocol, n, sets, count, anneal_time, master_seed):
     pooled = workers.count > 1 and total >= _POOL_MIN_DRAWS
     m = 4 * workers.count if pooled else 1  # later, larger-p slices cost more; 4 beat 1
     spans = [range(total * s // m, total * (s + 1) // m) for s in range(m)]
-    draw = partial(_draw_slice, protocol, n, sets, count, anneal_time, master_seed)
+    draw = partial(_draw_slice, protocol, n, sets, count, master_seed)
     classes, buckets, diagonals, ids = {}, {}, [], []
     for keys, fields, couplings, landscapes, local in workers.map(draw, spans, pooled):
         rounded = np.round(couplings, 9) + 0.0
@@ -431,9 +470,7 @@ def _sweep_cells(protocol, n, p_list, rule_gammas, time_list, count, x, dt,
     if not sets or not time_list:  # no cell to anneal, so no instance to draw
         return []
     with _Workers(n) as workers:
-        # draws do not read T, so the first T of the list serves them all
-        diagonals, members = _draw_classes(workers, protocol, n, sets, count, time_list[0],
-                                           master_seed)
+        diagonals, members = _draw_classes(workers, protocol, n, sets, count, master_seed)
         p_ans = _anneal_classes(diagonals, n, time_list, dt, count, steps, workers)
     means = (p_ans[members] >= x).mean(axis=1).tolist()  # (sets, T)
     return [EnsembleStats(protocol=protocol, rule=rule, n=n, p=p, gamma=gamma,

@@ -160,7 +160,12 @@ def answer_overlap(state, answer) -> float:
 
 def ground_state_mass(state, hamiltonian) -> float:
     """Total probability the state assigns to the ground manifold of H1,
-    given as an `IsingHamiltonian` or its diagonal."""
+    given as an `IsingHamiltonian` or its diagonal; a state that is not one
+    amplitude per basis state is a ValueError."""
     diag = _finite_diagonal(hamiltonian)
+    psi = array(state, "state", complex)
+    if psi.shape != diag.shape:
+        raise ValueError(f"state of shape {psi.shape} does not match the problem Hamiltonian's "
+                         f"{diag.size} basis states")
     members = np.abs(diag - diag.min()) <= DEGENERACY_TOL
-    return float(np.sum(np.abs(np.asarray(state)[members]) ** 2))
+    return float(np.sum(np.abs(psi[members]) ** 2))

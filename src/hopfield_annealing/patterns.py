@@ -77,16 +77,20 @@ def pattern_to_index(pattern) -> int:
 def index_to_pattern(index: int, n: int) -> np.ndarray:
     """Spin pattern encoded by a little-endian basis index."""
     n = integer(n, "n", 0)
-    index = integer(index, "index", 0, (1 << n) - 1)
-    bits = (index >> np.arange(n)) & 1
-    return (2 * bits - 1).astype(np.int64)
+    return _code_patterns(integer(index, "index", 0, (1 << n) - 1), n)
 
 
 def all_patterns(n: int) -> np.ndarray:
     """All 2**n spin patterns, row s = pattern of basis index s."""
-    idx = np.arange(1 << n)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int64)
+    return _code_patterns(np.arange(1 << n), n)
+
+
+def _code_patterns(codes, n: int) -> np.ndarray:
+    """The int64 patterns of the basis indices `codes`, of any shape, along a
+    new last axis of n spins; past 63 spins the codes stay Python ints."""
+    kind = np.int64 if n < 64 else object
+    bits = np.asarray(codes, dtype=kind)[..., None] >> np.arange(n).astype(kind) & 1
+    return 2 * bits.astype(np.int64) - 1
 
 
 def random_pattern(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hopfield_annealing as ha
+from hopfield_annealing.hamiltonians import ground_state_mass
 from hopfield_annealing.patterns import index_to_pattern
 
 NAN, INF = float("nan"), float("inf")
@@ -119,6 +120,7 @@ CALLS = {
     "generate_instance": (ha.generate_instance, {
         "protocol": PROTOCOL, "n": SIZE, "p": COUNT, "rule": RULE, "gamma": GAMMA,
         "anneal_time": TIME, "seed": SEED}),
+    "ground_state_mass": (ground_state_mass, {"state": QUANTUM, "hamiltonian": H1}),
     "hadamard_memories": (ha.hadamard_memories, {
         "n": (4, [*INTEGER, 0, 3], r"\bn\b"), "p": (2, [*WRONG[1:], *INTEGER[4:], 0, 5],
                                                       r"\bp\b")}),

@@ -24,7 +24,7 @@ from hopfield_annealing.ensembles import (
     success_indicator,
     write_results_csv,
     _ORDERED_MAX_P,
-    _class_key,
+    _class_keys,
     _sweep_cells,
 )
 from hopfield_annealing.evolution import AnnealSchedule, evolve_batch
@@ -37,6 +37,13 @@ from hopfield_annealing.instances import (
 )
 from hopfield_annealing.learning import LEARNING_RULES
 from hopfield_annealing.patterns import overlapping_memories, pattern_to_index
+
+
+def class_key(instance):
+    """The class key of one instance, a batch of one."""
+    rows = np.vstack([instance.memories, instance.input_key])
+    return _class_keys(instance.protocol, instance.rule, instance.gamma, rows[None],
+                       [instance.answer_index])[0]
 
 
 def quick_instance(rule="hebb", gamma=0.3, T=60.0):
@@ -118,7 +125,30 @@ def no_draws(monkeypatch):
     def no_draw(*args, **kw):
         raise AssertionError("an instance was drawn")
 
-    monkeypatch.setattr(ensembles, "generate_instance", no_draw)
+    monkeypatch.setattr(ensembles, "_draw_codes", no_draw)
+
+
+def recorded_draws(monkeypatch):
+    """The (protocol, n, p, rule, seed) request of each instance a sweep draws
+    in this process, in order, recorded at the draw seam of ensembles."""
+    requests, real_draw = [], ensembles._draw_codes
+
+    def draw(philox, *request):
+        requests.append(request)
+        return real_draw(philox, *request)
+
+    monkeypatch.setattr(ensembles, "_draw_codes", draw)
+    return requests
+
+
+def rebuilt(requests, sets, count, anneal_time):
+    """`generate_instance` of each recorded request, with the gamma of its
+    set: the requests run through `sets` (rule, p, gamma), `count` each."""
+    assert [(rule, p) for _, _, p, rule, _ in requests] == [
+        (rule, p) for rule, p, _ in sets for _ in range(count)]
+    return [generate_instance(protocol, n, p, rule, gamma, anneal_time, seed=seed)
+            for (protocol, n, p, rule, seed), (_, _, gamma)
+            in zip(requests, [cell for cell in sets for _ in range(count)])]
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -219,20 +249,13 @@ def test_anneal_sweep_reuses_instances_across_times(monkeypatch):
     # the sweep must anneal the *same* instances at every T, drawn once per
     # (p, gamma); run_ensemble derives seeds the same way, so each cell must
     # match it exactly
-    import hopfield_annealing.ensembles as ensembles
-
-    draws = []
-
-    def counted(*args, **kw):
-        draws.append(kw["seed"])
-        return generate_instance(*args, **kw)
-
-    monkeypatch.setattr(ensembles, "generate_instance", counted)
+    requests = recorded_draws(monkeypatch)
     p_list, count = [1, 2], 4
     for times in ([40.0, 90.0], [20.0, 60.0, 150.0]):
-        draws.clear()
+        requests.clear()
         sweep = anneal_time_sweep("exact", 4, p_list, "hebb", 0.5, times, count=count,
                                   master_seed=17)
+        draws = [seed for *_, seed in requests]
         assert len(draws) == len(set(draws)) == len(p_list) * count
         cells = [(p, T) for p in p_list for T in times]
         assert [(s.p, s.anneal_time) for s in sweep] == cells
@@ -294,7 +317,7 @@ def test_class_key_is_invariant_under_signed_relabelling(protocol, rule):
         inst = generate_instance(protocol, n, p, rule, 0.4, 30.0, seed=int(rng.integers(2**63)))
         reorder = rule != "storkey" and p <= _ORDERED_MAX_P
         other = _signed_relabelling(inst, rng, reorder=reorder)
-        assert _class_key(other) == _class_key(inst)
+        assert class_key(other) == class_key(inst)
         assert run_instance(other).p_ans == pytest.approx(run_instance(inst).p_ans,
                                                           abs=1e-12, rel=0)
 
@@ -333,7 +356,7 @@ def test_class_key_merges_exactly_what_a_brute_force_search_merges(protocol):
                                                seed=derive_seed(5, protocol, p, 0, 0, i))
                              for i in range(40)]
                 keys, brute = {}, {}
-                assert ([keys.setdefault(_class_key(i), len(keys)) for i in instances]
+                assert ([keys.setdefault(class_key(i), len(keys)) for i in instances]
                         == [brute.setdefault(_brute_force_key(i), len(brute))
                             for i in instances])
 
@@ -353,7 +376,7 @@ def test_class_key_keeps_storkey_memory_order():
             order[[inst.answer_index, slot]] = [slot, inst.answer_index]
             swapped = replace(inst, memories=inst.memories[order], answer_index=slot)
             up_to_sign = abs(inst.answer @ inst.memories[slot]) == inst.n
-            same = _class_key(swapped) == _class_key(inst)
+            same = class_key(swapped) == class_key(inst)
             assert same == (rule == "hebb" or up_to_sign)
             if up_to_sign:
                 assert run_instance(swapped).p_ans == pytest.approx(
@@ -392,12 +415,8 @@ def test_single_memory_rules_anneal_one_landscape_per_gamma(monkeypatch):
     # at p = 1 Hebb, Storkey and projection all store xi xi^T / n, so a
     # three-rule sweep anneals one landscape per gamma, and every instance's
     # P_ans, read through its landscape, is run_instance's to 1e-12
-    drawn, plans, results = [], [], []
+    plans, results = [], []
     real_draw, real_classes = ensembles._draw_classes, ensembles._anneal_classes
-
-    def counted(*args, **kw):
-        drawn.append(generate_instance(*args, **kw))
-        return drawn[-1]
 
     def draw_classes(*args):
         plans.append(real_draw(*args))
@@ -407,13 +426,15 @@ def test_single_memory_rules_anneal_one_landscape_per_gamma(monkeypatch):
         results.append(real_classes(*args))
         return results[-1]
 
-    monkeypatch.setattr(ensembles, "generate_instance", counted)
+    requests = recorded_draws(monkeypatch)
     monkeypatch.setattr(ensembles, "_draw_classes", draw_classes)
     monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
     gammas, times, count = [0.1, 0.6], [20.0, 60.0], 4
     _sweep_cells("exact", 5, [1], dict.fromkeys(LEARNING_RULES, gammas), times, count,
                  0.5, 0.1, 9)
     [(diagonals, ids)], [p_ans] = plans, results
+    drawn = rebuilt(requests, [(rule, 1, g) for rule in LEARNING_RULES for g in gammas], count,
+                    times[0])
     assert len(diagonals) == len(gammas) and p_ans.shape == (len(gammas), len(times))
     assert np.array_equal(ids, np.repeat(np.tile(np.arange(len(gammas)), 3), count).reshape(-1, count))
     for inst, landscape in zip(drawn, ids.flat):
@@ -427,12 +448,8 @@ def test_every_instance_reads_its_own_p_ans_through_its_landscape(monkeypatch, p
     # a landscape holds classes of other keys, rules and qubit orders; each
     # drawn instance's P_ans, read through its landscape id, is its own
     # anneal's to 1e-12. gamma = 0 zeroes every field, so keys merge too
-    drawn, plans, results = [], [], []
+    plans, results = [], []
     real_draw, real_classes = ensembles._draw_classes, ensembles._anneal_classes
-
-    def counted(*args, **kw):
-        drawn.append(generate_instance(*args, **kw))
-        return drawn[-1]
 
     def draw_classes(*args):
         plans.append(real_draw(*args))
@@ -442,13 +459,15 @@ def test_every_instance_reads_its_own_p_ans_through_its_landscape(monkeypatch, p
         results.append(real_classes(*args))
         return results[-1]
 
-    monkeypatch.setattr(ensembles, "generate_instance", counted)
+    requests = recorded_draws(monkeypatch)
     monkeypatch.setattr(ensembles, "_draw_classes", draw_classes)
     monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
     _sweep_cells(protocol, 5, [2, 3, 5], dict.fromkeys(LEARNING_RULES, [0.0, 0.4]), [8.0], 6,
                  0.5, 0.1, 21)
     [(diagonals, ids)], [p_ans] = plans, results
-    assert len(diagonals) < len({_class_key(inst) for inst in drawn})
+    drawn = rebuilt(requests, [(rule, p, g) for rule in LEARNING_RULES for p in [2, 3, 5]
+                               for g in [0.0, 0.4]], 6, 8.0)
+    assert len(diagonals) < len({class_key(inst) for inst in drawn})
     for inst, landscape in zip(drawn, ids.flat):
         assert abs(p_ans[landscape, 0] - run_instance(inst).p_ans) <= 1e-12
 
@@ -516,7 +535,7 @@ def test_pooled_and_one_cpu_draws_pick_the_same_representatives(monkeypatch, poo
 
     sets = [(rule, p, gi, g) for rule, grid in rule_gammas.items() for p in [1, 5]
             for gi, g in enumerate(grid)]
-    forms, _, _, form_diagonals, form_ids = ensembles._draw_slice("exact", 5, sets, 12, 2.0, 6,
+    forms, _, _, form_diagonals, form_ids = ensembles._draw_slice("exact", 5, sets, 12, 6,
                                                                   range(len(ids.flat)))
     first = {}
     for form, landscape in zip(form_ids, ids.flat):
@@ -534,18 +553,14 @@ def test_packed_sweep_matches_every_instance_annealed_alone(monkeypatch):
     # anneal fewer columns than it has instances, as classes merge
     import hopfield_annealing.ensembles as ensembles
 
-    drawn, columns = [], []
-
-    def counted(*args, **kw):
-        drawn.append(generate_instance(*args, **kw))
-        return drawn[-1]
+    columns = []
 
     def anneal(diagonals, targets, anneal_time, dt):
         columns.append(len(diagonals))
         return real_anneal(diagonals, targets, anneal_time, dt)
 
     real_anneal = ensembles._anneal
-    monkeypatch.setattr(ensembles, "generate_instance", counted)
+    requests = recorded_draws(monkeypatch)
     monkeypatch.setattr(ensembles, "_anneal", anneal)
     rule_gammas = {"hebb": [0.2, 0.6], "projection": [0.1, 0.5]}
     p_list, times, count, x = [1, 3], [15.0, 45.0], 6, 0.5
@@ -554,6 +569,7 @@ def test_packed_sweep_matches_every_instance_annealed_alone(monkeypatch):
 
     cells = [(rule, p, gi, gamma) for rule, grid in rule_gammas.items()
              for p in p_list for gi, gamma in enumerate(grid)]
+    drawn = rebuilt(requests, [(rule, p, gamma) for rule, p, _, gamma in cells], count, times[0])
     assert [(i.rule, i.p, i.gamma, i.seed) for i in drawn] == [
         (rule, p, gamma, derive_seed(11, "exact", p, gi, 0, i))
         for rule, p, gi, gamma in cells for i in range(count)
@@ -792,7 +808,7 @@ def test_pooled_draws_match_in_process_draws(monkeypatch, tmp_path, pools, worke
     # one phase pools or both, and every instance is drawn on a worker
     drawn, anneals = [], []
     real_draw, real_classes = ensembles._draw_classes, ensembles._anneal_classes
-    real_anneal = ensembles._anneal
+    real_anneal, real_draw_codes = ensembles._anneal, ensembles._draw_codes
 
     def draw_classes(*args):
         drawn.append(real_draw(*args))
@@ -802,10 +818,10 @@ def test_pooled_draws_match_in_process_draws(monkeypatch, tmp_path, pools, worke
         anneals.append(diagonals)
         return real_classes(diagonals, *args)
 
-    def draw(*args, **kw):  # one byte per draw, in a file named by its process
+    def draw(*args):  # one byte per draw, in a file named by its process
         with open(tmp_path / f"draws.{os.getpid()}", "a") as fh:
             fh.write(".")
-        return generate_instance(*args, **kw)
+        return real_draw_codes(*args)
 
     def anneal(*args):  # a file per process that anneals
         (tmp_path / f"anneal.{os.getpid()}").touch()
@@ -813,7 +829,7 @@ def test_pooled_draws_match_in_process_draws(monkeypatch, tmp_path, pools, worke
 
     monkeypatch.setattr(ensembles, "_draw_classes", draw_classes)
     monkeypatch.setattr(ensembles, "_anneal_classes", anneal_classes)
-    monkeypatch.setattr(ensembles, "generate_instance", draw)
+    monkeypatch.setattr(ensembles, "_draw_codes", draw)
     monkeypatch.setattr(ensembles, "_anneal", anneal)
     monkeypatch.setattr(ensembles, "_POOL_MIN_DRAWS", 0)
     sweeps = [(0, ("noisy", 5, [2, 4], {"hebb": [0.3], "storkey": [0.2, 0.5]}, [5.0, 12.0], 7)),
@@ -849,14 +865,14 @@ def test_draw_failure_in_a_worker_keeps_its_type_and_exit_code(monkeypatch, tmp_
     # type and message, so the CLI exits 2; no worker outlives the failure
     from hopfield_annealing.cli import main
 
-    parent = os.getpid()
+    parent, real_draw = os.getpid(), ensembles._draw_codes
 
-    def draw(*args, **kw):
+    def draw(*args):
         if os.getpid() != parent:
             raise ValueError("could not draw in a worker")
-        return generate_instance(*args, **kw)
+        return real_draw(*args)
 
-    monkeypatch.setattr(ensembles, "generate_instance", draw)
+    monkeypatch.setattr(ensembles, "_draw_codes", draw)
     monkeypatch.setattr(ensembles, "_POOL_MIN_DRAWS", 0)
     with pytest.raises(ValueError, match="could not draw in a worker"):
         _sweep_cells("exact", 5, [4, 5], {"hebb": [0.3]}, [5.0], 40, 0.5, 0.1, 3)

@@ -184,3 +184,9 @@ def test_ground_state_mass_takes_the_diagonal():
     diag[5] = np.nan
     with pytest.raises(FloatingPointError, match="problem Hamiltonian is not finite"):
         ground_state_mass(psi, diag)
+
+
+@pytest.mark.parametrize("state", ["a", None, np.ones(3), np.ones((4, 4)), np.ones((1, 4))])
+def test_ground_state_mass_refuses_a_state_that_is_not_one_amplitude_per_basis_state(state):
+    with pytest.raises(ValueError, match="^state"):
+        ground_state_mass(state, np.array([0.0, 1.0, 2.0, 0.0]))

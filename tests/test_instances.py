@@ -7,6 +7,7 @@ import pytest
 from hopfield_annealing.ensembles import bias_sweep
 from hopfield_annealing.instances import (
     PROTOCOLS,
+    _Keystream,
     _draw_memory_set,
     derive_seed,
     generate_exact_instance,
@@ -157,7 +158,7 @@ def test_failure_draw_redraws_a_set_no_key_fits():
     # the draw moves on to a set with a pattern at distance 2, and the n = 4
     # sweep that holds it runs
     seed = derive_seed(20587, "failure2", 4, 0, 0, 44)
-    first = _draw_memory_set(instance_rng(seed), 4, 4, "hebb")
+    first = all_patterns(4)[_draw_memory_set(_Keystream(seed, np.random.Philox()), 4, 4, "hebb")]
     nearest = np.count_nonzero(all_patterns(4)[:, None, :] != first, axis=2).min(axis=1)
     assert 2 not in nearest
     inst = generate_instance("failure2", 4, 4, "hebb", 0.4, 50.0, seed=seed)

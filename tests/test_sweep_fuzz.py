@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hopfield_annealing.ensembles as ensembles
-from hopfield_annealing.instances import generate_instance
 from hopfield_annealing.learning import LEARNING_RULES
 
 # values of no argument: wrong types, and numbers that are not finite
@@ -88,9 +87,8 @@ def calls(draw):
 @given(calls())
 def test_sweep_entry_points_refuse_bad_arguments_by_name(monkeypatch, call):
     name, kwargs, bad = call
-    drawn = []
-    monkeypatch.setattr(ensembles, "generate_instance",
-                        lambda *a, **kw: drawn.append(1) or generate_instance(*a, **kw))
+    drawn, real_draw = [], ensembles._draw_codes
+    monkeypatch.setattr(ensembles, "_draw_codes", lambda *a: drawn.append(1) or real_draw(*a))
     try:
         stats = getattr(ensembles, name)(**kwargs)
     except (ValueError, ArithmeticError) as error:
