@@ -33,14 +33,15 @@ time with the other landscapes of the sweep in packed blocks (see
 class it holds.
 
 A sweep forks at most once (`_Workers`): one worker per usable CPU draws and
-keys slices of its instances and builds the landscape of each class it meets
-first (`_draw_classes`), then anneals the landscapes in near-equal blocks in
-order of first appearance (`_anneal_classes`); each phase stays in-process
-on one CPU, at n = 12 and below its break-even. A pooled block can be
-narrower than an in-process one, and a block's largest |diagonal| sets its
-Taylor term and split counts, so a pooled P_ans may differ from the
-in-process one by about 1e-11; a thresholded result moves only for an
-instance that close to x.
+keys slices of its instances and returns one landscape row per class it
+meets, with each instance's row, so class keys never leave the worker; the
+rows merge into landscapes in slice order (`_draw_classes`), which anneal in
+near-equal blocks in order of first appearance (`_anneal_classes`); each
+phase stays in-process on one CPU, at n = 12 and below its break-even. A
+pooled block can be narrower than an in-process one, and a block's largest
+|diagonal| sets its Taylor term and split counts, so a pooled P_ans may
+differ from the in-process one by about 1e-11; a thresholded result moves
+only for an instance that close to x.
 """
 
 import os
@@ -56,7 +57,7 @@ from ._guards import integer, real, sequence, typed
 from .evolution import (
     AnnealSchedule, evolve_batch, DEFAULT_DT, _check_anneal, _one_thread_columns,
 )
-from .hamiltonians import ising_hamiltonian, ground_state_mass
+from .hamiltonians import ising_hamiltonian, ground_state_mass, _float_noise
 from .instances import ProblemInstance, _draw_codes, _instance_seeds, _validate_request
 from .learning import LEARNING_RULES, weights_for_rule
 from .network import BiasSpec
@@ -80,20 +81,12 @@ __all__ = [
 DEFAULT_THRESHOLD = 2.0 / 3.0
 DEFAULT_ENSEMBLE_SIZE = 100
 
-# a sweep whose draws ran in-process splits its landscapes over worker
-# processes only if every block keeps at least this much work, its amplitudes
-# (columns << n) times the steps of all its anneals: below it the pool's
-# start-up (fork, pickling, join; about 20-60 ms) outweighs the halved
-# per-step work. Two workers broke even at 4e5-6e5 (n = 5: 24 columns at
-# T = 50, 2 at T = 1000; n = 8: 2 columns at T = 100); the bound keeps a
-# factor of about 2 for timing noise
+# a sweep whose draws ran in-process pools its anneals only if every pooled
+# block keeps this much work, its amplitudes (columns << n) times the steps
+# of all its anneals: two workers broke even at about 5e5
 _POOL_MIN_WORK = 1 << 20
-# a sweep draws and keys on the workers from this many instances. At n = 5
-# over p = 1-5 and 3 gammas a draw with its key and its share of the class
-# landscapes costs 70-150 us from 600 draws on (150-330 us at 150 draws);
-# two workers (fork, map and join 13-20 ms) broke even at 150-300 draws
-# (failure1, projection) and 600-900 (noisy Hebb, failure2 Storkey), and at
-# 400-900 draws won or lost by at most 15 ms, within the runs' spread
+# a sweep draws and keys on the workers from this many instances: two
+# workers broke even at 150-900 draws
 _POOL_MIN_DRAWS = 400
 # class keys search memory orders and the signs of balanced memory rows up to
 # this p: at most 120 orders (failure protocols) times 32 signs (even n)
@@ -233,25 +226,28 @@ def _smallest_forms(rows, balanced, b: int, weights) -> np.ndarray:
 
 
 def _class_landscape(key: tuple):
-    """The landscape of the canonical instance a `_class_keys` key describes, as
-    (fields, couplings, diagonal): the fields and the weights in a canonical
-    qubit order, and H1's diagonal in the form's own order.
+    """The landscape row of the canonical instance a `_class_keys` key
+    describes, (bucket, couplings, diagonal): the bytes of the fields and of
+    the weights rounded to 1e-9, both in a canonical qubit order, the weights
+    in that order, and H1's diagonal in the form's own order.
 
     The fields are gamma times the key, whose target is all +1, so every
     qubit permutation keeps the target and P_ans, and equal fields mean an
     equal gamma. The canonical order is a stable sort of the qubits by
-    field, then by their sorted row of weights rounded to 1e-9; qubits that
-    tie keep their form order, so two landscapes that differ only in a tied
-    order are not merged, which costs a column and never a wrong P_ans.
+    field, then by their sorted row of rounded weights; qubits that tie keep
+    their form order, so two landscapes that differ only in a tied order are
+    not merged, which costs a column and never a wrong P_ans.
     """
     rule, gamma, shape, data = key
     form = np.frombuffer(data, dtype=np.int8).reshape(shape)
     weights = weights_for_rule(rule, form[:-1])
     bias = BiasSpec(input_key=form[-1], gamma=gamma)
     fields = bias.thresholds + 0.0  # + 0.0 turns -0.0 into 0.0, also below
-    rows = np.sort(np.round(weights, 9), axis=1) + 0.0
-    order = np.lexsort([*rows.T[::-1], fields])  # the last key sorts first
-    return fields[order], weights[np.ix_(order, order)], ising_hamiltonian(weights, bias).diagonal()
+    rounded = np.round(weights, 9) + 0.0
+    order = np.lexsort([*np.sort(rounded, axis=1).T[::-1], fields])  # the last key sorts first
+    square = np.ix_(order, order)
+    return (fields[order].tobytes() + rounded[square].tobytes(), weights[square],
+            ising_hamiltonian(weights, bias).diagonal())
 
 
 def _usable_cpus() -> int:
@@ -294,23 +290,19 @@ class _Workers(AbstractContextManager):
 
 def _draw_slice(protocol, n, sets, count, master_seed, span):
     """Draw and key the instances `span` of a sweep's `sets` x `count` list:
-    the distinct class keys in order of first appearance, their landscapes
-    (`_class_landscape`) as three stacked arrays, and each instance's index
-    into the keys. One set's instances are keyed in batches of `_KEY_BATCH`."""
-    index, ids, landscapes = {}, [], ([], [], [])
+    one landscape row (`_class_landscape`) per distinct class key, in order
+    of first appearance, and each instance's index into the rows. One set's
+    instances are keyed in batches of `_KEY_BATCH`."""
+    index, ids = {}, []
     philox = np.random.Philox(key=0)  # re-keyed for each instance
     for (s, _), run in groupby(span, lambda k: (k // count, k % count // _KEY_BATCH)):
         rule, p, gi, gamma = sets[s]
         seeds = _instance_seeds(master_seed, protocol, p, gi, 0, (k % count for k in run))
         draws = [_draw_codes(philox, protocol, n, p, rule, seed) for seed in seeds]
         rows = _code_patterns([[*codes, key] for codes, _, key in draws], n)
-        for key in _class_keys(protocol, rule, gamma, rows, [a for _, a, _ in draws]):
-            if key not in index:
-                index[key] = len(index)
-                for part, value in zip(landscapes, _class_landscape(key)):
-                    part.append(value)
-            ids.append(index[key])
-    return list(index), *map(np.array, landscapes), ids
+        ids += [index.setdefault(key, len(index))
+                for key in _class_keys(protocol, rule, gamma, rows, [a for _, a, _ in draws])]
+    return [_class_landscape(key) for key in index], ids
 
 
 def _draw_classes(workers, protocol, n, sets, count, master_seed):
@@ -318,38 +310,37 @@ def _draw_classes(workers, protocol, n, sets, count, master_seed):
     instance's landscape id, shape (sets, count), from slices drawn
     in-process or on `workers`.
 
-    Class keys merge exactly. A class whose fields equal a landscape's and
-    whose couplings round to the same values at 1e-9 is a candidate; it
-    joins the first candidate whose couplings all agree with its own within
-    64 eps max(1, max|w|), the tolerance of `spectrum._groups`: float noise
-    in the weights is at most about 20 eps, while distinct rational
-    couplings differ by about 1e-7 or more. Otherwise it starts a landscape,
-    whose diagonal is its own. The slices merge in order, each as it comes
-    in, so the landscapes, their representatives and every id are those of
-    one in-process pass.
+    A row whose bucket (`_class_landscape`) equals a landscape's is a
+    candidate; it joins the first candidate whose couplings all agree with
+    its own within `hamiltonians._float_noise`, the tolerance of
+    `spectrum._groups`: float noise in the weights is at most about 20 eps,
+    while distinct rational couplings differ by about 1e-7 or more.
+    Otherwise it starts a landscape, whose diagonal is its own. The slices
+    merge in order, each as it comes in; candidates are only appended, so a
+    class key met again in a later slice, whose row is bit-identical, joins
+    the landscape of its first row, and the landscapes, their
+    representatives and every id are those of one in-process pass.
     """
     total = len(sets) * count
     pooled = workers.count > 1 and total >= _POOL_MIN_DRAWS
     m = 4 * workers.count if pooled else 1  # later, larger-p slices cost more; 4 beat 1
     spans = [range(total * s // m, total * (s + 1) // m) for s in range(m)]
     draw = partial(_draw_slice, protocol, n, sets, count, master_seed)
-    classes, buckets, diagonals, ids = {}, {}, [], []
-    for keys, fields, couplings, landscapes, local in workers.map(draw, spans, pooled):
-        rounded = np.round(couplings, 9) + 0.0
-        for i, key in enumerate(keys):
-            if key in classes:
-                continue
-            tol = 64 * np.finfo(np.float64).eps * max(1.0, float(np.abs(couplings[i]).max()))
-            candidates = buckets.setdefault((fields[i].tobytes(), rounded[i].tobytes()), [])
+    buckets, diagonals, ids = {}, [], []
+    for rows, local in workers.map(draw, spans, pooled):
+        landscapes = []
+        for bucket, couplings, diagonal in rows:
+            tol = _float_noise(couplings)
+            candidates = buckets.setdefault(bucket, [])
             for landscape, other in candidates:
-                if np.abs(other - couplings[i]).max() <= tol:
+                if np.abs(other - couplings).max() <= tol:
                     break
             else:
                 landscape = len(diagonals)
-                candidates.append((landscape, couplings[i]))
-                diagonals.append(landscapes[i])
-            classes[key] = landscape
-        ids += [classes[keys[i]] for i in local]
+                candidates.append((landscape, couplings))
+                diagonals.append(diagonal)
+            landscapes.append(landscape)
+        ids += [landscapes[i] for i in local]
     return np.array(diagonals), np.reshape(ids, (len(sets), count))
 
 

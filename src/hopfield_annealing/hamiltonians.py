@@ -44,6 +44,11 @@ MAX_QUBITS = 12
 DEGENERACY_TOL = 1e-9
 
 
+def _float_noise(values) -> float:
+    """How far float noise may move `values`: 64 eps max(1, max|x|)."""
+    return 64 * np.finfo(np.float64).eps * max(1.0, float(np.abs(values).max()))
+
+
 class QubitBudgetError(ValueError):
     """Register size would exceed the dense-simulation cap."""
 

@@ -68,10 +68,11 @@ def hamming_distance(a, b) -> int:
 
 
 def pattern_to_index(pattern) -> int:
-    """Little-endian basis index of a pattern (spin i -> bit 2**i)."""
+    """Little-endian basis index of a pattern (spin i -> bit 2**i); past 63
+    spins the sum runs on Python ints."""
     z = as_pattern(pattern)
-    bits = (z + 1) // 2
-    return int(np.sum(bits << np.arange(z.size)))
+    kind = np.int64 if z.size < 64 else object
+    return int(np.sum(((z + 1) // 2).astype(kind) << np.arange(z.size).astype(kind)))
 
 
 def index_to_pattern(index: int, n: int) -> np.ndarray:

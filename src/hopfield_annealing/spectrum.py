@@ -56,6 +56,7 @@ from .hamiltonians import (
     _check_driver,
     _check_qubit_count,
     _finite_diagonal,
+    _float_noise,
     _register_size,
 )
 
@@ -117,7 +118,7 @@ def _groups(d: np.ndarray) -> tuple[list, int]:
     """Qubit groups and flip mask; each qubit joins the first group, plainly
     before flipped, whose representatives leave d unchanged within the
     tolerance of the module docstring, or starts a group of its own."""
-    tol = 64 * np.finfo(np.float64).eps * max(1.0, float(np.abs(d).max()))
+    tol = _float_noise(d)
     index = np.arange(d.size)
     groups, flip = [], 0
     for q in range(_register_size(d.size)):

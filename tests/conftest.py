@@ -58,3 +58,22 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     return started
+
+
+@pytest.fixture
+def keyed_slice(monkeypatch):
+    """`ensembles._draw_slice(*args)` as (class keys, rows, ids): the key of
+    each row, recorded as `_class_landscape` builds the row."""
+    keys, real_landscape = [], ensembles._class_landscape
+
+    def class_landscape(key):
+        keys.append(key)
+        return real_landscape(key)
+
+    def draw(*args):
+        keys.clear()
+        rows, ids = ensembles._draw_slice(*args)
+        return list(keys), rows, ids
+
+    monkeypatch.setattr(ensembles, "_class_landscape", class_landscape)
+    return draw

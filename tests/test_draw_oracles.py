@@ -303,18 +303,21 @@ def test_keys_of_a_large_even_n_batch_keep_memory_bounded():
 
 
 @pytest.mark.parametrize("protocol", ["exact", "failure2"])
-def test_keys_split_into_parts_and_batches_are_the_keys_of_one_pass(monkeypatch, protocol):
+def test_keys_split_into_parts_and_batches_are_the_keys_of_one_pass(monkeypatch, keyed_slice,
+                                                                   protocol):
     # parts of a few instances, and a sweep keying batches of 7 instances of
-    # a 12-instance set, give the same keys, landscapes and ids
+    # a 12-instance set, give the same keys, landscape rows and ids
     rows = failure_rows(60, 4, 3, 5)
     if protocol == "exact":
         rows[:, 3] = rows[:, 1]
     keys = _class_keys(protocol, "hebb", 0.4, rows, [1] * len(rows))
     sets = [("projection", 3, 0, 0.4), ("hebb", 3, 0, 0.2), ("storkey", 6, 1, 0.2)]
-    whole = ensembles._draw_slice(protocol, 4, sets, 12, 6, range(36))
+    whole = keyed_slice(protocol, 4, sets, 12, 6, range(36))
     monkeypatch.setattr(ensembles, "_KEY_CODES", 100)
     monkeypatch.setattr(ensembles, "_KEY_BATCH", 7)
     assert _class_keys(protocol, "hebb", 0.4, rows, [1] * len(rows)) == keys
-    parts = ensembles._draw_slice(protocol, 4, sets, 12, 6, range(36))
-    assert parts[0] == whole[0] and parts[4] == whole[4]
-    assert all(np.array_equal(a, b) for a, b in zip(parts[1:4], whole[1:4]))
+    parts = keyed_slice(protocol, 4, sets, 12, 6, range(36))
+    assert parts[0] == whole[0] and parts[2] == whole[2] and len(parts[1]) == len(whole[1])
+    for (bucket, couplings, diagonal), row in zip(parts[1], whole[1]):
+        assert bucket == row[0]
+        assert np.array_equal(couplings, row[1]) and np.array_equal(diagonal, row[2])

@@ -509,20 +509,28 @@ def test_landscapes_merge_only_within_float_noise(monkeypatch, delta, merged):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_pooled_and_one_cpu_draws_pick_the_same_representatives(monkeypatch, pools, workers):
+def test_pooled_and_one_cpu_draws_pick_the_same_representatives(monkeypatch, pools, keyed_slice,
+                                                                workers):
     # exact projection sets at p = 5 and n = 5 all store zero couplings, and
     # p = 1 sets store the same weights under every rule: both merge form
     # classes whose diagonals differ. Pooled over `workers` or on one CPU,
     # each landscape anneals the diagonal of its first form class in the
     # order of one in-process pass, and every instance gets the same id
-    plans = []
-    real_draw = ensembles._draw_classes
+    plans, spans = [], []
+    real_draw, real_map = ensembles._draw_classes, ensembles._Workers.map
 
     def draw_classes(*args):
         plans.append(real_draw(*args))
         return plans[-1]
 
+    def map_slices(self, fn, items, pooled):
+        items = list(items)
+        if fn.func is ensembles._draw_slice:
+            spans.append(items)
+        return real_map(self, fn, items, pooled)
+
     monkeypatch.setattr(ensembles, "_draw_classes", draw_classes)
+    monkeypatch.setattr(ensembles._Workers, "map", map_slices)
     monkeypatch.setattr(ensembles, "_POOL_MIN_DRAWS", 0)
     rule_gammas = {"projection": [0.2, 0.4], "hebb": [0.2]}
     args = ("exact", 5, [1, 5], rule_gammas, [2.0], 12, 0.5, 0.1, 6)
@@ -535,8 +543,11 @@ def test_pooled_and_one_cpu_draws_pick_the_same_representatives(monkeypatch, poo
 
     sets = [(rule, p, gi, g) for rule, grid in rule_gammas.items() for p in [1, 5]
             for gi, g in enumerate(grid)]
-    forms, _, _, form_diagonals, form_ids = ensembles._draw_slice("exact", 5, sets, 12, 6,
-                                                                  range(len(ids.flat)))
+    [whole], slices = spans
+    assert whole == range(len(ids.flat)) and len(slices) == 4 * workers
+    forms, rows, form_ids = keyed_slice("exact", 5, sets, 12, 6, whole)
+    form_diagonals = [diagonal for _, _, diagonal in rows]
+    assert len(forms) == len(set(forms)) == len(rows)
     first = {}
     for form, landscape in zip(form_ids, ids.flat):
         first.setdefault(landscape, form)
@@ -545,6 +556,18 @@ def test_pooled_and_one_cpu_draws_pick_the_same_representatives(monkeypatch, poo
         assert np.array_equal(diagonals[landscape], form_diagonals[form])
     assert any(not np.array_equal(diagonals[landscape], form_diagonals[form])
                for form, landscape in zip(form_ids, ids.flat))
+    # the pooled slices: each class key keeps one landscape, and some key
+    # (hebb at p = 1) met again in a later slice first joined the landscape
+    # another key (projection's) started
+    seen, founders, recurred = {}, {}, 0
+    for s, span in enumerate(slices):
+        keys, _, local = keyed_slice("exact", 5, sets, 12, 6, span)
+        for key, landscape in zip([keys[i] for i in local], ids.flat[span.start:span.stop]):
+            first_slice, first_landscape = seen.setdefault(key, (s, landscape))
+            assert first_landscape == landscape
+            founders.setdefault(landscape, key)
+            recurred += first_slice < s and founders[landscape] != key
+    assert recurred
 
 
 def test_packed_sweep_matches_every_instance_annealed_alone(monkeypatch):

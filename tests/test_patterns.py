@@ -94,6 +94,19 @@ def test_index_pattern_round_trip(n, data):
     assert pattern_to_index(index_to_pattern(s, n)) == s
 
 
+@pytest.mark.parametrize("n", [63, 64, 70])
+def test_index_pattern_round_trip_past_63_spins(n):
+    # an int64 sum overflows from spin 63 on: all +1 at n = 70 would read -1
+    # and spin 64 alone would read 0
+    rng = np.random.default_rng(n)
+    randoms = [int.from_bytes(rng.bytes(9), "little") % (1 << n) for _ in range(20)]
+    for s in [0, 1, (1 << n) - 1, 1 << (n - 1), 1 << min(n - 1, 64), *randoms]:
+        z = index_to_pattern(s, n)
+        assert pattern_to_index(z) == s
+        assert np.array_equal(index_to_pattern(pattern_to_index(z), n), z)
+    assert pattern_to_index(np.ones(n)) == (1 << n) - 1
+
+
 def test_index_out_of_range():
     with pytest.raises(ValueError):
         index_to_pattern(8, 3)
